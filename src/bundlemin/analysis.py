@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .base_systems import BasePoint, BaseSystem, star_discrepancy
-from .bundles import Bundle, BundlePoint, SkewSystem, apply_skew, transport_to
+from .bundles import Bundle, BundlePoint, SkewSystem, orbit_stream, transport_to
 from .errors import EmptyG, EmptyInput, NoProbes, NotCircleCase, WrongInput
 from .graphs import (
     Circle,
@@ -41,7 +42,7 @@ class SampledSet:
         self.base_embed = np.array([float(self.base.embedding(x.b)) for x in self.points])
         self.edge_idx = np.array([g.edge_index(x.y.edge) for x in self.points], dtype=int)
         self.ts = np.array([x.y.t for x in self.points])
-        self._circular = "rotation" in self.base.id
+        self._circular = self.base.circular
 
     def base_distances(self, b: BasePoint) -> np.ndarray:
         e = float(self.base.embedding(b))
@@ -65,60 +66,79 @@ class SampledSet:
         return out
 
 
+class _Thinner:
+    """Online sep-separated subset (product max-metric), greedy first-seen.
+
+    Points are offered one at a time; a point is kept unless an earlier
+    kept point lies within sep of it, so the kept set depends only on
+    earlier points and memory grows with the kept count alone.  Hash grid
+    on (base cell, edge, arc cell); near-vertex points are also registered
+    under per-vertex buckets so cross-edge duplicates are caught.
+    """
+
+    def __init__(self, g: MetricGraph, sep: float):
+        self.g = g
+        self.sep = sep
+        self._vdist = g._vdist.tolist()
+        self._vidx = g._vidx
+        self.cells: dict[tuple, list[int]] = {}
+        self.vcells: dict[tuple, list[int]] = {}
+        # per kept point: (base embedding, edge id, t, arc to u, arc to v,
+        # vertex index of u, vertex index of v)
+        self.kept: list[tuple] = []
+
+    def offer(self, e: float, y: GraphPoint) -> bool:
+        """Keep (e, y) unless it duplicates a kept point; True when kept."""
+        g, sep, vd = self.g, self.sep, self._vdist
+        g.validate_point(y)
+        edge = g.edge_of(y.edge)
+        L, t = edge.length, y.t
+        pu, pv = t * L, (1.0 - t) * L
+        iu, iv = self._vidx[edge.u], self._vidx[edge.v]
+        bc = int(e / sep)
+        ac = int(pu / sep)
+        near_u, near_v = pu <= 2 * sep, pv <= 2 * sep
+        buckets = [
+            self.cells.get((bc + db, y.edge, ac + da), ())
+            for db in (-1, 0, 1)
+            for da in (-1, 0, 1)
+        ]
+        if near_u:
+            buckets += [self.vcells.get((bc + db, edge.u), ()) for db in (-1, 0, 1)]
+        if near_v:
+            buckets += [self.vcells.get((bc + db, edge.v), ()) for db in (-1, 0, 1)]
+        kept = self.kept
+        for bucket in buckets:
+            for j in bucket:
+                ej, eid, tj, qu, qv, ju, jv = kept[j]
+                if abs(e - ej) > sep:
+                    continue
+                # MetricGraph.path_distance(y, kept point) with its float
+                # operations in the same order, minus the per-pair validation
+                d = abs(t - tj) * L if eid == y.edge else math.inf
+                d = min(d, pu + vd[iu][ju] + qu, pu + vd[iu][jv] + qv,
+                        pv + vd[iv][ju] + qu, pv + vd[iv][jv] + qv)
+                if d <= sep:
+                    return False
+        i = len(kept)
+        kept.append((e, y.edge, t, pu, pv, iu, iv))
+        self.cells.setdefault((bc, y.edge, ac), []).append(i)
+        if near_u:
+            self.vcells.setdefault((bc, edge.u), []).append(i)
+        if near_v:
+            self.vcells.setdefault((bc, edge.v), []).append(i)
+        return True
+
+
 def _thin_points(
     g: MetricGraph,
     base_embed: Sequence[float],
     ys: Sequence[GraphPoint],
     sep: float,
 ) -> list[int]:
-    """Indices of a sep-separated subset (product max-metric), greedy first-seen.
-
-    Hash grid on (base cell, edge, arc cell); near-vertex points are also
-    registered under per-vertex buckets so cross-edge duplicates are caught.
-    """
-    kept: list[int] = []
-    cells: dict[tuple, list[int]] = {}
-    vcells: dict[tuple, list[int]] = {}
-
-    def cell_of(i: int) -> tuple:
-        y = ys[i]
-        arc = y.t * g.edge_of(y.edge).length
-        return (int(base_embed[i] / sep), y.edge, int(arc / sep))
-
-    def near_keys(i: int) -> list[tuple]:
-        bc, eid, ac = cell_of(i)
-        return [(bc + db, eid, ac + da) for db in (-1, 0, 1) for da in (-1, 0, 1)]
-
-    def vertex_keys(i: int) -> list[tuple]:
-        y = ys[i]
-        e = g.edge_of(y.edge)
-        bc = int(base_embed[i] / sep)
-        keys = []
-        if y.t * e.length <= 2 * sep:
-            keys += [(bc + db, e.u) for db in (-1, 0, 1)]
-        if (1.0 - y.t) * e.length <= 2 * sep:
-            keys += [(bc + db, e.v) for db in (-1, 0, 1)]
-        return keys
-
-    for i in range(len(ys)):
-        dup = False
-        cands: set[int] = set()
-        for k in near_keys(i):
-            cands.update(cells.get(k, ()))
-        for k in vertex_keys(i):
-            cands.update(vcells.get(k, ()))
-        for j in cands:
-            if abs(base_embed[i] - base_embed[j]) <= sep and g.path_distance(ys[i], ys[j]) <= sep:
-                dup = True
-                break
-        if dup:
-            continue
-        kept.append(i)
-        cells.setdefault(cell_of(i), []).append(i)
-        for k in vertex_keys(i):
-            if k[0] == int(base_embed[i] / sep):
-                vcells.setdefault(k, []).append(i)
-    return kept
+    """Indices of a sep-separated subset (product max-metric), greedy first-seen."""
+    thinner = _Thinner(g, sep)
+    return [i for i, (e, y) in enumerate(zip(base_embed, ys)) if thinner.offer(e, y)]
 
 
 def approximate_minimal_set(
@@ -133,26 +153,21 @@ def approximate_minimal_set(
 
     ``separation`` (default delta/4) is the pairwise product-metric
     separation of the kept subset; keeping it below delta preserves
-    delta-coverage for the classifiers downstream.
+    delta-coverage for the classifiers downstream.  The orbit is thinned
+    as it is generated, so memory grows with the kept count, not with n.
     """
-    if n < 1 or delta <= 0:
-        raise WrongInput("need n >= 1 and delta > 0")
+    if n < 1 or transient < 0 or delta <= 0:
+        raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
     sep = separation if separation is not None else delta / 4.0
-    x = seed
-    for _ in range(transient):
-        x = apply_skew(s, x)
-    pts: list[BundlePoint] = []
-    embeds: list[float] = []
-    ys: list[GraphPoint] = []
-    for _ in range(n):
-        pts.append(x)
-        embeds.append(float(s.base.embedding(x.b)))
-        ys.append(x.y)
-        x = apply_skew(s, x)
-    kept = _thin_points(s.bundle.fibre, embeds, ys, sep)
+    thinner = _Thinner(s.bundle.fibre, sep)
+    points = [
+        BundlePoint(b, y)
+        for b, e, y in islice(orbit_stream(s, seed), transient, transient + n)
+        if thinner.offer(e, y)
+    ]
     return SampledSet(
         delta=delta,
-        points=[pts[i] for i in kept],
+        points=points,
         provenance={
             "system": s.id,
             "seed": repr(seed),

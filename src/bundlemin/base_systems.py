@@ -125,7 +125,8 @@ class BaseSystem:
     """A minimal base system packaged as pure callables.
 
     ``preimages`` is optional backward dynamics used by the homeo-part
-    filter in the analysis layer.
+    filter in the analysis layer.  ``circular`` marks an embedding that is
+    an angle mod 1, so base distances wrap around.
     """
 
     id: str
@@ -136,6 +137,7 @@ class BaseSystem:
     embedding: Callable[[BasePoint], float]
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
+    circular: bool = False
 
 
 def preimage_count(bs: BaseSystem, x: BasePoint) -> int:
@@ -176,6 +178,7 @@ def circle_rotation(alpha: float) -> BaseSystem:
         embedding=lambda x: x.theta % 1.0,
         preimages=preimages,
         params={"alpha": alpha},
+        circular=True,
     )
 
 
@@ -510,6 +513,16 @@ def word_precision(w: SymbolicWord) -> float:
     return w.arc[1] if w.arc is not None else 1.0
 
 
+def word_embedding(w: SymbolicWord) -> float:
+    """Cantor-style coordinate of a coding word, read from its first 35 digits.
+
+    Memoised on those digits alone: the words of a Sturmian subshift have
+    only n + 1 distinct prefixes of length n.
+    """
+    m = min(w.K, 35)
+    return _embed_code(w.bits & ((1 << m) - 1), m)
+
+
 def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
     """Sturmian base system plus the factor map onto the rotation.
 
@@ -551,15 +564,6 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         m = (diff & -diff).bit_length() - 1
         return 3.0 ** (-m)
 
-    def embedding(w: SymbolicWord) -> float:
-        e = 0.0
-        p = 1.0
-        for i in range(min(w.K, 35)):
-            p /= 3.0
-            if (w.bits >> i) & 1:
-                e += 2.0 * p
-        return e
-
     def sampler(n: int) -> list[SymbolicWord]:
         out: list[SymbolicWord] = []
         seen: set[int] = set()
@@ -578,7 +582,7 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         metric=metric,
         preimage_count=lambda w: 1,
         sampler=sampler,
-        embedding=embedding,
+        embedding=word_embedding,
         params={"alpha": alpha, "K": K},
     )
     return bs, factor

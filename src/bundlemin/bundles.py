@@ -6,7 +6,7 @@ coordinate, by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .base_systems import BasePoint, BaseSystem, CircleAngle
 from .errors import InvalidPoint, NotHomeomorphism, WrongInput
@@ -44,6 +44,9 @@ class SkewSystem:
     ``continuity_modulus`` is a declared table of (base distance, fibre image
     distance) pairs verified by sampling; ``reference`` is a symbolic
     description of the claimed minimal set used by oracle tests.
+    ``image_family``, when given, is the same family indexed by the image
+    base point, ``fibre_family(b) == image_family(base.apply(b))``, so an
+    orbit that has already taken the base step need not take it again.
     """
 
     base: BaseSystem
@@ -52,6 +55,7 @@ class SkewSystem:
     continuity_modulus: tuple[tuple[float, float], ...] = ()
     reference: dict = field(default_factory=dict, compare=False)
     id: str = "skew"
+    image_family: Optional[Callable[[BasePoint], GraphMap]] = None
 
 
 def product_bundle(base: BaseSystem, fibre: MetricGraph) -> Bundle:
@@ -72,7 +76,7 @@ def _check_round_trip(fibre: MetricGraph, g: GraphMap, ginv: GraphMap, tol: floa
 def monodromy_bundle(
     base: BaseSystem, fibre: MetricGraph, gluing: GraphMap, gluing_inverse: GraphMap
 ) -> Bundle:
-    if "rotation" not in base.id:
+    if not base.circular:
         raise WrongInput("monodromy bundles are supported over circle bases only")
     _check_round_trip(fibre, gluing, gluing_inverse)
     _check_round_trip(fibre, gluing_inverse, gluing)
@@ -91,6 +95,27 @@ def apply_skew(s: SkewSystem, x: BundlePoint) -> BundlePoint:
         if t2 < t1:
             y2 = eval_graph_map(s.bundle.gluing, y2)
     return BundlePoint(b2, y2)
+
+
+def orbit_stream(s: SkewSystem, x: BundlePoint) -> Iterator[tuple[BasePoint, float, GraphPoint]]:
+    """The orbit of x as ``(b, base embedding of b, y)``, without end.
+
+    Same points as ``apply_skew`` iterated, but each step takes the base
+    step once and embeds each base point once: that embedding serves both
+    the cut-crossing test and the caller.
+    """
+    base, bundle = s.base, s.bundle
+    b, y = x.b, x.y
+    e = float(base.embedding(b))
+    while True:
+        yield b, e, y
+        b2 = base.apply(b)
+        m = s.image_family(b2) if s.image_family is not None else s.fibre_family(b)
+        y = eval_graph_map(m, y)
+        e2 = float(base.embedding(b2))
+        if bundle.is_monodromy and e2 < e:
+            y = eval_graph_map(bundle.gluing, y)
+        b, e = b2, e2
 
 
 def orbit(

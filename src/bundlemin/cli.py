@@ -277,12 +277,16 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     name, result = _load_system(out, cfg, args.name)
     steps = args.steps if args.steps is not None else int(cfg.get("steps", 100_000))
+    if steps < 1:
+        raise ConfigError(f"steps {steps} must be at least 1")
     if steps > step_cap():
         raise CapExceeded(f"steps {steps} exceed cap {step_cap()}")
     delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
     if not 1e-4 <= delta <= 1e-1:
         raise ConfigError(f"delta {delta} outside [1e-4, 1e-1]")
     transient = int(cfg.get("transient", 100))
+    if transient < 0:
+        raise ConfigError(f"transient {transient} is negative")
     seed = default_seed(name, result, args.seed)
     sample = approximate_minimal_set(result.system, seed, transient, steps, delta)
     atomic_write(out / "sample.csv", sample_to_csv(sample))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .base_systems import (
     quotient_base,
     sturmian,
     weyl_minimal_rotation,
+    word_embedding,
 )
 from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle, product_bundle
 from .errors import BadPattern, CirclesIntersect, NotACircle, OutOfRange
@@ -191,14 +193,8 @@ def build_torus_on_mobius(alpha: float, beta: float) -> ConstructionResult:
 
 
 def word_embed(w: SymbolicWord) -> float:
-    """Cantor-style fibre coordinate of a coding word."""
-    e = 0.0
-    p = 1.0
-    for i in range(min(w.K, 35)):
-        p /= 3.0
-        if (w.bits >> i) & 1:
-            e += 2.0 * p
-    return e
+    """Cantor-style fibre coordinate of a coding word: the Sturmian base embedding."""
+    return word_embedding(w)
 
 
 def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> ConstructionResult:
@@ -213,16 +209,20 @@ def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> Construction
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 1.0),))
     bundle = product_bundle(base, fibre)
 
-    def family(b: SymbolicWord) -> GraphMap:
-        t2 = word_embed(base.apply(b))
+    @lru_cache(maxsize=1024)
+    def constant_map(t2: float) -> GraphMap:
         return GraphMap(
             fibre, fibre, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", t2, t2),)),)}
         )
 
+    def image_family(b2: SymbolicWord) -> GraphMap:
+        return constant_map(word_embed(b2))
+
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=family,
+        fibre_family=lambda b: image_family(base.apply(b)),
+        image_family=image_family,
         continuity_modulus=((1e-2, 1e-1), (1e-4, 1e-3)),
         reference={
             "factor": factor,
@@ -424,14 +424,15 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
 
     maps = {1: target_map(1), 2: target_map(2)}
 
-    def family(b: DoubledCode) -> GraphMap:
-        return maps[side(q.apply(b))]
+    def image_family(b2: DoubledCode) -> GraphMap:
+        return maps[side(b2)]
 
     bundle = product_bundle(q, g)
     system = SkewSystem(
         base=q,
         bundle=bundle,
-        fibre_family=family,
+        fibre_family=lambda b: image_family(q.apply(b)),
+        image_family=image_family,
         continuity_modulus=((1e-2, 2e-1), (1e-4, 2e-3)),
         reference={
             "exceptional_base": c_l,
@@ -671,15 +672,16 @@ def build_theorem_d_case2(
         2: _case2_fibre_map(geo, target_inner=True, delta_theta=delta),
     }
 
-    def family(b: DoubledCode) -> GraphMap:
-        return maps[side(q.apply(b))]
+    def image_family(b2: DoubledCode) -> GraphMap:
+        return maps[side(b2)]
 
     bundle = product_bundle(q, geo.graph)
     seed_theta = geo.theta_ranges[geo.outer_edges[0]][0] + 0.37
     system = SkewSystem(
         base=q,
         bundle=bundle,
-        fibre_family=family,
+        fibre_family=lambda b: image_family(q.apply(b)),
+        image_family=image_family,
         continuity_modulus=((1e-2, 2e-1), (1e-4, 2e-3)),
         reference={
             "exceptional_base": c_l,

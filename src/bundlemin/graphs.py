@@ -11,7 +11,8 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -325,33 +326,6 @@ class Circle:
         return tuple(segs)
 
 
-def _subset_is_simple_cycle(g: MetricGraph, edge_ids: frozenset[str]) -> bool:
-    deg: dict[str, int] = {}
-    verts: set[str] = set()
-    for eid in edge_ids:
-        e = g.edge_of(eid)
-        deg[e.u] = deg.get(e.u, 0) + 1
-        deg[e.v] = deg.get(e.v, 0) + 1
-        verts.update((e.u, e.v))
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity of the sub-multigraph
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for eid in edge_ids:
-            e = g.edge_of(eid)
-            if e.u == w and e.v not in seen:
-                seen.add(e.v)
-                stack.append(e.v)
-            if e.v == w and e.u not in seen:
-                seen.add(e.u)
-                stack.append(e.u)
-    return seen == verts
-
-
 def _circle_from_edge_set(g: MetricGraph, edge_ids: frozenset[str]) -> Circle:
     first = min(edge_ids)
     e0 = g.edge_of(first)
@@ -454,37 +428,61 @@ class GraphMap:
     codomain: MetricGraph
     pieces: dict[str, tuple[MapPiece, ...]] = field(compare=False)
 
-    def piece_for(self, edge: str, t: float) -> MapPiece:
-        plist = self.pieces[edge]
-        for piece in plist:
-            if piece.lo - 1e-12 <= t <= piece.hi + 1e-12:
-                return piece
-        raise InvalidPoint(f"no piece covers t={t} on edge {edge!r}")
+    @cached_property
+    def _compiled(self) -> dict[str, tuple[list[float], list[tuple]]]:
+        """Per edge: the piece ``lo`` list and one flat tuple per piece.
+
+        A piece tuple is ``(lo - 1e-12, hi + 1e-12, lo, hi - lo, total,
+        const, segs)``: ``total`` is the path length, ``const`` the image
+        point of a piece that collapses to a point (else None), and each seg
+        is ``(edge, t0, t1 - t0, length, length + 1e-15, is_last)``.  Each
+        value is the float the evaluation formula needs, computed once per
+        map instead of once per call; ``pieces`` must not change after the
+        first evaluation.
+        """
+        g2 = self.codomain
+        out = {}
+        for eid, plist in self.pieces.items():
+            compiled = []
+            for pc in plist:
+                total = sum(seg.length(g2) for seg in pc.path)
+                const = None
+                if total <= 0.0 or pc.hi - pc.lo <= 0.0:
+                    const = GraphPoint(pc.path[0].edge, pc.path[0].t0)
+                segs = tuple(
+                    (sg.edge, sg.t0, sg.t1 - sg.t0, sg.length(g2), sg.length(g2) + 1e-15,
+                     sg is pc.path[-1])
+                    for sg in pc.path
+                )
+                compiled.append(
+                    (pc.lo - 1e-12, pc.hi + 1e-12, pc.lo, pc.hi - pc.lo, total, const, segs)
+                )
+            out[eid] = ([pc.lo for pc in plist], compiled)
+        return out
 
 
 def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:
     m.domain.validate_point(p)
-    plist = m.pieces[p.edge]
-    lows = [pc.lo for pc in plist]
-    i = min(max(bisect_right(lows, p.t) - 1, 0), len(plist) - 1)
-    piece = plist[i]
-    if not (piece.lo - 1e-12 <= p.t <= piece.hi + 1e-12):
-        piece = m.piece_for(p.edge, p.t)
-    g2 = m.codomain
-    total = sum(seg.length(g2) for seg in piece.path)
-    if total <= 0.0 or piece.hi - piece.lo <= 0.0:
-        seg = piece.path[0]
-        return GraphPoint(seg.edge, seg.t0)
-    u = (p.t - piece.lo) / (piece.hi - piece.lo)
+    t = p.t
+    lows, plist = m._compiled[p.edge]
+    lo_tol, hi_tol, lo, width, total, const, segs = plist[max(bisect_right(lows, t) - 1, 0)]
+    if not (lo_tol <= t <= hi_tol):
+        for lo_tol, hi_tol, lo, width, total, const, segs in plist:
+            if lo_tol <= t <= hi_tol:
+                break
+        else:
+            raise InvalidPoint(f"no piece covers t={t} on edge {p.edge!r}")
+    if const is not None:
+        return const
+    u = (t - lo) / width
     u = min(max(u, 0.0), 1.0)
     s = u * total
-    for seg in piece.path:
-        sl = seg.length(g2)
-        if s <= sl + 1e-15 or seg is piece.path[-1]:
+    for edge, t0, dt, sl, sl_tol, last in segs:
+        if s <= sl_tol or last:
             frac = s / sl if sl > 0 else 0.0
             frac = min(max(frac, 0.0), 1.0)
-            t = seg.t0 + (seg.t1 - seg.t0) * frac
-            return GraphPoint(seg.edge, min(max(t, 0.0), 1.0))
+            t = t0 + dt * frac
+            return GraphPoint(edge, min(max(t, 0.0), 1.0))
         s -= sl
     raise AssertionError("unreachable")
 
@@ -847,31 +845,6 @@ def rotation_number(m: GraphMap, c: Circle, iterations: int) -> float:
     return rotation_number_of_circle_map(fn, 0.12345, iterations)
 
 
-def arc_monotonicity_check(
-    m: GraphMap, arc_points: Sequence[GraphPoint], tol: float = 1e-9
-) -> bool | None:
-    """Weak monotonicity of image points along an arc, at sample scale.
-
-    Returns True when consecutive image distances are additive (monotone along
-    a geodesic arc), False when a strict fold-back is detected, None when the
-    image cannot be recognized as a single arc at this scale.
-    """
-    g2 = m.codomain
-    imgs = [eval_graph_map(m, p) for p in arc_points]
-    if len(imgs) < 3:
-        return True
-    consec = sum(g2.path_distance(a, b) for a, b in zip(imgs, imgs[1:]))
-    end_to_end = g2.path_distance(imgs[0], imgs[-1])
-    if consec <= end_to_end + tol:
-        return True
-    # fold-back: distance from the start increases then strictly decreases
-    d0 = [g2.path_distance(imgs[0], q) for q in imgs]
-    peak = max(range(len(d0)), key=lambda i: d0[i])
-    if peak not in (0, len(d0) - 1) and d0[peak] > d0[-1] + tol and d0[peak] > d0[0] + tol:
-        return False
-    return None
-
-
 # ---------------------------------------------------------------------------
 # small constructors used throughout
 
@@ -889,11 +862,3 @@ def star_graph(n: int, branch_length: float = 1.0) -> MetricGraph:
 def interval_graph(length: float = 1.0, edge_id: str = "I") -> MetricGraph:
     return MetricGraph(("v0", "v1"), (Edge(edge_id, "v0", "v1", length),))
 
-
-def graph_to_spec(g: MetricGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": e.id, "from": e.u, "to": e.v, "length": e.length} for e in g.edges
-        ],
-    }

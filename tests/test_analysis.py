@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 from bundlemin.analysis import (
     SampledSet,
+    _thin_points,
     approximate_minimal_set,
     circles_report,
     classify_fibre,
@@ -17,12 +20,14 @@ from bundlemin.analysis import (
     typical_fibre_report,
 )
 from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation
-from bundlemin.bundles import BundlePoint, product_bundle
+from bundlemin.bundles import BundlePoint, orbit, orbit_stream, product_bundle
 from bundlemin.constructions import (
     build_m_circles,
     build_mobius,
+    build_sturmian_cylinder,
     build_torus_on_mobius,
     chained_loops_graph,
+    word_embed,
 )
 from bundlemin.errors import EmptyG, EmptyInput, WrongInput
 from bundlemin.graphs import GraphPoint, circle_graph, enumerate_circles, interval_graph
@@ -53,6 +58,90 @@ class TestApproximateMinimalSet:
         seed = BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0))
         with pytest.raises(WrongInput):
             approximate_minimal_set(res.system, seed, 0, 0, 0.05)
+        with pytest.raises(WrongInput):
+            approximate_minimal_set(res.system, seed, -1, 10, 0.05)
+
+    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
+    def test_streamed_sample_equals_batch_thinning_of_orbit(self, name):
+        s, seed = _orbit_system(name)
+        n, transient, sep = 5_000, 100, 0.02 / 4.0
+        pts = orbit(s, seed, n, transient=transient)
+        streamed = list(islice(orbit_stream(s, seed), transient, transient + n))
+        assert [BundlePoint(b, y) for b, _, y in streamed] == pts
+        embeds = [float(s.base.embedding(x.b)) for x in pts]
+        assert [e for _, e, _ in streamed] == embeds
+        ys = [x.y for x in pts]
+        kept = _thin_points(s.bundle.fibre, embeds, ys, sep)
+        assert kept == _reference_thin_points(s.bundle.fibre, embeds, ys, sep)
+        sample = approximate_minimal_set(s, seed, transient, n, 0.02)
+        assert sample.points == [pts[i] for i in kept]
+
+    def test_memory_grows_with_kept_points_not_steps(self):
+        s, seed = _orbit_system("sturmian-cylinder")
+        peaks = []
+        for n in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                approximate_minimal_set(s, seed, 100, n, 0.02)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _orbit_system(name):
+    if name == "sturmian-cylinder":
+        s = build_sturmian_cylinder(GOLDEN).system
+        w = s.base.sampler(1)[0]
+        return s, BundlePoint(w, GraphPoint("I", word_embed(w)))
+    s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
+    return s, BundlePoint(CircleAngle(0.1), GraphPoint("A", 0.2))
+
+
+def _reference_thin_points(g, base_embed, ys, sep):
+    """The batch thinner the online one replaced: greedy first-seen over
+    the whole buffered orbit, with MetricGraph.path_distance per pair."""
+    kept = []
+    cells = {}
+    vcells = {}
+
+    def cell_of(i):
+        y = ys[i]
+        arc = y.t * g.edge_of(y.edge).length
+        return (int(base_embed[i] / sep), y.edge, int(arc / sep))
+
+    def near_keys(i):
+        bc, eid, ac = cell_of(i)
+        return [(bc + db, eid, ac + da) for db in (-1, 0, 1) for da in (-1, 0, 1)]
+
+    def vertex_keys(i):
+        y = ys[i]
+        e = g.edge_of(y.edge)
+        bc = int(base_embed[i] / sep)
+        keys = []
+        if y.t * e.length <= 2 * sep:
+            keys += [(bc + db, e.u) for db in (-1, 0, 1)]
+        if (1.0 - y.t) * e.length <= 2 * sep:
+            keys += [(bc + db, e.v) for db in (-1, 0, 1)]
+        return keys
+
+    for i in range(len(ys)):
+        cands = set()
+        for k in near_keys(i):
+            cands.update(cells.get(k, ()))
+        for k in vertex_keys(i):
+            cands.update(vcells.get(k, ()))
+        if any(
+            abs(base_embed[i] - base_embed[j]) <= sep and g.path_distance(ys[i], ys[j]) <= sep
+            for j in cands
+        ):
+            continue
+        kept.append(i)
+        cells.setdefault(cell_of(i), []).append(i)
+        for k in vertex_keys(i):
+            if k[0] == int(base_embed[i] / sep):
+                vcells.setdefault(k, []).append(i)
+    return kept
 
 
 class TestClassifyFibre:

@@ -65,6 +65,20 @@ class TestExitCodes:
         rc = main(["minimal-set", "--out", str(tmp_path), "--steps", "20000"])
         assert rc == EXIT_CAP
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_nonpositive_steps(self, tmp_path, capsys, steps):
+        assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["minimal-set", "--out", str(tmp_path), "--steps", steps]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_negative_transient(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "mobius", "transient": -1}))
+        assert main(["minimal-set", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_sample(self, tmp_path):
         assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
         assert main(["classify", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -20,9 +21,15 @@ from bundlemin.constructions import (
     mobius_boundary_circle_map,
     word_embed,
 )
-from bundlemin.errors import BadPattern, CirclesIntersect, OutOfRange
+from bundlemin.cli import CONSTRUCTIONS
+from bundlemin.errors import BadPattern, CirclesIntersect, InvalidPoint, OutOfRange
 from bundlemin.graphs import (
+    Edge,
+    GraphMap,
     GraphPoint,
+    MapPiece,
+    MetricGraph,
+    PathSeg,
     check_continuity,
     enumerate_circles,
     eval_graph_map,
@@ -268,3 +275,89 @@ class TestCase2:
             expect = geo.push_inner(th + rho * math.tau)
             got = eval_graph_map(m, y)
             assert geo.graph.path_distance(got, expect) < 1e-3
+
+
+def _reference_eval(m, p):
+    """The graph-map evaluator as it was before maps were compiled."""
+    m.domain.validate_point(p)
+    plist = m.pieces[p.edge]
+    lows = [pc.lo for pc in plist]
+    i = min(max(bisect_right(lows, p.t) - 1, 0), len(plist) - 1)
+    piece = plist[i]
+    if not (piece.lo - 1e-12 <= p.t <= piece.hi + 1e-12):
+        for piece in plist:
+            if piece.lo - 1e-12 <= p.t <= piece.hi + 1e-12:
+                break
+        else:
+            raise InvalidPoint(f"no piece covers t={p.t} on edge {p.edge!r}")
+    g2 = m.codomain
+    total = sum(seg.length(g2) for seg in piece.path)
+    if total <= 0.0 or piece.hi - piece.lo <= 0.0:
+        seg = piece.path[0]
+        return GraphPoint(seg.edge, seg.t0)
+    u = (p.t - piece.lo) / (piece.hi - piece.lo)
+    u = min(max(u, 0.0), 1.0)
+    s = u * total
+    for seg in piece.path:
+        sl = seg.length(g2)
+        if s <= sl + 1e-15 or seg is piece.path[-1]:
+            frac = s / sl if sl > 0 else 0.0
+            frac = min(max(frac, 0.0), 1.0)
+            t = seg.t0 + (seg.t1 - seg.t0) * frac
+            return GraphPoint(seg.edge, min(max(t, 0.0), 1.0))
+        s -= sl
+    raise AssertionError("unreachable")
+
+
+def _construction_maps(name):
+    s = CONSTRUCTIONS[name]({}).system
+    maps = {}
+    if s.bundle.is_monodromy:
+        for m in (s.bundle.gluing, s.bundle.gluing_inverse):
+            maps[id(m)] = m
+    for b in s.base.sampler(64):
+        m = s.fibre_family(b)
+        maps[id(m)] = m
+    return list(maps.values())
+
+
+def _t_grid(m, edge):
+    ts = {k / 32.0 for k in range(33)}
+    for pc in m.pieces[edge]:
+        for t in (pc.lo, pc.hi, (pc.lo + pc.hi) / 2.0):
+            ts.update((t, math.nextafter(t, -1.0), math.nextafter(t, 2.0)))
+    return sorted(t for t in ts if 0.0 <= t <= 1.0)
+
+
+def _assert_same_as_reference(m):
+    for e in m.domain.edges:
+        for t in _t_grid(m, e.id):
+            p = GraphPoint(e.id, t)
+            try:
+                want = _reference_eval(m, p)
+            except InvalidPoint:
+                with pytest.raises(InvalidPoint):
+                    eval_graph_map(m, p)
+                continue
+            assert eval_graph_map(m, p) == want, (e.id, t)
+
+
+class TestCompiledGraphMaps:
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_matches_reference_evaluator(self, name):
+        for m in _construction_maps(name):
+            _assert_same_as_reference(m)
+
+    def test_piece_fallback_and_gap(self):
+        g = MetricGraph(("v0", "v1", "v2"), (Edge("I", "v0", "v1", 2.0), Edge("J", "v1", "v2", 1.0)))
+        # the bisected piece [0.5, 0.6] misses t = 0.8, the first piece covers it;
+        # nothing covers t in (0.6, 0.7) on edge "J"
+        m = GraphMap(g, g, {
+            "I": (MapPiece(0.0, 1.0, (PathSeg("I", 1.0, 0.0),)),
+                  MapPiece(0.5, 0.6, (PathSeg("J", 0.0, 1.0),))),
+            "J": (MapPiece(0.0, 0.6, (PathSeg("I", 0.0, 0.5), PathSeg("J", 0.0, 1.0))),
+                  MapPiece(0.7, 1.0, (PathSeg("J", 0.3, 0.3),))),
+        })
+        _assert_same_as_reference(m)
+        with pytest.raises(InvalidPoint):
+            eval_graph_map(m, GraphPoint("J", 0.65))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -14,11 +15,12 @@ import numpy as np
 from .base_systems import BasePoint, BaseSystem, star_discrepancy
 from .bundles import Bundle, BundlePoint, SkewSystem, orbit_stream, transport_to
 from .errors import EmptyG, EmptyInput, NoProbes, NotCircleCase, WrongInput
+from .fibre_index import FibreIndex
 from .graphs import (
     Circle,
     GraphPoint,
     MetricGraph,
-    _initial_germ,
+    classify_sample_point,
     enumerate_circles,
     eval_graph_map,
 )
@@ -29,20 +31,25 @@ from .graphs import (
 
 @dataclass
 class SampledSet:
-    """Finite approximation of an invariant set, with numpy coordinate caches."""
+    """Finite approximation of an invariant set, with numpy coordinate caches.
+
+    ``base_embed`` holds the base embedding of each point; it is computed
+    from the points when not given.
+    """
 
     delta: float
     points: list[BundlePoint]
     provenance: dict
     base: BaseSystem
     bundle: Bundle
+    base_embed: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        g = self.bundle.fibre
-        self.base_embed = np.array([float(self.base.embedding(x.b)) for x in self.points])
-        self.edge_idx = np.array([g.edge_index(x.y.edge) for x in self.points], dtype=int)
-        self.ts = np.array([x.y.t for x in self.points])
+        if self.base_embed is None:
+            self.base_embed = np.array([float(self.base.embedding(x.b)) for x in self.points])
+        self.edge_idx, self.ts = self.bundle.fibre.point_arrays([x.y for x in self.points])
         self._circular = self.base.circular
+        self._probe_classes: dict[tuple, FibreClass | None] = {}
 
     def base_distances(self, b: BasePoint) -> np.ndarray:
         e = float(self.base.embedding(b))
@@ -64,6 +71,15 @@ class SampledSet:
                 y = transport_to(self.bundle, self.base, x.b, b, y)
             out.append(y)
         return out
+
+    def probe_class(self, b: BasePoint, delta_base: float, delta: float) -> FibreClass | None:
+        """``classify_fibre`` of the fibre slice over b, None when the slice is
+        empty; memoised, so the reports that probe one base point share it."""
+        key = (b, delta_base, delta)
+        if key not in self._probe_classes:
+            ys = self.fibre_slice(b, delta_base)
+            self._probe_classes[key] = classify_fibre(self.bundle.fibre, ys, delta) if ys else None
+        return self._probe_classes[key]
 
 
 class _Thinner:
@@ -160,11 +176,11 @@ def approximate_minimal_set(
         raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
     sep = separation if separation is not None else delta / 4.0
     thinner = _Thinner(s.bundle.fibre, sep)
-    points = [
-        BundlePoint(b, y)
-        for b, e, y in islice(orbit_stream(s, seed), transient, transient + n)
-        if thinner.offer(e, y)
-    ]
+    points, embeds = [], []
+    for b, e, y in islice(orbit_stream(s, seed), transient, transient + n):
+        if thinner.offer(e, y):
+            points.append(BundlePoint(b, y))
+            embeds.append(e)
     return SampledSet(
         delta=delta,
         points=points,
@@ -177,6 +193,7 @@ def approximate_minimal_set(
         },
         base=s.base,
         bundle=s.bundle,
+        base_embed=np.array(embeds),
     )
 
 
@@ -191,6 +208,8 @@ class FibreClass:
     m: int | None = None
     scale: float = 0.0
     circles: tuple[frozenset, ...] = ()
+    #: the delta/8-thinned sample the verdict was computed from
+    points: tuple[GraphPoint, ...] = field(default=(), compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.kind == "finite":
@@ -205,48 +224,28 @@ def _thin_fibre(g: MetricGraph, pts: Sequence[GraphPoint], sep: float) -> list[G
     return [pts[i] for i in kept]
 
 
-def _clusters(g: MetricGraph, pts: list[GraphPoint], cutoff: float) -> list[list[int]]:
-    """Single-linkage components at the cutoff, grown with vectorized distances."""
-    n = len(pts)
-    edge_idx = np.array([g.edge_index(p.edge) for p in pts], dtype=int)
-    ts = np.array([p.t for p in pts])
-    unseen = np.ones(n, dtype=bool)
-    out: list[list[int]] = []
-    for start in range(n):
-        if not unseen[start]:
-            continue
-        comp = [start]
-        unseen[start] = False
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            d = g.distances_to_many(pts[i], edge_idx, ts)
-            hits = np.where(unseen & (d <= cutoff))[0]
-            for j in hits:
-                unseen[j] = False
-                comp.append(int(j))
-                frontier.append(int(j))
-        out.append(comp)
-    return out
+def _cluster_diameter(
+    g: MetricGraph, edge_idx: np.ndarray, ts: np.ndarray, comp: np.ndarray, cap: float
+) -> float:
+    """Largest path distance within the component or, when one point's
+    eccentricity (itself such a distance) already reaches cap, that
+    eccentricity."""
+    ei, tt = edge_idx[comp], ts[comp]
+    ecc = float(g.distance_matrix(ei[:1], tt[:1], ei, tt).max())
+    if ecc >= cap:
+        return ecc
+    return float(g.distance_matrix(ei, tt, ei, tt).max())
 
 
-def _cluster_diameter(g: MetricGraph, pts: list[GraphPoint], comp: list[int]) -> float:
-    edge_idx = np.array([g.edge_index(pts[i].edge) for i in comp], dtype=int)
-    ts = np.array([pts[i].t for i in comp])
-    diam = 0.0
-    for i in comp:
-        diam = max(diam, float(g.distances_to_many(pts[i], edge_idx, ts).max()))
-    return diam
-
-
-def _cluster_gap(g: MetricGraph, pts: list[GraphPoint], comps: list[list[int]]) -> float:
+def _cluster_gap(
+    g: MetricGraph, edge_idx: np.ndarray, ts: np.ndarray, comps: list[np.ndarray]
+) -> float:
+    """Smallest distance from a point of a later component to an earlier one."""
     gap = math.inf
-    for a in range(len(comps)):
-        edge_idx = np.array([g.edge_index(pts[i].edge) for i in comps[a]], dtype=int)
-        ts = np.array([pts[i].t for i in comps[a]])
-        for b in range(a + 1, len(comps)):
-            for i in comps[b]:
-                gap = min(gap, float(g.distances_to_many(pts[i], edge_idx, ts).min()))
+    for a in range(len(comps) - 1):
+        rest = np.concatenate(comps[a + 1:])
+        near = FibreIndex(g, edge_idx[comps[a]], ts[comps[a]]).nearest(edge_idx[rest], ts[rest])
+        gap = min(gap, float(near.min()))
     return gap
 
 
@@ -256,19 +255,15 @@ def _circle_grid(g: MetricGraph, c: Circle, spacing: float) -> list[GraphPoint]:
 
 
 def _covered_circles(
-    g: MetricGraph, pts: list[GraphPoint], delta: float
-) -> list[Circle]:
-    edge_idx = np.array([g.edge_index(p.edge) for p in pts], dtype=int)
-    ts = np.array([p.t for p in pts])
+    g: MetricGraph, index: FibreIndex, delta: float
+) -> list[tuple[Circle, list[GraphPoint]]]:
+    """Circles of g whose delta/4 probe grid lies delta-close to the indexed
+    points, each with its grid."""
     covered = []
     for c in enumerate_circles(g):
-        ok = True
-        for probe in _circle_grid(g, c, delta / 4.0):
-            if float(g.distances_to_many(probe, edge_idx, ts).min()) > delta:
-                ok = False
-                break
-        if ok:
-            covered.append(c)
+        grid = _circle_grid(g, c, delta / 4.0)
+        if not (index.nearest(*g.point_arrays(grid)) > delta).any():
+            covered.append((c, grid))
     return covered
 
 
@@ -280,43 +275,37 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
 
     Order of tests: finite point set, union of circles, Cantor-like dust,
     Unknown. The input is thinned to delta/8 separation first so clustering
-    stays near-linear on dense slices.
+    stays near-linear on dense slices; the thinned points are kept on the
+    verdict.
     """
     if not fibre_sample:
         raise EmptyInput("empty fibre sample")
     pts = _thin_fibre(g, list(fibre_sample), delta / 8.0)
-    comps = _clusters(g, pts, delta)
+    verdict = partial(FibreClass, scale=delta, points=tuple(pts))
+    edge_idx, ts = g.point_arrays(pts)
+    index = FibreIndex(g, edge_idx, ts)
+    comps = index.components(delta)
     n = len(comps)
-    diams = [_cluster_diameter(g, pts, c) for c in comps]
+    diams = [_cluster_diameter(g, edge_idx, ts, c, 10.0 * delta) for c in comps]
     if max(diams) < delta / 2.0:
         if n == 1:
-            return FibreClass("finite", n=1, scale=delta)
-        gap = _cluster_gap(g, pts, comps)
+            return verdict("finite", n=1)
+        gap = _cluster_gap(g, edge_idx, ts, comps)
         if n * gap > 10.0 * delta:
-            return FibreClass("finite", n=n, scale=delta)
-    covered = _covered_circles(g, pts, delta)
+            return verdict("finite", n=n)
+    covered = _covered_circles(g, index, delta)
     if covered:
         # every sample point must sit near the covered union
-        union_pts: list[GraphPoint] = []
-        for c in covered:
-            union_pts.extend(_circle_grid(g, c, delta / 4.0))
-        edge_idx = np.array([g.edge_index(p.edge) for p in union_pts], dtype=int)
-        ts = np.array([p.t for p in union_pts])
-        if all(
-            float(g.distances_to_many(p, edge_idx, ts).min()) <= delta / 2.0 + delta / 8.0
-            for p in pts
-        ):
-            return FibreClass(
-                "circles",
-                m=len(covered),
-                scale=delta,
-                circles=tuple(c.edge_ids() for c in covered),
+        union = FibreIndex.of_points(g, [p for _, grid in covered for p in grid])
+        if (union.nearest(edge_idx, ts) <= delta / 2.0 + delta / 8.0).all():
+            return verdict(
+                "circles", m=len(covered), circles=tuple(c.edge_ids() for c, _ in covered)
             )
     if n >= CANTOR_MIN_COMPONENTS and max(diams) < 10.0 * delta:
-        finer = len(_clusters(g, pts, delta / 2.0))
+        finer = len(index.components(delta / 2.0))
         if finer >= 1.5 * n:
-            return FibreClass("cantor", n=n, scale=delta)
-    return FibreClass("unknown", scale=delta)
+            return verdict("cantor", n=n)
+    return verdict("unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +320,6 @@ class DichotomyReport:
     r: float
     delta: float
     points_checked: int
-
-
-def _classify_endpoint_fast(
-    g: MetricGraph,
-    edge_idx: np.ndarray,
-    ts: np.ndarray,
-    pts: list[GraphPoint],
-    p: GraphPoint,
-    r: float,
-    delta: float,
-) -> bool:
-    """True when p looks like an end-point of the sliced set at scale (r, delta)."""
-    d = g.distances_to_many(p, edge_idx, ts)
-    sel = np.where((d > delta) & (d <= r))[0]
-    witnesses: dict[tuple[str, int], float] = {}
-    for j in sel:
-        q = pts[int(j)]
-        germ = _initial_germ(g, p, q, delta)
-        dj = float(d[j])
-        if dj < witnesses.get(germ, math.inf):
-            witnesses[germ] = dj
-    k = sum(1 for v in witnesses.values() if v <= 2.0 * delta)
-    return k < 2
 
 
 def endpoint_statistics(
@@ -374,7 +340,7 @@ def endpoint_statistics(
     step = max(1, n // max_points)
     idxs = range(0, n, step)
     # slices cached per quantized base coordinate
-    slice_cache: dict[int, tuple[np.ndarray, np.ndarray, list[GraphPoint]]] = {}
+    slice_cache: dict[int, tuple[list[GraphPoint], np.ndarray, np.ndarray]] = {}
     endpoints = 0
     checked = 0
     for i in idxs:
@@ -383,12 +349,10 @@ def endpoint_statistics(
         got = slice_cache.get(key)
         if got is None:
             ys = sample.fibre_slice(x.b, delta_base)
-            ei = np.array([g.edge_index(y.edge) for y in ys], dtype=int)
-            tt = np.array([y.t for y in ys])
-            got = (ei, tt, ys)
+            got = (ys, *g.point_arrays(ys))
             slice_cache[key] = got
-        ei, tt, ys = got
-        if _classify_endpoint_fast(g, ei, tt, ys, x.y, r, delta):
+        ys, ei, tt = got
+        if classify_sample_point(g, ys, x.y, r, delta, ei, tt).is_endpoint:
             endpoints += 1
         checked += 1
     fraction = endpoints / checked
@@ -501,15 +465,13 @@ def typical_fibre_report(
     """Classify fibre slices over homeo-part probes and report the modal class."""
     if delta_base is None:
         delta_base = delta
-    g = s.bundle.fibre
     verdicts: list[tuple[BasePoint, FibreClass]] = []
     for b in base_probe:
         if not _in_homeo_part(s.base, b):
             continue
-        ys = sample.fibre_slice(b, delta_base)
-        if not ys:
-            continue
-        verdicts.append((b, classify_fibre(g, ys, delta)))
+        v = sample.probe_class(b, delta_base, delta)
+        if v is not None:
+            verdicts.append((b, v))
     if not verdicts:
         raise NoProbes("no usable probes after the homeo-part filter")
     keys = [str(v) for _, v in verdicts]
@@ -566,32 +528,30 @@ def circles_report(
         delta_base = delta
     g = s.bundle.fibre
     all_circles = {c.edge_ids(): c for c in enumerate_circles(g)}
-    verdicts: list[tuple[BasePoint, FibreClass, list[GraphPoint]]] = []
+    verdicts: list[tuple[BasePoint, FibreClass]] = []
     for b in base_probe:
-        ys = sample.fibre_slice(b, delta_base)
-        if not ys:
-            continue
-        verdicts.append((b, classify_fibre(g, ys, delta), ys))
+        v = sample.probe_class(b, delta_base, delta)
+        if v is not None:
+            verdicts.append((b, v))
     if not verdicts:
         raise NoProbes("no nonempty fibre slices over the probes")
-    non_circle = sum(1 for _, v, _ in verdicts if v.kind != "circles")
+    non_circle = sum(1 for _, v in verdicts if v.kind != "circles")
     if 2 * non_circle > len(verdicts):
         raise NotCircleCase(f"{non_circle}/{len(verdicts)} probes are not circle fibres")
-    counts = [v.m for _, v, _ in verdicts if v.kind == "circles"]
+    counts = [v.m for _, v in verdicts if v.kind == "circles"]
     m = max(set(counts), key=counts.count)
     exceptional = tuple(
-        repr(b) for b, v, _ in verdicts if v.kind == "circles" and v.m > m
+        repr(b) for b, v in verdicts if v.kind == "circles" and v.m > m
     )
     # image check on a probe subset with the modal count
     ok = True
     tested = 0
-    for b, v, ys in verdicts:
+    for b, v in verdicts:
         if v.kind != "circles" or v.m != m or tested >= image_probes:
             continue
         tested += 1
         fm = s.fibre_family(b)
-        thin = _thin_fibre(g, ys, delta / 8.0)
-        images = [eval_graph_map(fm, y) for y in thin]
+        images = [eval_graph_map(fm, y) for y in v.points]
         img_class = classify_fibre(g, images, delta)
         if img_class.kind != "circles" or img_class.m != m:
             ok = False

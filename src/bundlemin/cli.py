@@ -44,7 +44,14 @@ from .constructions import (
     chained_loops_graph,
     word_embed,
 )
-from .errors import CapExceeded, ConfigError, NotCircleCase, NoProbes, SchemaError
+from .errors import (
+    BundleMinError,
+    CapExceeded,
+    ConfigError,
+    NotCircleCase,
+    NoProbes,
+    SchemaError,
+)
 from .graphs import GraphPoint, circle_graph, enumerate_circles
 from .plotting import render_sample_svg
 
@@ -207,11 +214,14 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def step_cap() -> int:
@@ -246,10 +256,18 @@ def _resolve_construction(cfg: dict, name_arg: str | None) -> tuple[str, dict]:
     return name, params
 
 
+def _construct(name: str, params: dict) -> ConstructionResult:
+    """Build the named construction; a parameter it rejects is a config error."""
+    try:
+        return CONSTRUCTIONS[name](params)
+    except (BundleMinError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad params for {name}: {exc}") from exc
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     name, params = _resolve_construction(cfg, args.name)
-    result = CONSTRUCTIONS[name](params)
+    result = _construct(name, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write(out / "system.json", _jdump({"construction": name, "params": params}))
@@ -264,11 +282,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _load_system(out: Path, cfg: dict, name_arg: str | None) -> tuple[str, ConstructionResult]:
     sysfile = out / "system.json"
     if sysfile.exists():
-        spec = json.loads(sysfile.read_text())
-        name, params = _resolve_construction(spec, None)
+        name, params = _resolve_construction(load_config(str(sysfile)), None)
     else:
         name, params = _resolve_construction(cfg, name_arg)
-    return name, CONSTRUCTIONS[name](params)
+    return name, _construct(name, params)
 
 
 def cmd_minimal_set(args: argparse.Namespace) -> int:

@@ -288,6 +288,8 @@ def build_m_circles(
     """
     circles = list(circles)
     m = len(circles)
+    if m < 1:
+        raise OutOfRange("need at least one circle to permute")
     if angle is None:
         angle = GOLDEN
     vsets = []

@@ -55,6 +55,9 @@ class MetricGraph:
     def __init__(self, vertices: Sequence[str], edges: Sequence[Edge]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[Edge, ...] = tuple(edges)
+        for e in self.edges:
+            if not e.length > 0.0:
+                raise NonPositiveLength(f"edge {e.id!r} has length {e.length}")
         self._edge_by_id = {e.id: e for e in self.edges}
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
         self._eidx = {e.id: i for i, e in enumerate(self.edges)}
@@ -178,23 +181,42 @@ class MetricGraph:
 
     def distances_to_many(self, p: GraphPoint, edge_idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Vectorized path_distance from p to points given as (edge index, t) arrays."""
-        ep = self.edge_of(p.edge)
-        lens = self._len_arr[edge_idx]
-        qu = ts * lens
-        qv = (1.0 - ts) * lens
-        pu, pv = p.t * ep.length, (1.0 - p.t) * ep.length
-        ipu, ipv = self._vidx[ep.u], self._vidx[ep.v]
-        du = self._vdist[ipu]
-        dv = self._vdist[ipv]
+        pe = np.array([self._eidx[self.edge_of(p.edge).id]])
+        return self.distance_matrix(pe, np.array([p.t]), edge_idx, ts)[0]
+
+    def distance_matrix(
+        self, pe: np.ndarray, pt: np.ndarray, qe: np.ndarray, qt: np.ndarray
+    ) -> np.ndarray:
+        """Path distances from the points (pe, pt) (rows) to the points
+        (qe, qt) (columns).
+
+        Each entry is ``path_distance``'s value, bit for bit: the same four
+        vertex terms, each summed as ``(p to vertex + vertex distance) +
+        vertex to q``, and ``|t_q - t_p| * length`` for a pair on one edge.
+        """
+        lens = self._len_arr[qe]
+        qu = qt * lens
+        qv = (1.0 - qt) * lens
+        plen = self._len_arr[pe]
+        pu = (pt * plen)[:, None]
+        pv = ((1.0 - pt) * plen)[:, None]
+        du = self._vdist[self._u_arr[pe]]
+        dv = self._vdist[self._v_arr[pe]]
+        qa, qb = self._u_arr[qe], self._v_arr[qe]
         best = np.minimum(
-            np.minimum(pu + du[self._u_arr[edge_idx]] + qu, pu + du[self._v_arr[edge_idx]] + qv),
-            np.minimum(pv + dv[self._u_arr[edge_idx]] + qu, pv + dv[self._v_arr[edge_idx]] + qv),
+            np.minimum(pu + du[:, qa] + qu, pu + du[:, qb] + qv),
+            np.minimum(pv + dv[:, qa] + qu, pv + dv[:, qb] + qv),
         )
-        same = edge_idx == self._eidx[p.edge]
-        if same.any():
-            direct = np.abs(ts[same] - p.t) * ep.length
-            best[same] = np.minimum(best[same], direct)
-        return best
+        direct = np.abs(qt[None, :] - pt[:, None]) * plen[:, None]
+        return np.where(pe[:, None] == qe[None, :], np.minimum(best, direct), best)
+
+    def point_arrays(self, pts: Sequence[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
+        """(edge index, t) arrays of a point list, the form the vectorized
+        distance functions take."""
+        return (
+            np.array([self._eidx[p.edge] for p in pts], dtype=int),
+            np.array([p.t for p in pts], dtype=float),
+        )
 
 
 def build_graph(spec: dict) -> MetricGraph:
@@ -786,21 +808,27 @@ def classify_sample_point(
     p: GraphPoint,
     r: float,
     delta: float,
+    edge_idx: np.ndarray | None = None,
+    ts: np.ndarray | None = None,
 ) -> PointLocalClass:
     """Finite-scale end-point / star-like-interior classifier.
 
     A point is a star-like interior point at scale (r, delta) when the
     sample points within r of p, outside the delta-ball at p, depart along
     k >= 2 distinct edge germs each witnessed within 2·delta of p.
+    ``edge_idx`` and ``ts`` are the sample's ``point_arrays``, for callers
+    that classify many points against one sample.
     """
     if delta >= r:
         raise ScaleError(f"need delta < r, got delta={delta}, r={r}")
+    if edge_idx is None or ts is None:
+        edge_idx, ts = g.point_arrays(fibre_sample)
+    # equal to path_distance(p, q): the same terms, summed in the same order
+    dist = g.distances_to_many(p, edge_idx, ts)
     witnesses: dict[tuple[str, int], float] = {}
-    for q in fibre_sample:
-        d = g.path_distance(p, q)
-        if d <= delta or d > r:
-            continue
-        germ = _initial_germ(g, p, q, delta)
+    for j in np.flatnonzero((dist > delta) & (dist <= r)):
+        d = float(dist[j])
+        germ = _initial_germ(g, p, fibre_sample[j], delta)
         if d < witnesses.get(germ, math.inf):
             witnesses[germ] = d
     k = sum(1 for d in witnesses.values() if d <= 2.0 * delta)

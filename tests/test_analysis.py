@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from bundlemin import analysis
 from bundlemin.analysis import (
     SampledSet,
     _thin_points,
@@ -75,6 +76,13 @@ class TestApproximateMinimalSet:
         assert kept == _reference_thin_points(s.bundle.fibre, embeds, ys, sep)
         sample = approximate_minimal_set(s, seed, transient, n, 0.02)
         assert sample.points == [pts[i] for i in kept]
+
+    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
+    def test_handed_over_embeddings_equal_recomputed(self, name):
+        s, seed = _orbit_system(name)
+        sample = approximate_minimal_set(s, seed, 100, 5_000, 0.02)
+        rebuilt = SampledSet(0.02, sample.points, {}, s.base, s.bundle)
+        assert sample.base_embed.tolist() == rebuilt.base_embed.tolist()
 
     def test_memory_grows_with_kept_points_not_steps(self):
         s, seed = _orbit_system("sturmian-cylinder")
@@ -268,6 +276,25 @@ class TestCirclesReport:
         assert rep.m == 2
         assert rep.exceptional_tags == ()
         assert rep.image_disjointness
+
+    def test_reports_classify_each_probe_once(self, monkeypatch):
+        res, sample = _torus_sample(n=20_000)
+        probes = [sample.points[i].b for i in range(0, len(sample.points), 300)][:8]
+        calls = []
+        classify = analysis.classify_fibre
+        monkeypatch.setattr(
+            analysis, "classify_fibre", lambda *args: calls.append(args) or classify(*args)
+        )
+        tri = typical_fibre_report(res.system, sample, probes, 0.02)
+        assert len(calls) == tri.probes_used == len(probes)
+        calls.clear()
+        rep = circles_report(res.system, sample, 0.02, probes, image_probes=3)
+        assert rep.m == 2 and rep.image_disjointness
+        # only the three image fibres are classified; each maps the probe's
+        # thinned slice, the points its verdict was computed from
+        assert len(calls) == 3
+        thinned = [sample.probe_class(b, 0.02, 0.02).points for b in probes[:3]]
+        assert [len(args[1]) for args in calls] == [len(pts) for pts in thinned]
 
 
 class TestRedundantOpenSet:

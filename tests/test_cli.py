@@ -84,6 +84,40 @@ class TestExitCodes:
         assert main(["classify", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+class TestConfigBoundary:
+    """A config the construction rejects exits 2 with one line, whether it
+    comes from --config at build time or from a reloaded system.json."""
+
+    BAD = {
+        "alpha-out-of-range": {"construction": "sturmian-cylinder", "params": {"alpha": 2}},
+        "alpha-not-a-number": {"construction": "sturmian-cylinder", "params": {"alpha": "x"}},
+        "config-not-an-object": ["x"],
+        "no-circles": {"construction": "m-circles", "params": {"m": 0}},
+        "zero-edge-length": {"construction": "circle-product", "params": {"length": 0}},
+    }
+
+    @staticmethod
+    def assert_one_config_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("cfg", list(BAD.values()), ids=list(BAD))
+    def test_build(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_config_error(capsys)
+        assert not (out / "system.json").exists()
+
+    @pytest.mark.parametrize("command", ["minimal-set", "classify", "plot"])
+    @pytest.mark.parametrize("cfg", list(BAD.values()), ids=list(BAD))
+    def test_reloaded_system_json(self, tmp_path, capsys, cfg, command):
+        (tmp_path / "system.json").write_text(json.dumps(cfg))
+        assert main([command, "--out", str(tmp_path), "--steps", "100"]) == EXIT_CONFIG
+        self.assert_one_config_error(capsys)
+
+
 class TestPipeline:
     def test_mobius_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path)

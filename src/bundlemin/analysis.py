@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -446,8 +446,6 @@ def _in_homeo_part(base: BaseSystem, b: BasePoint, window: int = 10) -> bool:
         return True
     x = b
     for _ in range(window):
-        if base.preimage_count(x) != 1:
-            return False
         pres = base.preimages(x)
         if len(pres) != 1:
             return False

@@ -132,16 +132,14 @@ class BaseSystem:
     id: str
     apply: Callable[[BasePoint], BasePoint]
     metric: Callable[[BasePoint, BasePoint], float]
-    preimage_count: Callable[[BasePoint], int]
     sampler: Callable[[int], list[BasePoint]]
     embedding: Callable[[BasePoint], float]
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
 
-
-def preimage_count(bs: BaseSystem, x: BasePoint) -> int:
-    return bs.preimage_count(x)
+    def preimage_count(self, x: BasePoint) -> int:
+        return len(self.preimages(x))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,6 @@ def circle_rotation(alpha: float) -> BaseSystem:
         id=f"rotation({alpha})",
         apply=apply,
         metric=metric,
-        preimage_count=lambda x: 1,
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
         preimages=preimages,
@@ -194,7 +191,6 @@ def periodic_orbit(q: int) -> BaseSystem:
         id=f"periodic({q})",
         apply=lambda x: PeriodicIndex((x.i + 1) % q, q),
         metric=metric,
-        preimage_count=lambda x: 1,
         sampler=lambda n: [PeriodicIndex(i % q, q) for i in range(min(n, q))],
         embedding=lambda x: x.i / q,
         preimages=lambda x: [PeriodicIndex((x.i - 1) % q, q)],
@@ -225,7 +221,6 @@ def adding_machine(precision: int = 40) -> BaseSystem:
         id=f"odometer(K={K})",
         apply=apply,
         metric=metric,
-        preimage_count=lambda x: 1,
         sampler=sampler,
         embedding=embed_code,
         preimages=lambda x: [TernaryCode((x.bits - 1) % mod, K)],
@@ -356,10 +351,6 @@ def doubled_cantor(
             return DoubledCode(TernaryCode((x.code.bits + 1) % mod, K), x.side)
         return DoubledCode(TernaryCode((x.code.bits + 1) % mod, K), 0)
 
-    def preimage_count_(x: DoubledCode) -> int:
-        validate(x)
-        return 2 if (x.side == 0 and x.code.bits == a.bits) else 1
-
     def preimages(x: DoubledCode) -> list[DoubledCode]:
         j = validate(x)
         prev = TernaryCode((x.code.bits - 1) % mod, K)
@@ -381,7 +372,6 @@ def doubled_cantor(
         id=f"doubled-cantor(K={K})",
         apply=apply,
         metric=metric,
-        preimage_count=preimage_count_,
         sampler=sampler,
         embedding=embedding,
         preimages=preimages,
@@ -404,7 +394,7 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
     length, making the identified point a genuine single point of the
     quotient; c_l is the canonical representative.
     """
-    if "doubled-cantor" not in dc.id:
+    if not {"a", "K", "gaps"} <= dc.params.keys():
         raise WrongInput("quotient_base expects a doubled-Cantor system")
     c_l, c_r = doubled_pair(dc)
     L1 = dc.params["gaps"][0]
@@ -438,7 +428,6 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
         id=f"quotient({dc.id})",
         apply=apply,
         metric=metric,
-        preimage_count=lambda x: 1,
         sampler=sampler,
         embedding=embedding,
         preimages=preimages,
@@ -531,6 +520,8 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
     """
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"rotation angle {alpha} outside (0, 1)")
+    if precision < 1:
+        raise OutOfRange("precision must be >= 1")
     K = precision
 
     def ensure_arc(w: SymbolicWord) -> SymbolicWord:
@@ -580,7 +571,6 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         id=f"sturmian(alpha={alpha},K={K})",
         apply=apply,
         metric=metric,
-        preimage_count=lambda w: 1,
         sampler=sampler,
         embedding=word_embedding,
         params={"alpha": alpha, "K": K},

@@ -6,10 +6,10 @@ coordinate, by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
-from .base_systems import BasePoint, BaseSystem, CircleAngle
-from .errors import InvalidPoint, NotHomeomorphism, WrongInput
+from .base_systems import BasePoint, BaseSystem
+from .errors import NotHomeomorphism, WrongInput
 from .graphs import GraphMap, GraphPoint, MetricGraph, eval_graph_map
 
 
@@ -41,9 +41,8 @@ class BundlePoint:
 class SkewSystem:
     """Skew product: base system, bundle, and a base-indexed fibre-map family.
 
-    ``continuity_modulus`` is a declared table of (base distance, fibre image
-    distance) pairs verified by sampling; ``reference`` is a symbolic
-    description of the claimed minimal set used by oracle tests.
+    ``reference`` is a symbolic description of the claimed minimal set used
+    by oracle tests.
     ``image_family``, when given, is the same family indexed by the image
     base point, ``fibre_family(b) == image_family(base.apply(b))``, so an
     orbit that has already taken the base step need not take it again.
@@ -52,7 +51,6 @@ class SkewSystem:
     base: BaseSystem
     bundle: Bundle
     fibre_family: Callable[[BasePoint], GraphMap]
-    continuity_modulus: tuple[tuple[float, float], ...] = ()
     reference: dict = field(default_factory=dict, compare=False)
     id: str = "skew"
     image_family: Optional[Callable[[BasePoint], GraphMap]] = None
@@ -152,31 +150,3 @@ def transport_to(
         # crossing the cut forward (angle wraps past 1 -> 0)
         return eval_graph_map(bundle.gluing, y)
     return eval_graph_map(bundle.gluing_inverse, y)
-
-
-def fibre_slice(
-    sample, b: BasePoint, delta_base: float, bundle: Bundle | None = None,
-    base: BaseSystem | None = None,
-) -> list[GraphPoint]:
-    """Fibre coordinates of all sample points with base within delta_base of b,
-    transported into b's chart.
-
-    ``sample`` is any object with ``points: list[BundlePoint]`` or a plain
-    list of BundlePoint; bundle/base enable chart transport and default to
-    the sample's provenance when present.
-    """
-    points: Sequence[BundlePoint] = getattr(sample, "points", sample)
-    if bundle is None:
-        bundle = getattr(sample, "bundle", None)
-    if base is None:
-        base = getattr(sample, "base", None)
-    if base is None:
-        raise WrongInput("fibre_slice needs the base system for its metric")
-    out: list[GraphPoint] = []
-    for x in points:
-        if base.metric(x.b, b) <= delta_base:
-            y = x.y
-            if bundle is not None and bundle.is_monodromy:
-                y = transport_to(bundle, base, x.b, b, y)
-            out.append(y)
-    return out

@@ -8,7 +8,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,28 +21,15 @@ from .analysis import (
     typical_fibre_report,
 )
 from .base_systems import (
-    GOLDEN,
     BasePoint,
     CircleAngle,
     DoubledCode,
     PeriodicIndex,
     SymbolicWord,
     TernaryCode,
-    circle_rotation,
 )
 from .bundles import BundlePoint
-from .constructions import (
-    ConstructionResult,
-    build_circle_minimal_product,
-    build_m_circles,
-    build_mobius,
-    build_sturmian_cylinder,
-    build_theorem_d_case1,
-    build_theorem_d_case2,
-    build_torus_on_mobius,
-    chained_loops_graph,
-    word_embed,
-)
+from .constructions import CONSTRUCTIONS, ConstructionResult
 from .errors import (
     BundleMinError,
     CapExceeded,
@@ -52,7 +38,7 @@ from .errors import (
     NoProbes,
     SchemaError,
 )
-from .graphs import GraphPoint, circle_graph, enumerate_circles
+from .graphs import GraphPoint
 from .plotting import render_sample_svg
 
 EXIT_OK = 0
@@ -61,82 +47,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_CAP = 4
 
 DEFAULT_CAP = 10_000_000
-SQRT2_FRAC = math.sqrt(2.0) - 1.0
-
-
-# ---------------------------------------------------------------------------
-# construction registry
-
-
-def _build_mobius(p: dict) -> ConstructionResult:
-    return build_mobius(float(p.get("alpha", GOLDEN)))
-
-
-def _build_torus_on_mobius(p: dict) -> ConstructionResult:
-    return build_torus_on_mobius(float(p.get("alpha", GOLDEN)), float(p.get("beta", SQRT2_FRAC)))
-
-
-def _build_sturmian(p: dict) -> ConstructionResult:
-    return build_sturmian_cylinder(float(p.get("alpha", GOLDEN)), int(p.get("precision", 1500)))
-
-
-def _build_circle_product(p: dict) -> ConstructionResult:
-    g = circle_graph(float(p.get("length", 1.0)))
-    c = enumerate_circles(g)[0]
-    base = circle_rotation(float(p.get("alpha", GOLDEN)))
-    return build_circle_minimal_product(base, g, c, angle=float(p.get("angle", SQRT2_FRAC)))
-
-
-def _build_m_circles(p: dict) -> ConstructionResult:
-    m = int(p.get("m", 3))
-    g = chained_loops_graph(m)
-    circles = [c for c in enumerate_circles(g) if len(c.steps) == 1]
-    base = circle_rotation(float(p.get("alpha", GOLDEN)))
-    return build_m_circles(base, g, circles, angle=float(p.get("angle", SQRT2_FRAC)))
-
-
-def _build_case1(p: dict) -> ConstructionResult:
-    return build_theorem_d_case1(int(p.get("precision", 40)))
-
-
-def _case2(pattern: str):
-    def build(p: dict) -> ConstructionResult:
-        return build_theorem_d_case2(
-            pattern, int(p.get("precision", 40)), float(p.get("theta0", math.pi / 2))
-        )
-
-    return build
-
-
-CONSTRUCTIONS = {
-    "mobius": _build_mobius,
-    "torus-on-mobius": _build_torus_on_mobius,
-    "sturmian-cylinder": _build_sturmian,
-    "circle-product": _build_circle_product,
-    "m-circles": _build_m_circles,
-    "theorem-d-1": _build_case1,
-    "theorem-d-2:point": _case2("point"),
-    "theorem-d-2:arc": _case2("arc"),
-    "theorem-d-2:two": _case2("two"),
-}
-
-# per-construction slice width for base proximity during classification
-DELTA_BASE = {"sturmian-cylinder": 1e-6}
-
-
-def default_seed(name: str, result: ConstructionResult, seed_index: int) -> BundlePoint:
-    s = result.system
-    if name == "mobius":
-        return BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0))
-    if name == "sturmian-cylinder":
-        w = s.base.sampler(seed_index + 1)[-1]
-        return BundlePoint(w, GraphPoint("I", word_embed(w)))
-    ref_seed = result.reference.get("seed")
-    if ref_seed is not None and seed_index == 0:
-        return ref_seed
-    b = s.base.sampler(seed_index + 1)[-1]
-    e = s.bundle.fibre.edges[0]
-    return BundlePoint(b, GraphPoint(e.id, 0.37))
 
 
 # ---------------------------------------------------------------------------
@@ -288,57 +198,71 @@ def _load_system(out: Path, cfg: dict, name_arg: str | None) -> tuple[str, Const
     return name, _construct(name, params)
 
 
+def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int, int]:
+    """(delta, steps, transient, seed index): each flag, else its config key,
+    else its default, checked the same way for every command."""
+    try:
+        delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
+        steps = args.steps if args.steps is not None else int(cfg.get("steps", 100_000))
+        transient = int(cfg.get("transient", 100))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad run setting: {exc}") from exc
+    if not 1e-4 <= delta <= 1e-1:
+        raise ConfigError(f"delta {delta} outside [1e-4, 1e-1]")
+    if steps < 1:
+        raise ConfigError(f"steps {steps} must be at least 1")
+    if transient < 0:
+        raise ConfigError(f"transient {transient} is negative")
+    if args.seed < 0:
+        raise ConfigError(f"seed index {args.seed} is negative")
+    return delta, steps, transient, args.seed
+
+
 def cmd_minimal_set(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    delta, steps, transient, seed_index = _run_settings(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name, result = _load_system(out, cfg, args.name)
-    steps = args.steps if args.steps is not None else int(cfg.get("steps", 100_000))
-    if steps < 1:
-        raise ConfigError(f"steps {steps} must be at least 1")
     if steps > step_cap():
         raise CapExceeded(f"steps {steps} exceed cap {step_cap()}")
-    delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
-    if not 1e-4 <= delta <= 1e-1:
-        raise ConfigError(f"delta {delta} outside [1e-4, 1e-1]")
-    transient = int(cfg.get("transient", 100))
-    if transient < 0:
-        raise ConfigError(f"transient {transient} is negative")
-    seed = default_seed(name, result, args.seed)
-    sample = approximate_minimal_set(result.system, seed, transient, steps, delta)
+    sample = approximate_minimal_set(result.system, result.seed(seed_index), transient, steps, delta)
     atomic_write(out / "sample.csv", sample_to_csv(sample))
     prov = dict(sample.provenance)
-    prov.update({"construction": name, "delta": delta, "seed_index": args.seed})
+    prov.update({"construction": name, "delta": delta, "seed_index": seed_index})
     atomic_write(out / "provenance.json", _jdump(prov))
     print(f"wrote {out / 'sample.csv'} ({len(sample.points)} points)")
     return EXIT_OK
 
 
-def _rebuild_sample(out: Path, result: ConstructionResult, delta: float) -> SampledSet:
+def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResult, SampledSet]:
+    """The system and the orbit sample saved in --out."""
+    cfg = load_config(args.config)
+    delta = _run_settings(args, cfg)[0]
+    out = Path(args.out)
+    name, result = _load_system(out, cfg, args.name)
     csv_path = out / "sample.csv"
     if not csv_path.exists():
         raise ConfigError(f"sample not found: {csv_path}")
     points = csv_to_points(csv_path.read_text())
     prov_path = out / "provenance.json"
     prov = json.loads(prov_path.read_text()) if prov_path.exists() else {}
-    return SampledSet(
+    sample = SampledSet(
         delta=delta,
         points=points,
         provenance=prov,
         base=result.system.base,
         bundle=result.system.bundle,
     )
+    return out, name, result, sample
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    name, result = _load_system(out, cfg, args.name)
-    delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
-    sample = _rebuild_sample(out, result, delta)
+    out, name, result, sample = _load_sample(args)
+    delta = sample.delta
     s = result.system
     g = s.bundle.fibre
-    delta_base = DELTA_BASE.get(name, delta)
+    delta_base = result.delta_base if result.delta_base is not None else delta
 
     dich = endpoint_statistics(g, sample, r=3.0 * delta, delta=delta, delta_base=delta_base)
     atomic_write(
@@ -400,11 +324,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    out = Path(args.out)
-    name, result = _load_system(out, cfg, args.name)
-    delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
-    sample = _rebuild_sample(out, result, delta)
+    out, name, result, sample = _load_sample(args)
     rows = [
         (float(sample.base_embed[i]), x.y.edge, x.y.t) for i, x in enumerate(sample.points)
     ]

@@ -5,34 +5,37 @@ circle permutations, and the two blown-up-odometer constructions whose
 exceptional fibre carries two circles (disjoint or intersecting).
 
 Each factory returns a ConstructionResult bundling the system with a
-symbolic description of its claimed minimal set for oracle-driven tests.
+symbolic description of its claimed minimal set for oracle-driven tests,
+its orbit seed rule and its slice width.  ``CONSTRUCTIONS`` maps each
+command-line name to a builder that reads the factory's keyword defaults
+as its parameter declaration.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .base_systems import (
+    DEFAULT_STURMIAN_K,
     GOLDEN,
-    BasePoint,
     BaseSystem,
     CircleAngle,
     DoubledCode,
     SymbolicWord,
     circle_rotation,
     doubled_cantor,
-    doubled_pair,
     quotient_base,
     sturmian,
     weyl_minimal_rotation,
     word_embedding,
 )
-from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle, product_bundle
-from .errors import BadPattern, CirclesIntersect, NotACircle, OutOfRange
+from .bundles import BundlePoint, SkewSystem, monodromy_bundle, product_bundle
+from .errors import BadPattern, CirclesIntersect, NotACircle, OutOfRange, WrongInput
 from .graphs import (
     Circle,
     Edge,
@@ -41,23 +44,42 @@ from .graphs import (
     MapPiece,
     MetricGraph,
     PathSeg,
-    build_graph,
     build_retraction,
+    circle_graph,
     circle_rotation_pieces,
-    eval_graph_map,
+    enumerate_circles,
     identity_map,
     rotate_along_circle,
     shortest_path_segments,
 )
 
 TWO_PI = 2.0 * math.pi
+SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
 
 @dataclass(frozen=True)
 class ConstructionResult:
+    """A built system with its oracle reference, its orbit seed rule and the
+    base width of its fibre slices (None: the sample's delta).
+
+    ``seed_rule(i)`` is the orbit seed for seed index i; without one, the
+    seed is the i-th base sample point on the first fibre edge at t = 0.37.
+    """
+
     system: SkewSystem
     reference: dict = field(default_factory=dict, compare=False)
     note: str = ""
+    seed_rule: Optional[Callable[[int], BundlePoint]] = field(default=None, compare=False)
+    delta_base: Optional[float] = None
+
+    def seed(self, i: int) -> BundlePoint:
+        if self.seed_rule is not None:
+            return self.seed_rule(i)
+        return _sampled_seed(self.system, i)
+
+
+def _sampled_seed(s: SkewSystem, i: int) -> BundlePoint:
+    return BundlePoint(s.base.sampler(i + 1)[-1], GraphPoint(s.bundle.fibre.edges[0].id, 0.37))
 
 
 def _require_angle(a: float, name: str = "angle") -> None:
@@ -69,7 +91,7 @@ def _require_angle(a: float, name: str = "angle") -> None:
 # interval-fibre band with orientation-reversing gluing
 
 
-def build_mobius(alpha: float) -> ConstructionResult:
+def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
     """Band over a rotation whose fibre interval flips on each base loop.
 
     Fibre coordinate y = 2t - 1 on the interval edge of length 2; the
@@ -86,7 +108,6 @@ def build_mobius(alpha: float) -> ConstructionResult:
         base=base,
         bundle=bundle,
         fibre_family=lambda b: ident,
-        continuity_modulus=((1e-2, 1e-2), (1e-4, 1e-4)),
         reference={
             "minimal_sets": ["centre", "boundary"],
             "centre_t": 0.5,
@@ -96,7 +117,10 @@ def build_mobius(alpha: float) -> ConstructionResult:
         },
         id=f"mobius(alpha={alpha})",
     )
-    return ConstructionResult(system, system.reference, "interval band, flip gluing")
+    return ConstructionResult(
+        system, system.reference, "interval band, flip gluing",
+        seed_rule=lambda i: BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0)),
+    )
 
 
 def mobius_boundary_circle_map(result: ConstructionResult) -> Callable[[float], float]:
@@ -130,7 +154,7 @@ def _loop_circle(g: MetricGraph, edge_id: str) -> Circle:
     return Circle(((edge_id, 1),), g.edge_of(edge_id).length)
 
 
-def build_torus_on_mobius(alpha: float, beta: float) -> ConstructionResult:
+def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> ConstructionResult:
     """Band whose fibre is two unit circles joined by an interval.
 
     The gluing is the central symmetry swapping the circles and reversing
@@ -176,7 +200,6 @@ def build_torus_on_mobius(alpha: float, beta: float) -> ConstructionResult:
         base=base,
         bundle=bundle,
         fibre_family=lambda b: phi,
-        continuity_modulus=((1e-2, 1e-1), (1e-4, 1e-3)),
         reference={
             "minimal_set": "circle pair",
             "circle_edges": ("A", "B"),
@@ -192,12 +215,13 @@ def build_torus_on_mobius(alpha: float, beta: float) -> ConstructionResult:
 # coding-system cylinder, carried on its minimal set
 
 
-def word_embed(w: SymbolicWord) -> float:
-    """Cantor-style fibre coordinate of a coding word: the Sturmian base embedding."""
-    return word_embedding(w)
+#: Cantor-style fibre coordinate of a coding word: the Sturmian base embedding
+word_embed = word_embedding
 
 
-def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> ConstructionResult:
+def build_sturmian_cylinder(
+    alpha: float = GOLDEN, precision: int = DEFAULT_STURMIAN_K
+) -> ConstructionResult:
     """Skew system carried on the coding minimal set itself.
 
     State points are (word, fibre point at the word's Cantor coordinate);
@@ -223,7 +247,6 @@ def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> Construction
         bundle=bundle,
         fibre_family=lambda b: image_family(base.apply(b)),
         image_family=image_family,
-        continuity_modulus=((1e-2, 1e-1), (1e-4, 1e-3)),
         reference={
             "factor": factor,
             "fibre_cardinality_generic": 1,
@@ -232,7 +255,15 @@ def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> Construction
         },
         id=f"sturmian-cylinder(alpha={alpha},K={precision})",
     )
-    return ConstructionResult(system, system.reference, "coding cylinder on its minimal set")
+
+    def seed_rule(i: int) -> BundlePoint:
+        w = base.sampler(i + 1)[-1]
+        return BundlePoint(w, GraphPoint("I", word_embed(w)))
+
+    return ConstructionResult(
+        system, system.reference, "coding cylinder on its minimal set",
+        seed_rule=seed_rule, delta_base=1e-6,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +271,11 @@ def build_sturmian_cylinder(alpha: float, precision: int = 1500) -> Construction
 
 
 def build_circle_minimal_product(
-    base: BaseSystem, fibre: MetricGraph, c: Circle, angle: float | None = None
+    base: BaseSystem, fibre: MetricGraph, c: Circle, angle: float = SQRT2_FRAC
 ) -> ConstructionResult:
     """Product system whose fibre map retracts onto c and rotates along it."""
     if not c.edge_ids() <= {e.id for e in fibre.edges}:
         raise NotACircle("circle does not belong to the fibre graph")
-    if angle is None:
-        angle = float(weyl_minimal_rotation(list(range(1, 1001)), 1000, 0.05))
     r = build_retraction(fibre, c)
     m = rotate_along_circle(r, c, angle)
     bundle = product_bundle(base, fibre)
@@ -254,7 +283,6 @@ def build_circle_minimal_product(
         base=base,
         bundle=bundle,
         fibre_family=lambda b: m,
-        continuity_modulus=((1e-2, 1e-1), (1e-4, 1e-3)),
         reference={"circle": c, "angle": angle},
         id=f"circle-product({base.id},angle={angle})",
     )
@@ -277,7 +305,7 @@ def build_m_circles(
     base: BaseSystem,
     fibre: MetricGraph,
     circles: Sequence[Circle],
-    angle: float | None = None,
+    angle: float = SQRT2_FRAC,
 ) -> ConstructionResult:
     """Product system cyclically permuting m disjoint circles of the fibre,
     with a rotation by ``angle`` inserted on the wrap-around leg.
@@ -290,8 +318,6 @@ def build_m_circles(
     m = len(circles)
     if m < 1:
         raise OutOfRange("need at least one circle to permute")
-    if angle is None:
-        angle = GOLDEN
     vsets = []
     for c in circles:
         vs: set[str] = set()
@@ -353,7 +379,6 @@ def build_m_circles(
         base=base,
         bundle=bundle,
         fibre_family=lambda b: h,
-        continuity_modulus=((1e-2, 1e-1), (1e-4, 1e-3)),
         reference={"circles": tuple(circles), "m": m, "angle": angle},
         id=f"m-circles(m={m},angle={angle})",
     )
@@ -435,7 +460,6 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
         bundle=bundle,
         fibre_family=lambda b: image_family(q.apply(b)),
         image_family=image_family,
-        continuity_modulus=((1e-2, 2e-1), (1e-4, 2e-3)),
         reference={
             "exceptional_base": c_l,
             "exceptional_circles": 2,
@@ -447,7 +471,10 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
         },
         id=f"theorem-d-1(K={precision})",
     )
-    return ConstructionResult(system, system.reference, "two disjoint circles over a blown-up odometer")
+    return ConstructionResult(
+        system, system.reference, "two disjoint circles over a blown-up odometer",
+        seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +711,6 @@ def build_theorem_d_case2(
         bundle=bundle,
         fibre_family=lambda b: image_family(q.apply(b)),
         image_family=image_family,
-        continuity_modulus=((1e-2, 2e-1), (1e-4, 2e-3)),
         reference={
             "exceptional_base": c_l,
             "geometry": geo,
@@ -696,7 +722,8 @@ def build_theorem_d_case2(
         id=f"theorem-d-2:{pattern}(K={precision})",
     )
     return ConstructionResult(
-        system, system.reference, "two intersecting circles over a blown-up odometer"
+        system, system.reference, "two intersecting circles over a blown-up odometer",
+        seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
     )
 
 
@@ -721,3 +748,48 @@ def case2_branch_images(
         moved = geo.radial_project(y)
     via_other = push(geo.theta_of(moved) + delta)
     return direct, via_other
+
+
+# ---------------------------------------------------------------------------
+# command-line registry
+
+
+def _circle_product(
+    alpha: float = GOLDEN, length: float = 1.0, angle: float = SQRT2_FRAC
+) -> ConstructionResult:
+    g = circle_graph(length)
+    return build_circle_minimal_product(circle_rotation(alpha), g, enumerate_circles(g)[0], angle)
+
+
+def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> ConstructionResult:
+    g = chained_loops_graph(m)
+    circles = [c for c in enumerate_circles(g) if len(c.steps) == 1]
+    return build_m_circles(circle_rotation(alpha), g, circles, angle)
+
+
+def _from_params(factory: Callable[..., ConstructionResult]) -> Callable[[dict], ConstructionResult]:
+    """Builder from a params object: the factory's keyword defaults are the
+    declared keys, each value coerced to its default's type; any other key
+    is refused."""
+    defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+
+    def build(params: dict) -> ConstructionResult:
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise WrongInput(f"unknown params {unknown}; declared: {sorted(defaults)}")
+        return factory(**{k: type(d)(params.get(k, d)) for k, d in defaults.items()})
+
+    return build
+
+
+CONSTRUCTIONS: dict[str, Callable[[dict], ConstructionResult]] = {
+    "mobius": _from_params(build_mobius),
+    "torus-on-mobius": _from_params(build_torus_on_mobius),
+    "sturmian-cylinder": _from_params(build_sturmian_cylinder),
+    "circle-product": _from_params(_circle_product),
+    "m-circles": _from_params(_m_circles),
+    "theorem-d-1": _from_params(build_theorem_d_case1),
+    "theorem-d-2:point": _from_params(partial(build_theorem_d_case2, "point")),
+    "theorem-d-2:arc": _from_params(partial(build_theorem_d_case2, "arc")),
+    "theorem-d-2:two": _from_params(partial(build_theorem_d_case2, "two")),
+}

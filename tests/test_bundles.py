@@ -5,13 +5,13 @@ import math
 
 import pytest
 
+from bundlemin.analysis import SampledSet
 from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation
 from bundlemin.bundles import (
     Bundle,
     BundlePoint,
     SkewSystem,
     apply_skew,
-    fibre_slice,
     monodromy_bundle,
     orbit,
     product_bundle,
@@ -133,7 +133,7 @@ class TestFibreSlice:
             BundlePoint(CircleAngle(0.11), GraphPoint("I", 0.2)),
             BundlePoint(CircleAngle(0.50), GraphPoint("I", 0.9)),
         ]
-        ys = fibre_slice(pts, CircleAngle(0.105), 0.01, bundle=bundle, base=base)
+        ys = SampledSet(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.105), 0.01)
         assert sorted(y.t for y in ys) == [0.1, 0.2]
 
     def test_slice_transports_in_monodromy_chart(self):
@@ -141,10 +141,6 @@ class TestFibreSlice:
         g = interval_graph(1.0)
         bundle = monodromy_bundle(base, g, flip_map(g), flip_map(g))
         pts = [BundlePoint(CircleAngle(0.99), GraphPoint("I", 0.3))]
-        ys = fibre_slice(pts, CircleAngle(0.01), 0.05, bundle=bundle, base=base)
+        ys = SampledSet(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.01), 0.05)
         assert len(ys) == 1
         assert ys[0].t == pytest.approx(0.7)
-
-    def test_needs_base(self):
-        with pytest.raises(WrongInput):
-            fibre_slice([], CircleAngle(0.0), 0.1)

@@ -94,6 +94,8 @@ class TestConfigBoundary:
         "config-not-an-object": ["x"],
         "no-circles": {"construction": "m-circles", "params": {"m": 0}},
         "zero-edge-length": {"construction": "circle-product", "params": {"length": 0}},
+        "zero-precision": {"construction": "sturmian-cylinder", "params": {"precision": 0}},
+        "unknown-param": {"construction": "mobius", "params": {"alhpa": 0.3}},
     }
 
     @staticmethod
@@ -116,6 +118,52 @@ class TestConfigBoundary:
         (tmp_path / "system.json").write_text(json.dumps(cfg))
         assert main([command, "--out", str(tmp_path), "--steps", "100"]) == EXIT_CONFIG
         self.assert_one_config_error(capsys)
+
+
+class TestRunSettings:
+    """Bad run settings exit 2 with one line from every command that reads them."""
+
+    BAD_FLAGS = {
+        "delta-zero": ["--delta", "0"],
+        "delta-negative": ["--delta", "-1"],
+        "delta-nan": ["--delta", "nan"],
+        "delta-too-large": ["--delta", "0.5"],
+        "seed-negative": ["--seed", "-1"],
+    }
+    BAD_CONFIG = {
+        "delta-not-a-number": {"delta": "x"},
+        "steps-not-a-number": {"steps": "x"},
+        "transient-not-a-number": {"transient": "x"},
+        "delta-null": {"delta": None},
+    }
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sampled")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("command", ["minimal-set", "classify", "plot"])
+    @pytest.mark.parametrize("flags", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+    def test_flags(self, sampled, capsys, command, flags):
+        capsys.readouterr()
+        assert main([command, "--out", str(sampled), "--steps", "2000", *flags]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys)
+
+    @pytest.mark.parametrize("command", ["minimal-set", "classify", "plot"])
+    @pytest.mark.parametrize("cfg", list(BAD_CONFIG.values()), ids=list(BAD_CONFIG))
+    def test_config(self, sampled, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--out", str(sampled)]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys)
+
+    def test_sample_untouched(self, sampled):
+        before = (sampled / "sample.csv").read_bytes()
+        assert main(["minimal-set", "--out", str(sampled), "--seed", "-1"]) == EXIT_CONFIG
+        assert (sampled / "sample.csv").read_bytes() == before
 
 
 class TestPipeline:

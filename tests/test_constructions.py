@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 
 import pytest
@@ -21,8 +22,9 @@ from bundlemin.constructions import (
     mobius_boundary_circle_map,
     word_embed,
 )
+from bundlemin import constructions
 from bundlemin.cli import CONSTRUCTIONS
-from bundlemin.errors import BadPattern, CirclesIntersect, InvalidPoint, OutOfRange
+from bundlemin.errors import BadPattern, CirclesIntersect, InvalidPoint, OutOfRange, WrongInput
 from bundlemin.graphs import (
     Edge,
     GraphMap,
@@ -361,3 +363,59 @@ class TestCompiledGraphMaps:
         _assert_same_as_reference(m)
         with pytest.raises(InvalidPoint):
             eval_graph_map(m, GraphPoint("J", 0.65))
+
+
+# The command line's construction knowledge as it stood before each factory
+# declared its own seed rule and slice width, kept verbatim as the reference.
+DELTA_BASE = {"sturmian-cylinder": 1e-6}
+
+
+def default_seed(name: str, result, seed_index: int) -> BundlePoint:
+    s = result.system
+    if name == "mobius":
+        return BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0))
+    if name == "sturmian-cylinder":
+        w = s.base.sampler(seed_index + 1)[-1]
+        return BundlePoint(w, GraphPoint("I", word_embed(w)))
+    ref_seed = result.reference.get("seed")
+    if ref_seed is not None and seed_index == 0:
+        return ref_seed
+    b = s.base.sampler(seed_index + 1)[-1]
+    e = s.bundle.fibre.edges[0]
+    return BundlePoint(b, GraphPoint(e.id, 0.37))
+
+
+# params keys each command-line construction accepts, with their defaults
+DECLARED_PARAMS = {
+    "mobius": {"alpha": GOLDEN},
+    "torus-on-mobius": {"alpha": GOLDEN, "beta": SQRT2_FRAC},
+    "sturmian-cylinder": {"alpha": GOLDEN, "precision": 1500},
+    "circle-product": {"alpha": GOLDEN, "length": 1.0, "angle": SQRT2_FRAC},
+    "m-circles": {"m": 3, "alpha": GOLDEN, "angle": SQRT2_FRAC},
+    "theorem-d-1": {"precision": 40},
+    "theorem-d-2:point": {"precision": 40, "theta0": math.pi / 2},
+    "theorem-d-2:arc": {"precision": 40, "theta0": math.pi / 2},
+    "theorem-d-2:two": {"precision": 40, "theta0": math.pi / 2},
+}
+
+
+class TestRegistry:
+    def test_cli_shares_the_registry(self):
+        assert CONSTRUCTIONS is constructions.CONSTRUCTIONS
+        assert sorted(CONSTRUCTIONS) == sorted(DECLARED_PARAMS)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_seed_and_slice_width_match_reference(self, name):
+        result = CONSTRUCTIONS[name]({})
+        for i in range(10):
+            want = default_seed(name, result, i)
+            got = result.seed(i)
+            assert got == want and repr(got) == repr(want), i
+        assert result.delta_base == DELTA_BASE.get(name)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_declared_params(self, name):
+        declared = DECLARED_PARAMS[name]
+        assert CONSTRUCTIONS[name](dict(declared)).system.id == CONSTRUCTIONS[name]({}).system.id
+        with pytest.raises(WrongInput, match=re.escape(str(sorted(declared)))):
+            CONSTRUCTIONS[name]({**declared, "alhpa": 0.3})

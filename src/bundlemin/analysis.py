@@ -6,23 +6,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .base_systems import BasePoint, BaseSystem, star_discrepancy
-from .bundles import Bundle, BundlePoint, SkewSystem, orbit_stream, transport_to
+from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_stream
 from .errors import EmptyG, EmptyInput, NoProbes, NotCircleCase, WrongInput
 from .fibre_index import FibreIndex
 from .graphs import (
     Circle,
     GraphPoint,
     MetricGraph,
-    classify_sample_point,
     enumerate_circles,
     eval_graph_map,
+    star_branch_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -55,22 +55,32 @@ class SampledSet:
         e = float(self.base.embedding(b))
         d = np.abs(self.base_embed - e)
         if self._circular:
-            d = np.minimum(d % 1.0, 1.0 - (d % 1.0))
+            d %= 1.0
+            d = np.minimum(d, 1.0 - d)
         return d
 
     def slice_indices(self, b: BasePoint, delta_base: float) -> np.ndarray:
         return np.where(self.base_distances(b) <= delta_base)[0]
 
-    def fibre_slice(self, b: BasePoint, delta_base: float) -> list[GraphPoint]:
+    def slice_arrays(self, b: BasePoint, delta_base: float) -> tuple[np.ndarray, np.ndarray]:
+        """The fibre slice over b as (edge index, t) arrays: the points
+        within delta_base of b in the base, in the chart of b.  Only the
+        points whose short base arc to b crosses the cut are glued."""
         idx = self.slice_indices(b, delta_base)
-        out = []
-        for i in idx:
-            x = self.points[int(i)]
-            y = x.y
-            if self.bundle.is_monodromy:
-                y = transport_to(self.bundle, self.base, x.b, b, y)
-            out.append(y)
-        return out
+        ei, tt = self.edge_idx[idx], self.ts[idx]
+        if self.bundle.is_monodromy:
+            side = cut_sides(self.base_embed[idx], float(self.base.embedding(b)))
+            for j in np.flatnonzero(side):
+                m = self.bundle.gluing if side[j] > 0 else self.bundle.gluing_inverse
+                y = eval_graph_map(m, self.points[idx[j]].y)
+                ei[j], tt[j] = self.bundle.fibre.edge_index(y.edge), y.t
+        return ei, tt
+
+    def fibre_slice(self, b: BasePoint, delta_base: float) -> list[GraphPoint]:
+        """``slice_arrays`` as a point list."""
+        edges = self.bundle.fibre.edges
+        ei, tt = self.slice_arrays(b, delta_base)
+        return [GraphPoint(edges[e].id, t) for e, t in zip(ei.tolist(), tt.tolist())]
 
     def probe_class(self, b: BasePoint, delta_base: float, delta: float) -> FibreClass | None:
         """``classify_fibre`` of the fibre slice over b, None when the slice is
@@ -254,17 +264,23 @@ def _circle_grid(g: MetricGraph, c: Circle, spacing: float) -> list[GraphPoint]:
     return [c.point_at(g, c.length * i / k) for i in range(k)]
 
 
+@lru_cache(maxsize=8)
+def _circle_grids(g: MetricGraph, spacing: float) -> tuple[tuple[Circle, np.ndarray, np.ndarray], ...]:
+    """Each circle of g with its probe grid as (edge index, t) arrays;
+    computed once per graph and spacing, and shared, so read-only."""
+    return tuple((c, *g.point_arrays(_circle_grid(g, c, spacing))) for c in enumerate_circles(g))
+
+
 def _covered_circles(
     g: MetricGraph, index: FibreIndex, delta: float
-) -> list[tuple[Circle, list[GraphPoint]]]:
+) -> list[tuple[Circle, np.ndarray, np.ndarray]]:
     """Circles of g whose delta/4 probe grid lies delta-close to the indexed
     points, each with its grid."""
-    covered = []
-    for c in enumerate_circles(g):
-        grid = _circle_grid(g, c, delta / 4.0)
-        if not (index.nearest(*g.point_arrays(grid)) > delta).any():
-            covered.append((c, grid))
-    return covered
+    return [
+        (c, ge, gt)
+        for c, ge, gt in _circle_grids(g, delta / 4.0)
+        if not (index.nearest(ge, gt) > delta).any()
+    ]
 
 
 CANTOR_MIN_COMPONENTS = 20
@@ -296,10 +312,11 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
     covered = _covered_circles(g, index, delta)
     if covered:
         # every sample point must sit near the covered union
-        union = FibreIndex.of_points(g, [p for _, grid in covered for p in grid])
+        _, grid_e, grid_t = zip(*covered)
+        union = FibreIndex(g, np.concatenate(grid_e), np.concatenate(grid_t))
         if (union.nearest(edge_idx, ts) <= delta / 2.0 + delta / 8.0).all():
             return verdict(
-                "circles", m=len(covered), circles=tuple(c.edge_ids() for c, _ in covered)
+                "circles", m=len(covered), circles=tuple(c.edge_ids() for c, _, _ in covered)
             )
     if n >= CANTOR_MIN_COMPONENTS and max(diams) < 10.0 * delta:
         finer = len(index.components(delta / 2.0))
@@ -322,6 +339,9 @@ class DichotomyReport:
     points_checked: int
 
 
+ENDPOINT_BLOCK = 1 << 16  # entries per distance-matrix block in endpoint_statistics
+
+
 def endpoint_statistics(
     g: MetricGraph,
     sample: SampledSet,
@@ -338,23 +358,23 @@ def endpoint_statistics(
     if n == 0:
         raise EmptyInput("empty sample")
     step = max(1, n // max_points)
-    idxs = range(0, n, step)
-    # slices cached per quantized base coordinate
-    slice_cache: dict[int, tuple[list[GraphPoint], np.ndarray, np.ndarray]] = {}
+    # checked points grouped by quantized base coordinate, in first-seen
+    # order; each group shares the slice over its first point
+    groups: dict[int, list[int]] = {}
+    for i in range(0, n, step):
+        groups.setdefault(int(sample.base_embed[i] / (delta_base / 2.0)), []).append(i)
     endpoints = 0
-    checked = 0
-    for i in idxs:
-        x = sample.points[i]
-        key = int(sample.base_embed[i] / (delta_base / 2.0))
-        got = slice_cache.get(key)
-        if got is None:
-            ys = sample.fibre_slice(x.b, delta_base)
-            got = (ys, *g.point_arrays(ys))
-            slice_cache[key] = got
-        ys, ei, tt = got
-        if classify_sample_point(g, ys, x.y, r, delta, ei, tt).is_endpoint:
-            endpoints += 1
-        checked += 1
+    for rows in groups.values():
+        ei, tt = sample.slice_arrays(sample.points[rows[0]].b, delta_base)
+        # one distance matrix per slice, in blocks of rows to bound memory
+        block = max(1, ENDPOINT_BLOCK // len(ei))
+        for lo in range(0, len(rows), block):
+            pe, pt = sample.edge_idx[rows[lo:lo + block]], sample.ts[rows[lo:lo + block]]
+            dist = g.distance_matrix(pe, pt, ei, tt)
+            for j in range(len(pe)):
+                k = star_branch_count(g, pe[j], pt[j], ei, tt, dist[j], r, delta)
+                endpoints += k < 2
+    checked = len(range(0, n, step))
     fraction = endpoints / checked
     interior = interior_detector(sample.bundle, sample, delta)
     if fraction == 0.0 and interior:
@@ -525,7 +545,7 @@ def circles_report(
     if delta_base is None:
         delta_base = delta
     g = s.bundle.fibre
-    all_circles = {c.edge_ids(): c for c in enumerate_circles(g)}
+    all_circles = {c.edge_ids(): c for c, _, _ in _circle_grids(g, delta / 4.0)}
     verdicts: list[tuple[BasePoint, FibreClass]] = []
     for b in base_probe:
         v = sample.probe_class(b, delta_base, delta)

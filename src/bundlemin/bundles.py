@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from .base_systems import BasePoint, BaseSystem
 from .errors import NotHomeomorphism, WrongInput
 from .graphs import GraphMap, GraphPoint, MetricGraph, eval_graph_map
@@ -129,24 +131,26 @@ def orbit(
     return out
 
 
+def cut_sides(t_from: np.ndarray, t_to: float) -> np.ndarray:
+    """Per base angle in t_from: 1 where the short base arc from it to t_to
+    crosses the cut at angle 0 forward (the angle wraps past 1 -> 0), -1
+    where it crosses backward, 0 where it avoids the cut (a tie avoids it)."""
+    t_from = t_from % 1.0
+    t_to = t_to % 1.0
+    d_direct = np.abs(t_from - t_to)
+    return np.where(d_direct <= 1.0 - d_direct, 0, np.where(t_from > t_to, 1, -1))
+
+
 def transport_to(
     bundle: Bundle, base: BaseSystem, b_from: BasePoint, b_to: BasePoint, y: GraphPoint
 ) -> GraphPoint:
     """Express the fibre coordinate of (b_from, y) in the chart of b_to.
 
     For product bundles this is the identity; for monodromy bundles the
-    gluing (or its inverse) is applied when b_from and b_to sit on opposite
-    sides of the cut at angle 0, i.e. when the short base arc joining them
-    crosses the cut.
+    gluing (or its inverse) is applied when the short base arc joining
+    b_from and b_to crosses the cut (``cut_sides``).
     """
     if not bundle.is_monodromy:
         return y
-    t_from = float(base.embedding(b_from)) % 1.0
-    t_to = float(base.embedding(b_to)) % 1.0
-    d_direct = abs(t_from - t_to)
-    if d_direct <= 1.0 - d_direct:
-        return y  # short arc avoids the cut
-    if t_from > t_to:
-        # crossing the cut forward (angle wraps past 1 -> 0)
-        return eval_graph_map(bundle.gluing, y)
-    return eval_graph_map(bundle.gluing_inverse, y)
+    side = cut_sides(np.array([float(base.embedding(b_from))]), float(base.embedding(b_to)))[0]
+    return y if side == 0 else eval_graph_map(bundle.gluing if side > 0 else bundle.gluing_inverse, y)

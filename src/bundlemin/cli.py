@@ -213,8 +213,9 @@ def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int,
         raise ConfigError(f"steps {steps} must be at least 1")
     if transient < 0:
         raise ConfigError(f"transient {transient} is negative")
-    if args.seed < 0:
-        raise ConfigError(f"seed index {args.seed} is negative")
+    # a seed rule builds all i + 1 base samples for seed index i
+    if not 0 <= args.seed <= 999:
+        raise ConfigError(f"seed index {args.seed} outside [0, 999]")
     return delta, steps, transient, args.seed
 
 

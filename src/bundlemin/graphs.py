@@ -759,47 +759,49 @@ class PointLocalClass:
         return self.kind == "end"
 
 
-def _initial_germ(g: MetricGraph, p: GraphPoint, q: GraphPoint, delta: float) -> tuple[str, int]:
-    """Germ (edge id, direction end) along which the shortest path p -> q departs."""
-    ep = g.edge_of(p.edge)
-    v = None
-    if p.t * ep.length <= delta:
-        v = ep.u
-    elif (1.0 - p.t) * ep.length <= delta:
-        v = ep.v
+def star_branch_count(
+    g: MetricGraph, pe: int, pt: float, qe: np.ndarray, qt: np.ndarray, dist: np.ndarray,
+    r: float, delta: float,
+) -> int:
+    """Number of distinct edge germs at p = (edge index pe, t = pt) along
+    which shortest paths depart toward the sample points (qe, qt) whose
+    distance ``dist`` from p lies in (delta, min(r, 2·delta)].
+
+    Within delta of a vertex the germs are the vertex's, and a tie goes to
+    the first in ``germs_at`` order; inside an edge they are its -t and +t
+    ends, and -t is taken only when it is strictly shorter.
+    """
+    if delta >= r:
+        raise ScaleError(f"need delta < r, got delta={delta}, r={r}")
+    sel = (dist > delta) & (dist <= r) & (dist <= 2.0 * delta)
+    if not sel.any():
+        return 0
+    qe, qt = qe[sel], qt[sel]
+    L = g._len_arr[qe]
+    qu, qv = qt * L, (1.0 - qt) * L
+    qa, qb = g._u_arr[qe], g._v_arr[qe]
+    vd = g._vdist
+    ep = g.edges[pe]
+    v = ep.u if pt * ep.length <= delta else ep.v if (1.0 - pt) * ep.length <= delta else None
     if v is not None:
-        best, best_germ = math.inf, None
-        eq = g.edge_of(q.edge)
-        qu, qv = q.t * eq.length, (1.0 - q.t) * eq.length
-        for eid, end in g.germs_at(v):
-            e = g.edge_of(eid)
-            other = e.v if end == 0 else e.u
-            d = e.length + min(
-                qu + g.vertex_distance(other, eq.u), qv + g.vertex_distance(other, eq.v)
-            )
-            if q.edge == eid:
-                # q reachable within the germ's edge without leaving it
-                d_in = (q.t - 0.0) * e.length if end == 0 else (1.0 - q.t) * e.length
-                d = min(d, d_in)
-            if d < best:
-                best, best_germ = d, (eid, end)
-        assert best_germ is not None
-        return best_germ
-    # interior point: leave along +t or -t on p's own edge
-    eq = g.edge_of(q.edge)
-    qu, qv = q.t * eq.length, (1.0 - q.t) * eq.length
-    d_minus = p.t * ep.length + min(
-        qu + g.vertex_distance(ep.u, eq.u), qv + g.vertex_distance(ep.u, eq.v)
-    )
-    d_plus = (1.0 - p.t) * ep.length + min(
-        qu + g.vertex_distance(ep.v, eq.u), qv + g.vertex_distance(ep.v, eq.v)
-    )
-    if q.edge == p.edge:
-        if q.t >= p.t:
-            d_plus = min(d_plus, (q.t - p.t) * ep.length)
-        else:
-            d_minus = min(d_minus, (p.t - q.t) * ep.length)
-    return (p.edge, 0) if d_minus < d_plus else (p.edge, 1)
+        germs = g._germs[v]
+        ge = np.array([g._eidx[eid] for eid, _ in germs])
+        from_u = np.array([end == 0 for _, end in germs])
+        other = np.where(from_u, g._v_arr[ge], g._u_arr[ge])
+        glen = g._len_arr[ge][:, None]
+        d = glen + np.minimum(qu + vd[other][:, qa], qv + vd[other][:, qb])
+        # q reachable within the germ's edge without leaving it
+        d_in = np.where(from_u[:, None], qt, 1.0 - qt) * glen
+        germ = np.where(ge[:, None] == qe, np.minimum(d, d_in), d).argmin(axis=0)
+    else:
+        iu, iv = g._u_arr[pe], g._v_arr[pe]
+        d_minus = pt * ep.length + np.minimum(qu + vd[iu, qa], qv + vd[iu, qb])
+        d_plus = (1.0 - pt) * ep.length + np.minimum(qu + vd[iv, qa], qv + vd[iv, qb])
+        same = qe == pe
+        d_plus = np.where(same & (qt >= pt), np.minimum(d_plus, (qt - pt) * ep.length), d_plus)
+        d_minus = np.where(same & (qt < pt), np.minimum(d_minus, (pt - qt) * ep.length), d_minus)
+        germ = np.where(d_minus < d_plus, 0, 1)
+    return int(np.count_nonzero(np.bincount(germ)))
 
 
 def classify_sample_point(
@@ -815,23 +817,15 @@ def classify_sample_point(
 
     A point is a star-like interior point at scale (r, delta) when the
     sample points within r of p, outside the delta-ball at p, depart along
-    k >= 2 distinct edge germs each witnessed within 2·delta of p.
-    ``edge_idx`` and ``ts`` are the sample's ``point_arrays``, for callers
-    that classify many points against one sample.
+    k >= 2 distinct edge germs each witnessed within 2·delta of p
+    (``star_branch_count``).  ``edge_idx`` and ``ts`` are the sample's
+    ``point_arrays``, for callers that classify many points against one
+    sample.
     """
-    if delta >= r:
-        raise ScaleError(f"need delta < r, got delta={delta}, r={r}")
     if edge_idx is None or ts is None:
         edge_idx, ts = g.point_arrays(fibre_sample)
-    # equal to path_distance(p, q): the same terms, summed in the same order
     dist = g.distances_to_many(p, edge_idx, ts)
-    witnesses: dict[tuple[str, int], float] = {}
-    for j in np.flatnonzero((dist > delta) & (dist <= r)):
-        d = float(dist[j])
-        germ = _initial_germ(g, p, fibre_sample[j], delta)
-        if d < witnesses.get(germ, math.inf):
-            witnesses[germ] = d
-    k = sum(1 for d in witnesses.values() if d <= 2.0 * delta)
+    k = star_branch_count(g, g.edge_index(p.edge), p.t, edge_idx, ts, dist, r, delta)
     if k >= 2:
         return PointLocalClass("star", k, r, delta)
     return PointLocalClass("end", 0, r, delta)

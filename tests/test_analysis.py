@@ -5,7 +5,10 @@ import math
 import tracemalloc
 from itertools import islice
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlemin import analysis
 from bundlemin.analysis import (
@@ -21,7 +24,8 @@ from bundlemin.analysis import (
     typical_fibre_report,
 )
 from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation
-from bundlemin.bundles import BundlePoint, orbit, orbit_stream, product_bundle
+from bundlemin.bundles import BundlePoint, monodromy_bundle, orbit, orbit_stream, product_bundle
+from bundlemin.cli import csv_to_points, sample_to_csv
 from bundlemin.constructions import (
     build_m_circles,
     build_mobius,
@@ -31,7 +35,16 @@ from bundlemin.constructions import (
     word_embed,
 )
 from bundlemin.errors import EmptyG, EmptyInput, WrongInput
-from bundlemin.graphs import GraphPoint, circle_graph, enumerate_circles, interval_graph
+from bundlemin.graphs import (
+    GraphMap,
+    GraphPoint,
+    circle_graph,
+    circle_rotation_pieces,
+    classify_sample_point,
+    enumerate_circles,
+    eval_graph_map,
+    interval_graph,
+)
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
@@ -97,6 +110,17 @@ class TestApproximateMinimalSet:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
+    def test_cached_embeddings_are_the_base_embedding(self, name):
+        s, seed = _orbit_system(name)
+        streamed = approximate_minimal_set(s, seed, 100, 5_000, 0.02)
+        loaded = SampledSet(0.02, csv_to_points(sample_to_csv(streamed)), {}, s.base, s.bundle)
+        for sample in (streamed, loaded):
+            assert len(sample.base_embed) == len(sample.points)
+            for i, x in enumerate(sample.points):
+                assert sample.base_embed[i] == float(s.base.embedding(x.b))
+
+
 def _orbit_system(name):
     if name == "sturmian-cylinder":
         s = build_sturmian_cylinder(GOLDEN).system
@@ -150,6 +174,105 @@ def _reference_thin_points(g, base_embed, ys, sep):
             if k[0] == int(base_embed[i] / sep):
                 vcells.setdefault(k, []).append(i)
     return kept
+
+
+def reference_transport_to(bundle, base, b_from, b_to, y):
+    """``bundles.transport_to`` with its scalar cut test, as it was before
+    the cut test took arrays, verbatim."""
+    if not bundle.is_monodromy:
+        return y
+    t_from = float(base.embedding(b_from)) % 1.0
+    t_to = float(base.embedding(b_to)) % 1.0
+    d_direct = abs(t_from - t_to)
+    if d_direct <= 1.0 - d_direct:
+        return y  # short arc avoids the cut
+    if t_from > t_to:
+        # crossing the cut forward (angle wraps past 1 -> 0)
+        return eval_graph_map(bundle.gluing, y)
+    return eval_graph_map(bundle.gluing_inverse, y)
+
+
+def reference_fibre_slice(sample, b, delta_base):
+    """``SampledSet.fibre_slice`` as a per-point transport loop, verbatim."""
+    idx = sample.slice_indices(b, delta_base)
+    out = []
+    for i in idx:
+        x = sample.points[int(i)]
+        y = x.y
+        if sample.bundle.is_monodromy:
+            y = reference_transport_to(sample.bundle, sample.base, x.b, b, y)
+        out.append(y)
+    return out
+
+
+# base angles on both sides of the cut, at half-turn ties (0 and 1/2, 1/8
+# and 5/8, ...) and one float step off them
+CUT_ANGLES = [k / 8.0 for k in range(8)] + [
+    math.nextafter(k / 8.0, d) for k in range(1, 8) for d in (0.0, 1.0)
+] + [math.nextafter(1.0, 0.0), 5e-324]
+
+
+def _rotated_circle_bundle():
+    """Monodromy bundle over a rotation whose gluing turns the fibre circle
+    by a quarter, so the gluing and its inverse differ."""
+    g = circle_graph(1.0)
+    c = enumerate_circles(g)[0]
+    turn = {s: GraphMap(g, g, {"c": circle_rotation_pieces(g, "c", c, s, 1.0)}) for s in (0.25, 0.75)}
+    base = circle_rotation(GOLDEN)
+    return base, monodromy_bundle(base, g, turn[0.25], turn[0.75])
+
+
+class TestArraySlice:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["torus-on-mobius", "rotated-circle"]),
+        st.lists(st.sampled_from(CUT_ANGLES) | st.floats(0.0, 1.0, exclude_max=True),
+                 min_size=1, max_size=30),
+        st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 1.0)), min_size=30, max_size=30),
+        st.sampled_from([0.02, 0.3, 0.5, 1.0]),
+    )
+    def test_equals_per_point_transport(self, name, angles, ys, delta_base):
+        if name == "torus-on-mobius":
+            s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
+            base, bundle = s.base, s.bundle
+        else:
+            base, bundle = _rotated_circle_bundle()
+        edges = [e.id for e in bundle.fibre.edges]
+        pts = [
+            BundlePoint(CircleAngle(a), GraphPoint(edges[e % len(edges)], t))
+            for a, (e, t) in zip(angles, ys)
+        ]
+        sample = SampledSet(0.02, pts, {}, base, bundle)
+        for x in pts:
+            got = sample.fibre_slice(x.b, delta_base)
+            assert got == reference_fibre_slice(sample, x.b, delta_base)
+            assert sample.slice_arrays(x.b, delta_base)[1].tolist() == [y.t for y in got]
+
+    def test_half_turn_tie_is_not_glued(self):
+        s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
+        pts = [BundlePoint(CircleAngle(a), GraphPoint("A", 0.25)) for a in (0.25, 0.75, 0.9)]
+        sample = SampledSet(0.02, pts, {}, s.base, s.bundle)
+        # 0.25 -> 0.75 is a tie and keeps its chart; 0.9 -> 0.25 crosses the cut
+        got = sample.fibre_slice(CircleAngle(0.25), 0.5)
+        assert got == reference_fibre_slice(sample, CircleAngle(0.25), 0.5)
+        assert [y.edge for y in got] == ["A", "A", "B"]
+
+    def test_crossing_direction_picks_gluing_or_inverse(self):
+        base, bundle = _rotated_circle_bundle()
+        pts = [BundlePoint(CircleAngle(a), GraphPoint("c", 0.5)) for a in (0.95, 0.05)]
+        sample = SampledSet(0.02, pts, {}, base, bundle)
+        # forward across the cut turns by +1/4, backward by -1/4
+        assert [y.t for y in sample.fibre_slice(CircleAngle(0.05), 0.2)] == [0.75, 0.5]
+        assert [y.t for y in sample.fibre_slice(CircleAngle(0.95), 0.2)] == [0.5, 0.25]
+        for b in (CircleAngle(0.05), CircleAngle(0.95)):
+            assert sample.fibre_slice(b, 0.2) == reference_fibre_slice(sample, b, 0.2)
+
+    def test_monodromy_sample(self):
+        res, sample = _torus_sample(n=20_000)
+        angles = [float(x.b) for x in sample.points]
+        assert min(angles) < 0.02 and max(angles) > 0.98
+        for b in [CircleAngle(a) for a in (0.0, 0.005, 0.5, 0.995)] + [x.b for x in sample.points[::500]]:
+            assert sample.fibre_slice(b, 0.02) == reference_fibre_slice(sample, b, 0.02)
 
 
 class TestClassifyFibre:
@@ -235,6 +358,46 @@ class TestDichotomy:
         sample = SampledSet(0.02, [], {}, s.base, s.bundle)
         with pytest.raises(EmptyInput):
             endpoint_statistics(s.bundle.fibre, sample, 0.06, 0.02)
+
+
+def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
+    """End-points among the checked points as ``endpoint_statistics``
+    counted them before slices were grouped: one slice per quantized base
+    coordinate, built from the first point with that key, and one
+    ``classify_sample_point`` per point."""
+    n = len(sample.points)
+    slices = {}
+    endpoints = 0
+    for i in range(0, n, max(1, n // max_points)):
+        x = sample.points[i]
+        key = int(sample.base_embed[i] / (delta_base / 2.0))
+        if key not in slices:
+            slices[key] = reference_fibre_slice(sample, x.b, delta_base)
+        endpoints += classify_sample_point(g, slices[key], x.y, r, delta).is_endpoint
+    return endpoints
+
+
+class TestGroupedEndpointStatistics:
+    @pytest.mark.parametrize("block", [1, 7, analysis.ENDPOINT_BLOCK])
+    @pytest.mark.parametrize("delta_base", [0.02, 0.08])
+    def test_equals_per_point_loop(self, monkeypatch, block, delta_base):
+        monkeypatch.setattr(analysis, "ENDPOINT_BLOCK", block)
+        for res, sample in (_torus_sample(n=10_000), _mobius_sample(n=5_000)):
+            g = res.system.bundle.fibre
+            rep = endpoint_statistics(g, sample, 0.06, 0.02, delta_base, max_points=300)
+            want = reference_endpoint_count(g, sample, 0.06, 0.02, delta_base, max_points=300)
+            assert rep.endpoint_fraction == want / rep.points_checked
+
+    def test_circles_enumerated_once_per_graph(self, monkeypatch):
+        g = circle_graph(1.0)
+        calls = []
+        monkeypatch.setattr(
+            analysis, "enumerate_circles", lambda g: calls.append(g) or enumerate_circles(g)
+        )
+        pts = [GraphPoint("c", i / 200.0) for i in range(200)]
+        for _ in range(3):
+            assert str(classify_fibre(g, pts, 0.05)) == "Circles(1)"
+        assert len(calls) == 1
 
 
 class TestInteriorDetector:

@@ -129,6 +129,7 @@ class TestRunSettings:
         "delta-nan": ["--delta", "nan"],
         "delta-too-large": ["--delta", "0.5"],
         "seed-negative": ["--seed", "-1"],
+        "seed-too-large": ["--seed", "1000"],
     }
     BAD_CONFIG = {
         "delta-not-a-number": {"delta": "x"},

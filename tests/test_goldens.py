@@ -2,7 +2,8 @@
 
 ``perfbench/goldens`` holds, per workload and CLI seed index, the exit code
 of every command and its outputs: verdict JSON parsed, every other file by
-SHA-256.  Seed index 0 of the two classify-heavy workloads is replayed here
+SHA-256.  Seed index 0 of the two classify-heavy workloads and of
+``sturmian-orbit`` (a product bundle sliced at width 1e-6) is replayed here
 through ``cli.main`` (100k steps, delta 0.02, as the benchmark runs them).
 """
 from __future__ import annotations
@@ -20,7 +21,11 @@ GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens"
 
 @pytest.mark.parametrize(
     "workload, construction",
-    [("monodromy-circles", "torus-on-mobius"), ("odometer-classify", "theorem-d-1")],
+    [
+        ("monodromy-circles", "torus-on-mobius"),
+        ("odometer-classify", "theorem-d-1"),
+        ("sturmian-orbit", "sturmian-cylinder"),
+    ],
 )
 def test_pipeline_matches_benchmark_golden(tmp_path, capsys, workload, construction):
     golden = json.loads((GOLDENS / f"{workload}.json").read_text())["0"]

@@ -4,8 +4,9 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundlemin.errors import (
@@ -17,6 +18,7 @@ from bundlemin.errors import (
     ScaleError,
 )
 from bundlemin.graphs import (
+    Edge,
     GraphMap,
     GraphPoint,
     MapPiece,
@@ -26,6 +28,8 @@ from bundlemin.graphs import (
     check_continuity,
     circle_graph,
     circle_rotation_pieces,
+    MetricGraph,
+    PointLocalClass,
     classify_sample_point,
     compose_eval,
     enumerate_circles,
@@ -382,6 +386,150 @@ class TestLocalClass:
         g = interval_graph(1.0)
         with pytest.raises(ScaleError):
             classify_sample_point(g, [], GraphPoint("I", 0.5), r=0.01, delta=0.02)
+
+
+def reference_initial_germ(g, p, q, delta):
+    """``graphs._initial_germ``, the scalar departure germ that the
+    vectorised germ count replaced, verbatim."""
+    ep = g.edge_of(p.edge)
+    v = None
+    if p.t * ep.length <= delta:
+        v = ep.u
+    elif (1.0 - p.t) * ep.length <= delta:
+        v = ep.v
+    if v is not None:
+        best, best_germ = math.inf, None
+        eq = g.edge_of(q.edge)
+        qu, qv = q.t * eq.length, (1.0 - q.t) * eq.length
+        for eid, end in g.germs_at(v):
+            e = g.edge_of(eid)
+            other = e.v if end == 0 else e.u
+            d = e.length + min(
+                qu + g.vertex_distance(other, eq.u), qv + g.vertex_distance(other, eq.v)
+            )
+            if q.edge == eid:
+                # q reachable within the germ's edge without leaving it
+                d_in = (q.t - 0.0) * e.length if end == 0 else (1.0 - q.t) * e.length
+                d = min(d, d_in)
+            if d < best:
+                best, best_germ = d, (eid, end)
+        assert best_germ is not None
+        return best_germ
+    # interior point: leave along +t or -t on p's own edge
+    eq = g.edge_of(q.edge)
+    qu, qv = q.t * eq.length, (1.0 - q.t) * eq.length
+    d_minus = p.t * ep.length + min(
+        qu + g.vertex_distance(ep.u, eq.u), qv + g.vertex_distance(ep.u, eq.v)
+    )
+    d_plus = (1.0 - p.t) * ep.length + min(
+        qu + g.vertex_distance(ep.v, eq.u), qv + g.vertex_distance(ep.v, eq.v)
+    )
+    if q.edge == p.edge:
+        if q.t >= p.t:
+            d_plus = min(d_plus, (q.t - p.t) * ep.length)
+        else:
+            d_minus = min(d_minus, (p.t - q.t) * ep.length)
+    return (p.edge, 0) if d_minus < d_plus else (p.edge, 1)
+
+
+def reference_classify_sample_point(g, fibre_sample, p, r, delta):
+    """``classify_sample_point`` with its per-candidate germ loop and
+    witness dict, as it was before the vectorised germ count."""
+    edge_idx, ts = g.point_arrays(fibre_sample)
+    dist = g.distances_to_many(p, edge_idx, ts)
+    witnesses = {}
+    for j in np.flatnonzero((dist > delta) & (dist <= r)):
+        d = float(dist[j])
+        germ = reference_initial_germ(g, p, fibre_sample[j], delta)
+        if d < witnesses.get(germ, math.inf):
+            witnesses[germ] = d
+    k = sum(1 for d in witnesses.values() if d <= 2.0 * delta)
+    if k >= 2:
+        return PointLocalClass("star", k, r, delta)
+    return PointLocalClass("end", 0, r, delta)
+
+
+# t values at and next to the edge ends, where the germ comparisons tie
+END_TS = [0.0, 1.0, 5e-324, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 0.5]
+
+
+@st.composite
+def germ_cases(draw):
+    """A graph with loops and parallel edges, a point p, a sample, and
+    scales (r, delta) set so that one sample distance, or p's distance to
+    an end of its edge, falls exactly on delta, 2 delta, r or the
+    vertex-proximity bound, or one float step either side of it."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = [
+        Edge(f"e{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)),
+             draw(st.sampled_from([0.1, 0.3, 1.0]) | st.floats(0.01, 3.0)))
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    g = MetricGraph(vertices, edges)
+    edge = st.sampled_from([e.id for e in edges])
+    # p within reach of a vertex as well as in the interior
+    p = draw(st.builds(GraphPoint, edge, st.sampled_from(END_TS) | st.floats(0.0, 0.05)
+                       | st.floats(0.95, 1.0) | st.floats(0.0, 1.0)))
+    pts = draw(st.lists(st.builds(GraphPoint, edge, st.sampled_from(END_TS) | st.floats(0.0, 1.0)),
+                        min_size=1, max_size=40))
+    dist = g.distances_to_many(p, *g.point_arrays(pts))
+    ep = g.edge_of(p.edge)
+    tie = draw(st.sampled_from(["delta", "two-delta", "r", "vertex-u", "vertex-v"]))
+    if tie.startswith("vertex"):
+        d = p.t * ep.length if tie == "vertex-u" else (1.0 - p.t) * ep.length
+    else:
+        d = float(dist[draw(st.integers(0, len(pts) - 1))])
+    assume(math.isfinite(d) and d > 1e-300)
+    d = draw(st.sampled_from([d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)]))
+    ratio = draw(st.sampled_from([1.5, 2.0, 3.0, 4.5]))
+    if tie == "r":
+        r, delta = d, d / ratio
+    else:
+        delta = d / 2.0 if tie == "two-delta" else d
+        r = delta * ratio
+    return g, pts, p, r, delta
+
+
+class TestGermCountEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(germ_cases())
+    def test_matches_scalar_germ_loop(self, case):
+        g, pts, p, r, delta = case
+        assume(delta < r)
+        assert classify_sample_point(g, pts, p, r, delta) == reference_classify_sample_point(
+            g, pts, p, r, delta
+        )
+
+    def test_vertex_tie_goes_to_first_germ(self):
+        # p at the vertex of a loop of length 0.5: the antipode q is 0.25 away
+        # along both germs, and the tie goes to (c, 0), q2's germ, so k = 1
+        g = circle_graph(0.5)
+        p, q, q2 = GraphPoint("c", 0.0), GraphPoint("c", 0.5), GraphPoint("c", 0.4)
+        got = classify_sample_point(g, [q, q2], p, 0.45, 0.15)
+        assert got == reference_classify_sample_point(g, [q, q2], p, 0.45, 0.15)
+        assert got.kind == "end"
+
+    def test_interior_tie_goes_to_plus_t(self):
+        # p at the middle of the loop: the vertex q is 0.25 away both ways, and
+        # -t is taken only when strictly shorter, so q departs along +t and
+        # q2 (0.2 away along -t) makes the second germ
+        g = circle_graph(0.5)
+        p, q, q2 = GraphPoint("c", 0.5), GraphPoint("c", 0.0), GraphPoint("c", 0.1)
+        got = classify_sample_point(g, [q, q2], p, 0.45, 0.15)
+        assert got == reference_classify_sample_point(g, [q, q2], p, 0.45, 0.15)
+        assert got.kind == "star" and got.k == 2
+
+    def test_vertex_proximity_bound_is_inclusive(self):
+        # p exactly delta from the centre of a star takes the centre's germs,
+        # so the two legs count twice; one float step further out, p is inside
+        # its edge and both legs leave along -t
+        g = star_graph(3, 1.0)
+        pts = [GraphPoint("b2", 0.01), GraphPoint("b3", 0.01)]
+        for t, kind in ((0.02, "star"), (math.nextafter(0.02, 1.0), "end")):
+            p = GraphPoint("b1", t)
+            got = classify_sample_point(g, pts, p, 0.06, 0.02)
+            assert got == reference_classify_sample_point(g, pts, p, 0.06, 0.02)
+            assert got.kind == kind
 
 
 class TestRotationNumber:

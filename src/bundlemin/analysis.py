@@ -162,7 +162,12 @@ def _thin_points(
     ys: Sequence[GraphPoint],
     sep: float,
 ) -> list[int]:
-    """Indices of a sep-separated subset (product max-metric), greedy first-seen."""
+    """Indices of a sep-separated subset (product max-metric), greedy first-seen.
+
+    The batch form of ``_Thinner``: only the tests and ``perfbench/tracer.py``
+    (which times it by name) call it, and it goes when the benchmark reads
+    stage spans instead of patching names (ROADMAP item 1).
+    """
     thinner = _Thinner(g, sep)
     return [i for i, (e, y) in enumerate(zip(base_embed, ys)) if thinner.offer(e, y)]
 
@@ -218,7 +223,7 @@ class FibreClass:
     m: int | None = None
     scale: float = 0.0
     circles: tuple[frozenset, ...] = ()
-    #: the delta/8-thinned sample the verdict was computed from
+    #: the fibre slice the verdict was computed from, as given
     points: tuple[GraphPoint, ...] = field(default=(), compare=False, repr=False)
 
     def __str__(self) -> str:
@@ -227,11 +232,6 @@ class FibreClass:
         if self.kind == "circles":
             return f"Circles({self.m})"
         return self.kind.capitalize()
-
-
-def _thin_fibre(g: MetricGraph, pts: Sequence[GraphPoint], sep: float) -> list[GraphPoint]:
-    kept = _thin_points(g, [0.0] * len(pts), pts, sep)
-    return [pts[i] for i in kept]
 
 
 def _cluster_diameter(
@@ -290,14 +290,13 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
     """Finite-resolution fibre verdict.
 
     Order of tests: finite point set, union of circles, Cantor-like dust,
-    Unknown. The input is thinned to delta/8 separation first so clustering
-    stays near-linear on dense slices; the thinned points are kept on the
-    verdict.
+    Unknown. The slice is clustered as given (``FibreIndex`` keeps that
+    O(n log n)), and it is kept on the verdict as ``points``.
     """
     if not fibre_sample:
         raise EmptyInput("empty fibre sample")
-    pts = _thin_fibre(g, list(fibre_sample), delta / 8.0)
-    verdict = partial(FibreClass, scale=delta, points=tuple(pts))
+    pts = tuple(fibre_sample)
+    verdict = partial(FibreClass, scale=delta, points=pts)
     edge_idx, ts = g.point_arrays(pts)
     index = FibreIndex(g, edge_idx, ts)
     comps = index.components(delta)
@@ -339,7 +338,7 @@ class DichotomyReport:
     points_checked: int
 
 
-ENDPOINT_BLOCK = 1 << 16  # entries per distance-matrix block in endpoint_statistics
+ENDPOINT_BLOCK = 1 << 16  # entries per distance-matrix block (end-points, interior)
 
 
 def endpoint_statistics(
@@ -394,17 +393,15 @@ INTERIOR_WINDOW_FACTOR = 17.0  # fibre window radius, in units of delta
 
 def _fibre_window_probes(
     g: MetricGraph, y0: GraphPoint, radius: float, spacing: float
-) -> list[GraphPoint]:
-    probes = []
-    for e in g.edges:
-        k = max(2, int(math.ceil(e.length / spacing)))
-        grid_t = np.linspace(0.0, 1.0, k + 1)
-        ei = np.full(len(grid_t), g.edge_index(e.id), dtype=int)
-        d = g.distances_to_many(y0, ei, grid_t)
-        for t, dd in zip(grid_t, d):
-            if dd <= radius:
-                probes.append(GraphPoint(e.id, float(t)))
-    return probes
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a spacing-fine grid on every edge that lie within
+    radius of y0, as (edge index, t) arrays in edge order."""
+    grids = [np.linspace(0.0, 1.0, max(2, int(math.ceil(e.length / spacing))) + 1) for e in g.edges]
+    ei = np.repeat(np.arange(len(grids)), [len(t) for t in grids])
+    tt = np.concatenate(grids)
+    d = g.distance_matrix(np.array([g.edge_index(y0.edge)]), np.array([y0.t]), ei, tt)[0]
+    keep = d <= radius
+    return ei[keep], tt[keep]
 
 
 def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
@@ -429,21 +426,17 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
         be = sample.base_embed[box]
         # base probes: spread through the boxed base coordinates
         order = np.argsort(be)
-        probe_base = [be[order[0]], be[order[len(order) // 2]], be[order[-1]]]
-        fibre_probes = _fibre_window_probes(
-            g, x0.y, INTERIOR_WINDOW_FACTOR * delta, delta / 4.0
-        )
-        covered = True
-        for fp in fibre_probes:
-            dfib = g.distances_to_many(fp, ei, tt)
-            for pb in probe_base:
-                dprod = np.maximum(dfib, np.abs(be - pb))
-                if float(dprod.min()) > delta / 2.0:
-                    covered = False
-                    break
-            if not covered:
+        base_gaps = [np.abs(be - be[order[i]]) for i in (0, len(order) // 2, -1)]
+        pe, pt = _fibre_window_probes(g, x0.y, INTERIOR_WINDOW_FACTOR * delta, delta / 4.0)
+        # covered when every (fibre probe, base probe) pair has a box point
+        # delta/2-close in the product metric; probe rows in blocks, as in
+        # endpoint_statistics, to bound memory
+        block = max(1, ENDPOINT_BLOCK // len(box))
+        for lo in range(0, len(pe), block):
+            dfib = g.distance_matrix(pe[lo:lo + block], pt[lo:lo + block], ei, tt)
+            if any((np.maximum(dfib, gap).min(axis=1) > delta / 2.0).any() for gap in base_gaps):
                 break
-        if covered:
+        else:
             return True
     return False
 
@@ -516,19 +509,12 @@ class CirclesReport:
 
 
 def _circles_disjoint(g: MetricGraph, circles: Sequence[Circle]) -> bool:
-    for i in range(len(circles)):
-        vi: set[str] = set()
-        for eid, _ in circles[i].steps:
-            e = g.edge_of(eid)
-            vi.update((e.u, e.v))
-        for j in range(i + 1, len(circles)):
-            vj: set[str] = set()
-            for eid, _ in circles[j].steps:
-                e = g.edge_of(eid)
-                vj.update((e.u, e.v))
-            if vi & vj or circles[i].edge_ids() & circles[j].edge_ids():
-                return False
-    return True
+    vsets = [c.vertices(g) for c in circles]
+    return not any(
+        vsets[i] & vsets[j] or circles[i].edge_ids() & circles[j].edge_ids()
+        for i in range(len(circles))
+        for j in range(i + 1, len(circles))
+    )
 
 
 def circles_report(

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .analysis import (
     SampledSet,
     approximate_minimal_set,
@@ -103,9 +105,12 @@ def csv_to_points(text: str) -> list[BundlePoint]:
     if not rows or rows[0] != ["step", "base", "tag", "edge", "parameter"]:
         raise SchemaError("sample CSV header mismatch")
     out = []
-    for row in rows[1:]:
-        _, _, tag, edge, t = row
-        out.append(BundlePoint(decode_base_point(tag), GraphPoint(edge, float(t))))
+    try:
+        for row in rows[1:]:
+            _, _, tag, edge, t = row
+            out.append(BundlePoint(decode_base_point(tag), GraphPoint(edge, float(t))))
+    except ValueError as exc:
+        raise SchemaError(f"sample CSV line {len(out) + 2}: {exc}") from exc
     return out
 
 
@@ -123,12 +128,14 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path} must hold a JSON object, not {type(cfg).__name__}")
     return cfg
@@ -225,8 +232,11 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name, result = _load_system(out, cfg, args.name)
-    if steps > step_cap():
-        raise CapExceeded(f"steps {steps} exceed cap {step_cap()}")
+    cap = step_cap()
+    if steps > cap:
+        raise CapExceeded(f"steps {steps} exceed cap {cap}")
+    if transient > cap:
+        raise CapExceeded(f"transient {transient} exceeds cap {cap}")
     sample = approximate_minimal_set(result.system, result.seed(seed_index), transient, steps, delta)
     atomic_write(out / "sample.csv", sample_to_csv(sample))
     prov = dict(sample.provenance)
@@ -245,9 +255,21 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     csv_path = out / "sample.csv"
     if not csv_path.exists():
         raise ConfigError(f"sample not found: {csv_path}")
-    points = csv_to_points(csv_path.read_text())
+    try:
+        text = csv_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{csv_path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    points = csv_to_points(text)
+    if not points:
+        raise SchemaError(f"{csv_path} holds no points")
+    unknown = {x.y.edge for x in points}.difference(e.id for e in result.system.bundle.fibre.edges)
+    if unknown:
+        raise SchemaError(f"{csv_path}: unknown fibre edge {min(unknown)!r}")
     prov_path = out / "provenance.json"
-    prov = json.loads(prov_path.read_text()) if prov_path.exists() else {}
+    try:
+        prov = json.loads(prov_path.read_text()) if prov_path.exists() else {}
+    except ValueError as exc:
+        raise SchemaError(f"malformed {prov_path}: {exc}") from exc
     sample = SampledSet(
         delta=delta,
         points=points,
@@ -255,6 +277,11 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
         base=result.system.base,
         bundle=result.system.bundle,
     )
+    # the negated test also catches NaN
+    bad = np.flatnonzero(~((sample.ts >= 0.0) & (sample.ts <= 1.0)))
+    if len(bad):
+        i = int(bad[0])
+        raise SchemaError(f"{csv_path} line {i + 2}: parameter {float(sample.ts[i])!r} outside [0, 1]")
     return out, name, result, sample
 
 

@@ -318,13 +318,7 @@ def build_m_circles(
     m = len(circles)
     if m < 1:
         raise OutOfRange("need at least one circle to permute")
-    vsets = []
-    for c in circles:
-        vs: set[str] = set()
-        for eid, _ in c.steps:
-            e = fibre.edge_of(eid)
-            vs.update((e.u, e.v))
-        vsets.append(vs)
+    vsets = [c.vertices(fibre) for c in circles]
     for i in range(m):
         for j in range(i + 1, m):
             if (vsets[i] & vsets[j]) or (circles[i].edge_ids() & circles[j].edge_ids()):

@@ -271,6 +271,11 @@ class Circle:
     def edge_ids(self) -> frozenset[str]:
         return frozenset(e for e, _ in self.steps)
 
+    def vertices(self, g: MetricGraph) -> frozenset[str]:
+        """The end vertices of the circle's edges."""
+        ends = (g.edge_of(eid) for eid, _ in self.steps)
+        return frozenset(v for e in ends for v in (e.u, e.v))
+
     def cumulative(self, g: MetricGraph) -> list[float]:
         out = [0.0]
         for eid, _ in self.steps:

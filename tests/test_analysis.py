@@ -27,6 +27,7 @@ from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation
 from bundlemin.bundles import BundlePoint, monodromy_bundle, orbit, orbit_stream, product_bundle
 from bundlemin.cli import csv_to_points, sample_to_csv
 from bundlemin.constructions import (
+    CONSTRUCTIONS,
     build_m_circles,
     build_mobius,
     build_sturmian_cylinder,
@@ -324,6 +325,14 @@ class TestClassifyFibre:
         with pytest.raises(EmptyInput):
             classify_fibre(interval_graph(1.0), [], 0.05)
 
+    def test_verdict_keeps_the_slice_as_given(self):
+        # spaced below delta/8, so a thinning pass would drop points
+        g = circle_graph(1.0)
+        pts = [GraphPoint("c", i / 400.0) for i in range(400)]
+        c = classify_fibre(g, pts, 0.05)
+        assert str(c) == "Circles(1)"
+        assert c.points == tuple(pts)
+
 
 def _mobius_sample(delta=0.02, n=30_000):
     res = build_mobius(GOLDEN)
@@ -400,7 +409,107 @@ class TestGroupedEndpointStatistics:
         assert len(calls) == 1
 
 
+def reference_fibre_window_probes(g, y0, radius, spacing):
+    """``_fibre_window_probes`` before it returned arrays: one
+    ``distances_to_many`` per edge."""
+    probes = []
+    for e in g.edges:
+        k = max(2, int(math.ceil(e.length / spacing)))
+        grid_t = np.linspace(0.0, 1.0, k + 1)
+        ei = np.full(len(grid_t), g.edge_index(e.id), dtype=int)
+        d = g.distances_to_many(y0, ei, grid_t)
+        for t, dd in zip(grid_t, d):
+            if dd <= radius:
+                probes.append(GraphPoint(e.id, float(t)))
+    return probes
+
+
+def reference_interior_detector(bundle, sample, delta):
+    """``interior_detector`` as a loop over fibre probes, one
+    ``distances_to_many`` per probe, stopping at the first uncovered pair."""
+    g = bundle.fibre
+    n = len(sample.points)
+    if n == 0:
+        return False
+    candidates = [sample.points[(j * n) // 8] for j in range(min(8, n))]
+    for x0 in candidates:
+        box = sample.slice_indices(x0.b, delta)
+        if len(box) < 4:
+            continue
+        ei = sample.edge_idx[box]
+        tt = sample.ts[box]
+        be = sample.base_embed[box]
+        order = np.argsort(be)
+        probe_base = [be[order[0]], be[order[len(order) // 2]], be[order[-1]]]
+        fibre_probes = reference_fibre_window_probes(
+            g, x0.y, analysis.INTERIOR_WINDOW_FACTOR * delta, delta / 4.0
+        )
+        covered = True
+        for fp in fibre_probes:
+            dfib = g.distances_to_many(fp, ei, tt)
+            for pb in probe_base:
+                dprod = np.maximum(dfib, np.abs(be - pb))
+                if float(dprod.min()) > delta / 2.0:
+                    covered = False
+                    break
+            if not covered:
+                break
+        if covered:
+            return True
+    return False
+
+
 class TestInteriorDetector:
+    # (construction, steps, delta) -> verdict
+    CASES = {
+        ("mobius", 5_000, 0.02): False,
+        ("mobius", 5_000, 0.05): False,
+        ("torus-on-mobius", 5_000, 0.02): False,
+        ("torus-on-mobius", 5_000, 0.05): False,
+        ("theorem-d-1", 5_000, 0.02): False,
+        ("theorem-d-1", 5_000, 0.05): True,
+        ("theorem-d-1", 20_000, 0.02): True,
+    }
+
+    @pytest.mark.parametrize("block", [7, analysis.ENDPOINT_BLOCK])
+    @pytest.mark.parametrize("case", list(CASES), ids=["-".join(map(str, c)) for c in CASES])
+    def test_equals_per_probe_loop(self, monkeypatch, case, block):
+        name, steps, delta = case
+        res = CONSTRUCTIONS[name]({})
+        sample = approximate_minimal_set(res.system, res.seed(0), 100, steps, delta)
+        want = reference_interior_detector(res.system.bundle, sample, delta)
+        assert want is self.CASES[case]
+        monkeypatch.setattr(analysis, "ENDPOINT_BLOCK", block)
+        assert interior_detector(res.system.bundle, sample, delta) is want
+
+    # (base angle, fibre points spread over the circle) groups, in sample
+    # order; a one-point group leaves its base probe uncovered
+    LAYOUTS = {
+        "min-probe-uncovered": ([(0.44, 1), (0.48, 50)], False),
+        "median-probe-uncovered": ([(0.49, 1), (0.455, 50), (0.525, 50)], False),
+        "max-probe-uncovered": ([(0.52, 1), (0.48, 50)], False),
+        "covered": ([(0.455, 50), (0.49, 50), (0.525, 50)], True),
+    }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS.values()), ids=list(LAYOUTS))
+    def test_each_base_probe_counts(self, layout):
+        groups, want = layout
+        s = CONSTRUCTIONS["circle-product"]({}).system
+        points = [
+            BundlePoint(CircleAngle(b), GraphPoint("c", i / k)) for b, k in groups for i in range(k)
+        ]
+        sample = SampledSet(0.05, points, {}, s.base, s.bundle)
+        assert reference_interior_detector(s.bundle, sample, 0.05) is want
+        assert interior_detector(s.bundle, sample, 0.05) is want
+
+    def test_window_probes_equal_per_edge_grid(self):
+        res, sample = _torus_sample(n=5_000)
+        g = res.system.bundle.fibre
+        for x in sample.points[::400]:
+            ei, tt = analysis._fibre_window_probes(g, x.y, 0.34, 0.005)
+            got = [GraphPoint(g.edges[e].id, t) for e, t in zip(ei.tolist(), tt.tolist())]
+            assert got == reference_fibre_window_probes(g, x.y, 0.34, 0.005)
+
     def test_torus_sample_has_interior(self):
         res, sample = _torus_sample()
         assert interior_detector(res.system.bundle, sample, 0.02)
@@ -454,7 +563,7 @@ class TestCirclesReport:
         rep = circles_report(res.system, sample, 0.02, probes, image_probes=3)
         assert rep.m == 2 and rep.image_disjointness
         # only the three image fibres are classified; each maps the probe's
-        # thinned slice, the points its verdict was computed from
+        # fibre slice, the points its verdict was computed from
         assert len(calls) == 3
         thinned = [sample.probe_class(b, 0.02, 0.02).points for b in probes[:3]]
         assert [len(args[1]) for args in calls] == [len(pts) for pts in thinned]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -54,16 +55,36 @@ class TestExitCodes:
     def test_unknown_construction(self, tmp_path, capsys):
         assert main(["build", "nosuch", "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_malformed_config(self, tmp_path):
+    MALFORMED = {
+        "not-json": lambda path: path.write_text("{oops"),
+        "directory": lambda path: path.mkdir(),
+        "not-utf8": lambda path: path.write_bytes(b'{"construction": "mob\xffius"}'),
+    }
+
+    @pytest.mark.parametrize("make", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_config(self, tmp_path, capsys, make):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{oops")
+        make(cfg)
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys)
 
     def test_step_cap(self, tmp_path, monkeypatch):
         assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
         monkeypatch.setenv("BUNDLEMIN_CAP", "100")
         rc = main(["minimal-set", "--out", str(tmp_path), "--steps", "20000"])
         assert rc == EXIT_CAP
+
+    @pytest.mark.parametrize("transient, rc", [(100, EXIT_OK), (101, EXIT_CAP), (1e30, EXIT_CAP)])
+    def test_transient_cap(self, tmp_path, monkeypatch, capsys, transient, rc):
+        monkeypatch.setenv("BUNDLEMIN_CAP", "100")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "mobius", "transient": transient}))
+        args = ["minimal-set", "--config", str(cfg), "--out", str(tmp_path), "--steps", "10"]
+        assert main(args) == rc
+        assert (tmp_path / "sample.csv").exists() == (rc == EXIT_OK)
+        if rc == EXIT_CAP:
+            err = capsys.readouterr().err
+            assert err.startswith("refused: transient ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_nonpositive_steps(self, tmp_path, capsys, steps):
@@ -165,6 +186,53 @@ class TestRunSettings:
         before = (sampled / "sample.csv").read_bytes()
         assert main(["minimal-set", "--out", str(sampled), "--seed", "-1"]) == EXIT_CONFIG
         assert (sampled / "sample.csv").read_bytes() == before
+
+
+def _replace_row(path, row, field, value):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row].rstrip("\n").split(",")
+    if value is None:
+        del cells[field]
+    else:
+        cells[field] = value
+    lines[row] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+class TestDamagedOut:
+    """A damaged sample.csv or provenance.json in --out exits 2 with one
+    line from every command that loads the sample."""
+
+    DAMAGE = {
+        "four-fields": lambda out: _replace_row(out / "sample.csv", 2, 4, None),
+        "parameter-not-a-number": lambda out: _replace_row(out / "sample.csv", 2, 4, "abc"),
+        "unknown-edge": lambda out: _replace_row(out / "sample.csv", 2, 3, "ZZ"),
+        "parameter-too-large": lambda out: _replace_row(out / "sample.csv", 2, 4, "1.5"),
+        "parameter-negative": lambda out: _replace_row(out / "sample.csv", 5, 4, "-0.25"),
+        "parameter-nan": lambda out: _replace_row(out / "sample.csv", 5, 4, "nan"),
+        "sample-not-utf8": lambda out: (out / "sample.csv").write_bytes(
+            (out / "sample.csv").read_bytes() + b"\xff\n"),
+        "no-points": lambda out: (out / "sample.csv").write_text("step,base,tag,edge,parameter\n"),
+        "provenance-not-json": lambda out: (out / "provenance.json").write_text("{oops"),
+    }
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sampled")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    @pytest.mark.parametrize("damage", list(DAMAGE.values()), ids=list(DAMAGE))
+    def test_exits_2_with_one_line(self, sampled, tmp_path, capsys, damage, command):
+        out = tmp_path / "out"
+        shutil.copytree(sampled, out)
+        damage(out)
+        capsys.readouterr()
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
 
 class TestPipeline:

@@ -238,6 +238,12 @@ class TestCircles:
             p = c.point_at(g, s * c.length)
             assert c.coord_of(g, p) == pytest.approx(s * c.length, abs=1e-9)
 
+    def test_vertices_are_both_edge_ends(self):
+        g = theta_graph()
+        assert [c.vertices(g) for c in enumerate_circles(g)] == [frozenset("pq")] * 3
+        g = figure_eight()
+        assert [c.vertices(g) for c in enumerate_circles(g)] == [frozenset("v")] * 2
+
     def test_contains(self):
         g = theta_graph()
         c = next(cc for cc in enumerate_circles(g) if "c" not in cc.edge_ids())

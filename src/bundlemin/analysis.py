@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -21,7 +21,7 @@ from .graphs import (
     GraphPoint,
     MetricGraph,
     enumerate_circles,
-    eval_graph_map,
+    eval_graph_map_arrays,
     star_branch_count,
 )
 
@@ -29,16 +29,25 @@ from .graphs import (
 # sampled sets
 
 
+#: widening of a slice's base window beyond delta_base, far above the
+#: rounding of the window ends and of the distance test (embeddings are
+#: O(1)); the exact test on the candidates decides
+SLICE_MARGIN = 1e-9
+
+
 @dataclass
 class SampledSet:
-    """Finite approximation of an invariant set, with numpy coordinate caches.
+    """Finite approximation of an invariant set, held as arrays: per sample
+    point its base point, fibre edge index, fibre parameter ``t`` and base
+    embedding.
 
-    ``base_embed`` holds the base embedding of each point; it is computed
-    from the points when not given.
+    ``base_embed`` is computed from ``bases`` when not given.
     """
 
     delta: float
-    points: list[BundlePoint]
+    bases: list[BasePoint]
+    edge_idx: np.ndarray = field(repr=False)
+    ts: np.ndarray = field(repr=False)
     provenance: dict
     base: BaseSystem
     bundle: Bundle
@@ -46,21 +55,54 @@ class SampledSet:
 
     def __post_init__(self) -> None:
         if self.base_embed is None:
-            self.base_embed = np.array([float(self.base.embedding(x.b)) for x in self.points])
-        self.edge_idx, self.ts = self.bundle.fibre.point_arrays([x.y for x in self.points])
+            self.base_embed = np.array([float(self.base.embedding(b)) for b in self.bases], dtype=float)
         self._circular = self.base.circular
         self._probe_classes: dict[tuple, FibreClass | None] = {}
 
-    def base_distances(self, b: BasePoint) -> np.ndarray:
+    @classmethod
+    def from_points(
+        cls, delta: float, points: Sequence[BundlePoint], provenance: dict, base: BaseSystem, bundle: Bundle
+    ) -> SampledSet:
+        """The sample of the given (base point, fibre point) pairs."""
+        ei, tt = bundle.fibre.point_arrays([x.y for x in points])
+        return cls(delta, [x.b for x in points], ei, tt, provenance, base, bundle)
+
+    @cached_property
+    def points(self) -> list[BundlePoint]:
+        """The sample as point objects, for library callers; the pipeline
+        reads the arrays."""
+        ys = self.bundle.fibre.points_from_arrays(self.edge_idx, self.ts)
+        return [BundlePoint(b, y) for b, y in zip(self.bases, ys)]
+
+    @cached_property
+    def _sorted_embed(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.base_embed, kind="stable")
+        return order, self.base_embed[order]
+
+    def slice_indices(self, b: BasePoint, delta_base: float) -> np.ndarray:
+        """Indices, ascending, of the points within delta_base of b in the
+        base (distances wrap for a circular base).  Only the points in a
+        slightly wider window of the sorted embeddings are tested."""
         e = float(self.base.embedding(b))
-        d = np.abs(self.base_embed - e)
+        order, sorted_e = self._sorted_embed
+        w = delta_base + SLICE_MARGIN
+        if not self._circular:
+            windows = [(e - w, e + w)]
+        elif 2.0 * w < 1.0:
+            # circular embeddings lie in [0, 1]: the wrapped copies of the
+            # window are disjoint
+            windows = [(e + k - w, e + k + w) for k in (-1.0, 0.0, 1.0)]
+        else:
+            windows = [(-np.inf, np.inf)]
+        cand = np.concatenate([
+            order[np.searchsorted(sorted_e, lo, "left"):np.searchsorted(sorted_e, hi, "right")]
+            for lo, hi in windows
+        ])
+        d = np.abs(self.base_embed[cand] - e)
         if self._circular:
             d %= 1.0
             d = np.minimum(d, 1.0 - d)
-        return d
-
-    def slice_indices(self, b: BasePoint, delta_base: float) -> np.ndarray:
-        return np.where(self.base_distances(b) <= delta_base)[0]
+        return np.sort(cand[d <= delta_base])
 
     def slice_arrays(self, b: BasePoint, delta_base: float) -> tuple[np.ndarray, np.ndarray]:
         """The fibre slice over b as (edge index, t) arrays: the points
@@ -70,17 +112,15 @@ class SampledSet:
         ei, tt = self.edge_idx[idx], self.ts[idx]
         if self.bundle.is_monodromy:
             side = cut_sides(self.base_embed[idx], float(self.base.embedding(b)))
-            for j in np.flatnonzero(side):
-                m = self.bundle.gluing if side[j] > 0 else self.bundle.gluing_inverse
-                y = eval_graph_map(m, self.points[idx[j]].y)
-                ei[j], tt[j] = self.bundle.fibre.edge_index(y.edge), y.t
+            for sign, m in ((1, self.bundle.gluing), (-1, self.bundle.gluing_inverse)):
+                glued = side == sign
+                if glued.any():
+                    ei[glued], tt[glued] = eval_graph_map_arrays(m, ei[glued], tt[glued])
         return ei, tt
 
     def fibre_slice(self, b: BasePoint, delta_base: float) -> list[GraphPoint]:
         """``slice_arrays`` as a point list."""
-        edges = self.bundle.fibre.edges
-        ei, tt = self.slice_arrays(b, delta_base)
-        return [GraphPoint(edges[e].id, t) for e, t in zip(ei.tolist(), tt.tolist())]
+        return self.bundle.fibre.points_from_arrays(*self.slice_arrays(b, delta_base))
 
     def probe_class(self, b: BasePoint, delta_base: float, delta: float) -> FibreClass | None:
         """``classify_fibre`` of the fibre slice over b, None when the slice is
@@ -190,15 +230,20 @@ def approximate_minimal_set(
     if n < 1 or transient < 0 or delta <= 0:
         raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
     sep = separation if separation is not None else delta / 4.0
-    thinner = _Thinner(s.bundle.fibre, sep)
-    points, embeds = [], []
+    g = s.bundle.fibre
+    thinner = _Thinner(g, sep)
+    bases, embeds, edges, ts = [], [], [], []
     for b, e, y in islice(orbit_stream(s, seed), transient, transient + n):
         if thinner.offer(e, y):
-            points.append(BundlePoint(b, y))
+            bases.append(b)
             embeds.append(e)
+            edges.append(g.edge_index(y.edge))
+            ts.append(y.t)
     return SampledSet(
-        delta=delta,
-        points=points,
+        delta,
+        bases,
+        np.array(edges, dtype=int),
+        np.array(ts, dtype=float),
         provenance={
             "system": s.id,
             "seed": repr(seed),
@@ -208,7 +253,7 @@ def approximate_minimal_set(
         },
         base=s.base,
         bundle=s.bundle,
-        base_embed=np.array(embeds),
+        base_embed=np.array(embeds, dtype=float),
     )
 
 
@@ -353,7 +398,7 @@ def endpoint_statistics(
     combined with the interior detector into a dichotomy verdict."""
     if delta_base is None:
         delta_base = delta
-    n = len(sample.points)
+    n = len(sample.bases)
     if n == 0:
         raise EmptyInput("empty sample")
     step = max(1, n // max_points)
@@ -364,7 +409,7 @@ def endpoint_statistics(
         groups.setdefault(int(sample.base_embed[i] / (delta_base / 2.0)), []).append(i)
     endpoints = 0
     for rows in groups.values():
-        ei, tt = sample.slice_arrays(sample.points[rows[0]].b, delta_base)
+        ei, tt = sample.slice_arrays(sample.bases[rows[0]], delta_base)
         # one distance matrix per slice, in blocks of rows to bound memory
         block = max(1, ENDPOINT_BLOCK // len(ei))
         for lo in range(0, len(rows), block):
@@ -392,14 +437,15 @@ INTERIOR_WINDOW_FACTOR = 17.0  # fibre window radius, in units of delta
 
 
 def _fibre_window_probes(
-    g: MetricGraph, y0: GraphPoint, radius: float, spacing: float
+    g: MetricGraph, e0: int, t0: float, radius: float, spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The points of a spacing-fine grid on every edge that lie within
-    radius of y0, as (edge index, t) arrays in edge order."""
+    radius of the point (edge index e0, t0), as (edge index, t) arrays in
+    edge order."""
     grids = [np.linspace(0.0, 1.0, max(2, int(math.ceil(e.length / spacing))) + 1) for e in g.edges]
     ei = np.repeat(np.arange(len(grids)), [len(t) for t in grids])
     tt = np.concatenate(grids)
-    d = g.distance_matrix(np.array([g.edge_index(y0.edge)]), np.array([y0.t]), ei, tt)[0]
+    d = g.distance_matrix(np.array([e0]), np.array([t0]), ei, tt)[0]
     keep = d <= radius
     return ei[keep], tt[keep]
 
@@ -413,12 +459,11 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
     Cantor base does not count its embedding gaps against coverage.
     """
     g = bundle.fibre
-    n = len(sample.points)
+    n = len(sample.bases)
     if n == 0:
         return False
-    candidates = [sample.points[(j * n) // 8] for j in range(min(8, n))]
-    for x0 in candidates:
-        box = sample.slice_indices(x0.b, delta)
+    for x0 in [(j * n) // 8 for j in range(min(8, n))]:
+        box = sample.slice_indices(sample.bases[x0], delta)
         if len(box) < 4:
             continue
         ei = sample.edge_idx[box]
@@ -427,7 +472,9 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
         # base probes: spread through the boxed base coordinates
         order = np.argsort(be)
         base_gaps = [np.abs(be - be[order[i]]) for i in (0, len(order) // 2, -1)]
-        pe, pt = _fibre_window_probes(g, x0.y, INTERIOR_WINDOW_FACTOR * delta, delta / 4.0)
+        pe, pt = _fibre_window_probes(
+            g, sample.edge_idx[x0], sample.ts[x0], INTERIOR_WINDOW_FACTOR * delta, delta / 4.0
+        )
         # covered when every (fibre probe, base probe) pair has a box point
         # delta/2-close in the product metric; probe rows in blocks, as in
         # endpoint_statistics, to bound memory
@@ -554,9 +601,8 @@ def circles_report(
         if v.kind != "circles" or v.m != m or tested >= image_probes:
             continue
         tested += 1
-        fm = s.fibre_family(b)
-        images = [eval_graph_map(fm, y) for y in v.points]
-        img_class = classify_fibre(g, images, delta)
+        images = eval_graph_map_arrays(s.fibre_family(b), *g.point_arrays(v.points))
+        img_class = classify_fibre(g, g.points_from_arrays(*images), delta)
         if img_class.kind != "circles" or img_class.m != m:
             ok = False
             continue

@@ -124,12 +124,14 @@ BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord | PeriodicInd
 class BaseSystem:
     """A minimal base system packaged as pure callables.
 
+    ``point_type`` is the one point class the callables take.
     ``preimages`` is optional backward dynamics used by the homeo-part
     filter in the analysis layer.  ``circular`` marks an embedding that is
-    an angle mod 1, so base distances wrap around.
+    an angle mod 1, in [0, 1], so base distances wrap around.
     """
 
     id: str
+    point_type: type
     apply: Callable[[BasePoint], BasePoint]
     metric: Callable[[BasePoint, BasePoint], float]
     sampler: Callable[[int], list[BasePoint]]
@@ -169,6 +171,7 @@ def circle_rotation(alpha: float) -> BaseSystem:
 
     return BaseSystem(
         id=f"rotation({alpha})",
+        point_type=CircleAngle,
         apply=apply,
         metric=metric,
         sampler=sampler,
@@ -189,6 +192,7 @@ def periodic_orbit(q: int) -> BaseSystem:
 
     return BaseSystem(
         id=f"periodic({q})",
+        point_type=PeriodicIndex,
         apply=lambda x: PeriodicIndex((x.i + 1) % q, q),
         metric=metric,
         sampler=lambda n: [PeriodicIndex(i % q, q) for i in range(min(n, q))],
@@ -219,6 +223,7 @@ def adding_machine(precision: int = 40) -> BaseSystem:
 
     return BaseSystem(
         id=f"odometer(K={K})",
+        point_type=TernaryCode,
         apply=apply,
         metric=metric,
         sampler=sampler,
@@ -370,6 +375,7 @@ def doubled_cantor(
 
     return BaseSystem(
         id=f"doubled-cantor(K={K})",
+        point_type=DoubledCode,
         apply=apply,
         metric=metric,
         sampler=sampler,
@@ -426,6 +432,7 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
 
     return BaseSystem(
         id=f"quotient({dc.id})",
+        point_type=dc.point_type,
         apply=apply,
         metric=metric,
         sampler=sampler,
@@ -569,6 +576,7 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
 
     bs = BaseSystem(
         id=f"sturmian(alpha={alpha},K={K})",
+        point_type=SymbolicWord,
         apply=apply,
         metric=metric,
         sampler=sampler,

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,23 +24,24 @@ from .analysis import (
 )
 from .base_systems import (
     BasePoint,
+    BaseSystem,
     CircleAngle,
     DoubledCode,
     PeriodicIndex,
     SymbolicWord,
     TernaryCode,
 )
-from .bundles import BundlePoint
 from .constructions import CONSTRUCTIONS, ConstructionResult
 from .errors import (
     BundleMinError,
     CapExceeded,
     ConfigError,
+    InvalidPoint,
     NotCircleCase,
     NoProbes,
     SchemaError,
 )
-from .graphs import GraphPoint
+from .graphs import MetricGraph
 from .plotting import render_sample_svg
 
 EXIT_OK = 0
@@ -91,27 +92,73 @@ def decode_base_point(tag: str) -> BasePoint:
     raise SchemaError(f"unknown base tag kind {kind!r}")
 
 
+SAMPLE_HEADER = ["step", "base", "tag", "edge", "parameter"]
+
+
 def sample_to_csv(sample: SampledSet) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["step", "base", "tag", "edge", "parameter"])
-    for i, x in enumerate(sample.points):
-        w.writerow([i, repr(float(sample.base_embed[i])), encode_base_point(x.b), x.y.edge, repr(x.y.t)])
+    w.writerow(SAMPLE_HEADER)
+    edges = [e.id for e in sample.bundle.fibre.edges]
+    columns = zip(sample.bases, sample.base_embed.tolist(), sample.edge_idx.tolist(), sample.ts.tolist())
+    w.writerows(
+        (i, repr(e), encode_base_point(b), edges[k], repr(t)) for i, (b, e, k, t) in enumerate(columns)
+    )
     return buf.getvalue()
 
 
-def csv_to_points(text: str) -> list[BundlePoint]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["step", "base", "tag", "edge", "parameter"]:
-        raise SchemaError("sample CSV header mismatch")
-    out = []
+def _read_column(cells: Sequence, read: Callable, what: str) -> list:
+    """read(cell) for each cell of a sample CSV column; a cell it refuses
+    is a SchemaError naming the cell's line."""
+    out: list = []
     try:
-        for row in rows[1:]:
-            _, _, tag, edge, t = row
-            out.append(BundlePoint(decode_base_point(tag), GraphPoint(edge, float(t))))
-    except ValueError as exc:
-        raise SchemaError(f"sample CSV line {len(out) + 2}: {exc}") from exc
+        for cell in cells:
+            out.append(read(cell))
+    except (ValueError, BundleMinError) as exc:
+        raise SchemaError(f"sample CSV line {len(out) + 2}: {what} {cell!r}: {exc}") from exc
     return out
+
+
+def _first_false(ok: np.ndarray | list[bool]) -> int | None:
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    return int(bad[0]) if len(bad) else None
+
+
+def csv_to_points(
+    text: str, base: BaseSystem, fibre: MetricGraph
+) -> tuple[list[BasePoint], np.ndarray, np.ndarray, np.ndarray]:
+    """The sample in a CSV as columns: base points, fibre edge indices,
+    parameters and the ``base`` cells.  Every row is checked for five
+    fields, a tag of the base's point type, a numeric ``base``, an edge of
+    the fibre and a parameter in [0, 1]."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != SAMPLE_HEADER:
+        raise SchemaError("sample CSV header mismatch")
+    body = rows[1:]
+    i = _first_false([len(row) == 5 for row in body])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: {len(body[i])} fields, expected 5")
+    _, base_cells, tags, edge_cells, t_cells = zip(*body) if body else ((),) * 5
+
+    def decode(tag: str) -> BasePoint:
+        b = decode_base_point(tag)
+        if not isinstance(b, base.point_type):
+            raise SchemaError(f"not a {base.point_type.__name__}, the point type of base {base.id}")
+        return b
+
+    bases = _read_column(tags, decode, "tag")
+    written = np.array(_read_column(base_cells, float, "base"), dtype=float)
+    fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
+    edge_idx = list(map(fibre_edges.get, edge_cells))
+    i = _first_false([k is not None for k in edge_idx])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: unknown fibre edge {edge_cells[i]!r}")
+    ts = np.array(_read_column(t_cells, float, "parameter"), dtype=float)
+    # the negated test also catches NaN
+    i = _first_false((ts >= 0.0) & (ts <= 1.0))
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: parameter {float(ts[i])!r} outside [0, 1]")
+    return bases, np.array(edge_idx, dtype=int), ts, written
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +289,7 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     prov = dict(sample.provenance)
     prov.update({"construction": name, "delta": delta, "seed_index": seed_index})
     atomic_write(out / "provenance.json", _jdump(prov))
-    print(f"wrote {out / 'sample.csv'} ({len(sample.points)} points)")
+    print(f"wrote {out / 'sample.csv'} ({len(sample.bases)} points)")
     return EXIT_OK
 
 
@@ -259,29 +306,26 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
         text = csv_path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{csv_path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    points = csv_to_points(text)
-    if not points:
+    s = result.system
+    bases, edge_idx, ts, written = csv_to_points(text, s.base, s.bundle.fibre)
+    if not bases:
         raise SchemaError(f"{csv_path} holds no points")
-    unknown = {x.y.edge for x in points}.difference(e.id for e in result.system.bundle.fibre.edges)
-    if unknown:
-        raise SchemaError(f"{csv_path}: unknown fibre edge {min(unknown)!r}")
     prov_path = out / "provenance.json"
     try:
         prov = json.loads(prov_path.read_text()) if prov_path.exists() else {}
     except ValueError as exc:
         raise SchemaError(f"malformed {prov_path}: {exc}") from exc
-    sample = SampledSet(
-        delta=delta,
-        points=points,
-        provenance=prov,
-        base=result.system.base,
-        bundle=result.system.bundle,
-    )
-    # the negated test also catches NaN
-    bad = np.flatnonzero(~((sample.ts >= 0.0) & (sample.ts <= 1.0)))
-    if len(bad):
-        i = int(bad[0])
-        raise SchemaError(f"{csv_path} line {i + 2}: parameter {float(sample.ts[i])!r} outside [0, 1]")
+    try:
+        sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
+    except InvalidPoint as exc:
+        # a tag of the right type that the base does not embed
+        raise SchemaError(f"{csv_path}: {exc}") from exc
+    i = _first_false(written == sample.base_embed)
+    if i is not None:
+        raise SchemaError(
+            f"{csv_path} line {i + 2}: base {float(written[i])!r} is not "
+            f"{float(sample.base_embed[i])!r}, the embedding of its tag"
+        )
     return out, name, result, sample
 
 
@@ -306,9 +350,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         ),
     )
 
-    n = len(sample.points)
-    stride = max(1, n // 20)
-    probes = [sample.points[i].b for i in range(0, n, stride)][:20]
+    n = len(sample.bases)
+    probes = sample.bases[:: max(1, n // 20)][:20]
     exceptional = result.reference.get("exceptional_base")
 
     try:
@@ -353,9 +396,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     out, name, result, sample = _load_sample(args)
-    rows = [
-        (float(sample.base_embed[i]), x.y.edge, x.y.t) for i, x in enumerate(sample.points)
-    ]
+    edges = [e.id for e in sample.bundle.fibre.edges]
+    rows = list(zip(sample.base_embed.tolist(), [edges[k] for k in sample.edge_idx.tolist()], sample.ts.tolist()))
     highlight = []
     exceptional = result.reference.get("exceptional_base")
     if exceptional is not None:

@@ -218,6 +218,11 @@ class MetricGraph:
             np.array([p.t for p in pts], dtype=float),
         )
 
+    def points_from_arrays(self, edge_idx: np.ndarray, ts: np.ndarray) -> list[GraphPoint]:
+        """The point list of (edge index, t) arrays; ``point_arrays`` inverted."""
+        edges = self.edges
+        return [GraphPoint(edges[e].id, t) for e, t in zip(edge_idx.tolist(), ts.tolist())]
+
 
 def build_graph(spec: dict) -> MetricGraph:
     """Validate and build a metric graph from a vertex/edge spec dict.
@@ -486,6 +491,75 @@ class GraphMap:
                 )
             out[eid] = ([pc.lo for pc in plist], compiled)
         return out
+
+    @cached_property
+    def _piece_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``_compiled`` as arrays, per domain edge index: ``(pieces, const,
+        segs)``, one row per piece.  A ``pieces`` row is (lo - 1e-12, hi +
+        1e-12, lo, hi - lo, total); a ``const`` row the codomain edge index
+        and t of a constant piece's image (edge -1 for other pieces); a
+        ``segs`` row the piece's segments as (codomain edge index, t0, t1 -
+        t0, length, length + 1e-15, is_last), padded to the longest path
+        with copies of its last segment, which is never read past."""
+        g2 = self.codomain
+        out = {}
+        for eid, (_, plist) in self._compiled.items():
+            k = max(len(pc[6]) for pc in plist)
+            out[self.domain.edge_index(eid)] = (
+                np.array([pc[:5] for pc in plist], dtype=float),
+                np.array([(g2.edge_index(c.edge), c.t) if c else (-1, 0.0) for c in (pc[5] for pc in plist)]),
+                np.array([[(g2.edge_index(sg[0]), *sg[1:]) for sg in pc[6] + pc[6][-1:] * (k - len(pc[6]))]
+                          for pc in plist], dtype=float),
+            )
+        return out
+
+
+def _py_clamp(x: np.ndarray) -> np.ndarray:
+    """``min(max(x, 0.0), 1.0)`` elementwise, with Python's choice of
+    argument on ties (so -0.0 stays -0.0)."""
+    x = np.where(0.0 > x, 0.0, x)
+    return np.where(1.0 < x, 1.0, x)
+
+
+def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_graph_map`` of each point (ei, tt), bit for bit, as (codomain
+    edge index, t) arrays: the same piece choice, tolerances, clamps and
+    float operations in the same order (a point its bisected piece misses
+    goes through ``eval_graph_map``), and ``InvalidPoint`` for a parameter
+    outside [0, 1] or not covered by a piece."""
+    outside = ~((tt >= 0.0) & (tt <= 1.0))
+    if outside.any():
+        j = int(np.flatnonzero(outside)[0])
+        raise InvalidPoint(f"parameter {tt[j]} outside [0, 1] on edge {m.domain.edges[ei[j]].id!r}")
+    out_e = np.empty(len(ei), dtype=int)
+    out_t = np.empty(len(ei), dtype=float)
+    mapped = 0
+    for k, (pieces, const, segs) in m._piece_tables.items():
+        at = np.flatnonzero(ei == k)
+        mapped += len(at)
+        lo_tol, hi_tol, lo, width, total = pieces.T
+        t = tt[at]
+        p = np.maximum(np.searchsorted(lo, t, side="right") - 1, 0)
+        held = (lo_tol[p] <= t) & (t <= hi_tol[p])
+        for j in np.flatnonzero(~held):
+            y = eval_graph_map(m, GraphPoint(m.domain.edges[k].id, float(t[j])))
+            out_e[at[j]], out_t[at[j]] = m.codomain.edge_index(y.edge), y.t
+        at, p, t = at[held], p[held], t[held]
+        fixed = const[p, 0] >= 0
+        out_e[at[fixed]], out_t[at[fixed]] = const[p[fixed], 0], const[p[fixed], 1]
+        at, p, t = at[~fixed], p[~fixed], t[~fixed]
+        s = _py_clamp((t - lo[p]) / width[p]) * total[p]
+        for j in range(segs.shape[1]):
+            edge, t0, dt, sl, sl_tol, last = segs[p, j].T
+            hit = (s <= sl_tol) | (last != 0)
+            sh, slh = s[hit], sl[hit]
+            frac = _py_clamp(np.where(slh > 0, sh / np.where(slh > 0, slh, 1.0), 0.0))
+            out_e[at[hit]] = edge[hit]
+            out_t[at[hit]] = _py_clamp(t0[hit] + dt[hit] * frac)
+            at, p, s = at[~hit], p[~hit], s[~hit] - sl[~hit]
+    if mapped != len(ei):
+        raise InvalidPoint("a point lies on an edge the map has no pieces for")
+    return out_e, out_t
 
 
 def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:

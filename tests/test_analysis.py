@@ -23,7 +23,7 @@ from bundlemin.analysis import (
     redundant_open_set_test,
     typical_fibre_report,
 )
-from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation
+from bundlemin.base_systems import GOLDEN, BaseSystem, CircleAngle, circle_rotation
 from bundlemin.bundles import BundlePoint, monodromy_bundle, orbit, orbit_stream, product_bundle
 from bundlemin.cli import csv_to_points, sample_to_csv
 from bundlemin.constructions import (
@@ -95,7 +95,7 @@ class TestApproximateMinimalSet:
     def test_handed_over_embeddings_equal_recomputed(self, name):
         s, seed = _orbit_system(name)
         sample = approximate_minimal_set(s, seed, 100, 5_000, 0.02)
-        rebuilt = SampledSet(0.02, sample.points, {}, s.base, s.bundle)
+        rebuilt = SampledSet.from_points(0.02, sample.points, {}, s.base, s.bundle)
         assert sample.base_embed.tolist() == rebuilt.base_embed.tolist()
 
     def test_memory_grows_with_kept_points_not_steps(self):
@@ -115,7 +115,8 @@ class TestApproximateMinimalSet:
     def test_cached_embeddings_are_the_base_embedding(self, name):
         s, seed = _orbit_system(name)
         streamed = approximate_minimal_set(s, seed, 100, 5_000, 0.02)
-        loaded = SampledSet(0.02, csv_to_points(sample_to_csv(streamed)), {}, s.base, s.bundle)
+        bases, edge_idx, ts, _ = csv_to_points(sample_to_csv(streamed), s.base, s.bundle.fibre)
+        loaded = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
         for sample in (streamed, loaded):
             assert len(sample.base_embed) == len(sample.points)
             for i, x in enumerate(sample.points):
@@ -243,7 +244,7 @@ class TestArraySlice:
             BundlePoint(CircleAngle(a), GraphPoint(edges[e % len(edges)], t))
             for a, (e, t) in zip(angles, ys)
         ]
-        sample = SampledSet(0.02, pts, {}, base, bundle)
+        sample = SampledSet.from_points(0.02, pts, {}, base, bundle)
         for x in pts:
             got = sample.fibre_slice(x.b, delta_base)
             assert got == reference_fibre_slice(sample, x.b, delta_base)
@@ -252,7 +253,7 @@ class TestArraySlice:
     def test_half_turn_tie_is_not_glued(self):
         s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
         pts = [BundlePoint(CircleAngle(a), GraphPoint("A", 0.25)) for a in (0.25, 0.75, 0.9)]
-        sample = SampledSet(0.02, pts, {}, s.base, s.bundle)
+        sample = SampledSet.from_points(0.02, pts, {}, s.base, s.bundle)
         # 0.25 -> 0.75 is a tie and keeps its chart; 0.9 -> 0.25 crosses the cut
         got = sample.fibre_slice(CircleAngle(0.25), 0.5)
         assert got == reference_fibre_slice(sample, CircleAngle(0.25), 0.5)
@@ -261,7 +262,7 @@ class TestArraySlice:
     def test_crossing_direction_picks_gluing_or_inverse(self):
         base, bundle = _rotated_circle_bundle()
         pts = [BundlePoint(CircleAngle(a), GraphPoint("c", 0.5)) for a in (0.95, 0.05)]
-        sample = SampledSet(0.02, pts, {}, base, bundle)
+        sample = SampledSet.from_points(0.02, pts, {}, base, bundle)
         # forward across the cut turns by +1/4, backward by -1/4
         assert [y.t for y in sample.fibre_slice(CircleAngle(0.05), 0.2)] == [0.75, 0.5]
         assert [y.t for y in sample.fibre_slice(CircleAngle(0.95), 0.2)] == [0.5, 0.25]
@@ -274,6 +275,67 @@ class TestArraySlice:
         assert min(angles) < 0.02 and max(angles) > 0.98
         for b in [CircleAngle(a) for a in (0.0, 0.005, 0.5, 0.995)] + [x.b for x in sample.points[::500]]:
             assert sample.fibre_slice(b, 0.02) == reference_fibre_slice(sample, b, 0.02)
+
+
+def reference_slice_indices(sample, b, delta_base):
+    """``SampledSet.slice_indices`` as a scan of every base embedding, as it
+    was before the embeddings were sorted, verbatim."""
+    e = float(sample.base.embedding(b))
+    d = np.abs(sample.base_embed - e)
+    if sample.base.circular:
+        d %= 1.0
+        d = np.minimum(d, 1.0 - d)
+    return np.where(d <= delta_base)[0]
+
+
+def _angle_base(circular):
+    """A base whose embedding is the angle itself, unreduced, so a probe can
+    sit exactly at 1 (an interval base when not circular)."""
+    return BaseSystem(
+        id=f"identity(circular={circular})", point_type=CircleAngle, apply=lambda x: x,
+        metric=lambda x, y: abs(x.theta - y.theta), sampler=lambda n: [],
+        embedding=lambda x: x.theta, circular=circular,
+    )
+
+
+def _around(x):
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+class TestSortedSliceIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.booleans(),
+        st.sampled_from([0.0, 1.0, 0.5, 5e-324, math.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0),
+        st.sampled_from([1e-6, 0.02, 0.25, 0.5, 1.0]) | st.floats(1e-6, 1.0),
+        st.lists(st.floats(-0.5, 1.5), max_size=20),
+        st.integers(1, 3),
+    )
+    def test_equals_full_scan(self, circular, e, width, extra, copies):
+        # embeddings at +-width from the probe, one float step either side,
+        # and the same across the wrap at 0 and 1, each repeated
+        edges = [e - width, e + width, e - width + 1.0, e + width - 1.0, 0.0, 1.0]
+        embeds = [x for y in edges for x in _around(y)] + extra
+        if circular:
+            embeds = [x for x in embeds if 0.0 <= x <= 1.0]
+        embeds = embeds * copies
+        base = _angle_base(circular)
+        n = len(embeds)
+        sample = SampledSet(
+            0.02, [CircleAngle(x) for x in embeds], np.zeros(n, dtype=int), np.zeros(n), {},
+            base, product_bundle(base, interval_graph(1.0)),
+        )
+        for b in [CircleAngle(e)] + sample.bases[:12]:
+            got = sample.slice_indices(b, width)
+            assert np.array_equal(got, reference_slice_indices(sample, b, width)), (b, width)
+
+    def test_monodromy_sample(self):
+        res, sample = _torus_sample(n=20_000)
+        for b in [CircleAngle(a) for a in (0.0, 0.005, 0.5, 0.995)] + sample.bases[::500]:
+            for width in (0.02, 0.3):
+                assert np.array_equal(
+                    sample.slice_indices(b, width), reference_slice_indices(sample, b, width)
+                )
 
 
 class TestClassifyFibre:
@@ -364,7 +426,7 @@ class TestDichotomy:
     def test_empty_sample_rejected(self):
         res = build_mobius(GOLDEN)
         s = res.system
-        sample = SampledSet(0.02, [], {}, s.base, s.bundle)
+        sample = SampledSet.from_points(0.02, [], {}, s.base, s.bundle)
         with pytest.raises(EmptyInput):
             endpoint_statistics(s.bundle.fibre, sample, 0.06, 0.02)
 
@@ -498,7 +560,7 @@ class TestInteriorDetector:
         points = [
             BundlePoint(CircleAngle(b), GraphPoint("c", i / k)) for b, k in groups for i in range(k)
         ]
-        sample = SampledSet(0.05, points, {}, s.base, s.bundle)
+        sample = SampledSet.from_points(0.05, points, {}, s.base, s.bundle)
         assert reference_interior_detector(s.bundle, sample, 0.05) is want
         assert interior_detector(s.bundle, sample, 0.05) is want
 
@@ -506,7 +568,7 @@ class TestInteriorDetector:
         res, sample = _torus_sample(n=5_000)
         g = res.system.bundle.fibre
         for x in sample.points[::400]:
-            ei, tt = analysis._fibre_window_probes(g, x.y, 0.34, 0.005)
+            ei, tt = analysis._fibre_window_probes(g, g.edge_index(x.y.edge), x.y.t, 0.34, 0.005)
             got = [GraphPoint(g.edges[e].id, t) for e, t in zip(ei.tolist(), tt.tolist())]
             assert got == reference_fibre_window_probes(g, x.y, 0.34, 0.005)
 

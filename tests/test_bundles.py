@@ -133,7 +133,7 @@ class TestFibreSlice:
             BundlePoint(CircleAngle(0.11), GraphPoint("I", 0.2)),
             BundlePoint(CircleAngle(0.50), GraphPoint("I", 0.9)),
         ]
-        ys = SampledSet(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.105), 0.01)
+        ys = SampledSet.from_points(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.105), 0.01)
         assert sorted(y.t for y in ys) == [0.1, 0.2]
 
     def test_slice_transports_in_monodromy_chart(self):
@@ -141,6 +141,6 @@ class TestFibreSlice:
         g = interval_graph(1.0)
         bundle = monodromy_bundle(base, g, flip_map(g), flip_map(g))
         pts = [BundlePoint(CircleAngle(0.99), GraphPoint("I", 0.3))]
-        ys = SampledSet(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.01), 0.05)
+        ys = SampledSet.from_points(0.01, pts, {}, base, bundle).fibre_slice(CircleAngle(0.01), 0.05)
         assert len(ys) == 1
         assert ys[0].t == pytest.approx(0.7)

@@ -214,6 +214,10 @@ class TestDamagedOut:
             (out / "sample.csv").read_bytes() + b"\xff\n"),
         "no-points": lambda out: (out / "sample.csv").write_text("step,base,tag,edge,parameter\n"),
         "provenance-not-json": lambda out: (out / "provenance.json").write_text("{oops"),
+        "tag-wrong-kind": lambda out: _replace_row(out / "sample.csv", 2, 2, "tern:ff:40"),
+        "tag-malformed": lambda out: _replace_row(out / "sample.csv", -1, 2, "angle:xyz"),
+        "base-not-a-number": lambda out: _replace_row(out / "sample.csv", 2, 1, "abc"),
+        "base-disagrees-with-tag": lambda out: _replace_row(out / "sample.csv", 2, 1, "0.5"),
     }
 
     @pytest.fixture(scope="class")
@@ -229,6 +233,19 @@ class TestDamagedOut:
         out = tmp_path / "out"
         shutil.copytree(sampled, out)
         damage(out)
+        capsys.readouterr()
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    def test_side_tag_off_the_doubled_orbit(self, tmp_path, capsys, command):
+        # a doubled-code tag of the right type whose side the base refuses
+        out = tmp_path / "out"
+        assert main(["build", "theorem-d-1", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "500"]) == EXIT_OK
+        tag = (out / "sample.csv").read_text().splitlines()[2].split(",")[2]
+        _replace_row(out / "sample.csv", 2, 2, tag.rpartition(":")[0] + ":1")
         capsys.readouterr()
         assert main([command, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -263,8 +280,6 @@ class TestPipeline:
         main(["build", "mobius", "--out", out])
         main(["minimal-set", "--out", out, "--steps", "20000"])
         text = (tmp_path / "sample.csv").read_text()
-        pts = csv_to_points(text)
-        assert len(pts) > 10
         # re-encoding reproduces the original rows byte for byte
         from bundlemin.cli import sample_to_csv
         from bundlemin.analysis import SampledSet
@@ -272,7 +287,10 @@ class TestPipeline:
 
         res = build_mobius(GOLDEN)
         s = res.system
-        sample = SampledSet(0.02, pts, {}, s.base, s.bundle)
+        bases, edge_idx, ts, written = csv_to_points(text, s.base, s.bundle.fibre)
+        assert len(bases) > 10
+        sample = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
+        assert written.tolist() == sample.base_embed.tolist()
         assert sample_to_csv(sample) == text
 
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 import re
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation, coding_word
@@ -35,6 +36,7 @@ from bundlemin.graphs import (
     check_continuity,
     enumerate_circles,
     eval_graph_map,
+    eval_graph_map_arrays,
     rotation_number_of_circle_map,
 )
 
@@ -344,11 +346,46 @@ def _assert_same_as_reference(m):
             assert eval_graph_map(m, p) == want, (e.id, t)
 
 
+def _bits(ts):
+    return np.array(ts, dtype=float).view(np.int64).tolist()
+
+
+def _assert_arrays_same_as_scalar(m):
+    """``eval_graph_map_arrays`` on one batch of every grid point of every
+    edge, edges interleaved, against ``eval_graph_map`` point by point."""
+    g, g2 = m.domain, m.codomain
+    points, want = [], []
+    for e in g.edges:
+        k = g.edge_index(e.id)
+        for t in _t_grid(m, e.id) + [-0.0]:
+            try:
+                want.append(eval_graph_map(m, GraphPoint(e.id, t)))
+            except InvalidPoint:
+                with pytest.raises(InvalidPoint):
+                    eval_graph_map_arrays(m, np.array([k]), np.array([t]))
+                continue
+            points.append((t, k))
+        for t in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(InvalidPoint):
+                eval_graph_map_arrays(m, np.array([k, k]), np.array([0.5, t]))
+    order = sorted(range(len(points)), key=lambda i: points[i])
+    ei = np.array([points[i][1] for i in order])
+    tt = np.array([points[i][0] for i in order])
+    got_e, got_t = eval_graph_map_arrays(m, ei, tt)
+    assert got_e.tolist() == [g2.edge_index(want[i].edge) for i in order]
+    assert _bits(got_t) == _bits([want[i].t for i in order])
+
+
 class TestCompiledGraphMaps:
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_matches_reference_evaluator(self, name):
         for m in _construction_maps(name):
             _assert_same_as_reference(m)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_arrays_match_scalar(self, name):
+        for m in _construction_maps(name):
+            _assert_arrays_same_as_scalar(m)
 
     def test_piece_fallback_and_gap(self):
         g = MetricGraph(("v0", "v1", "v2"), (Edge("I", "v0", "v1", 2.0), Edge("J", "v1", "v2", 1.0)))
@@ -361,8 +398,21 @@ class TestCompiledGraphMaps:
                   MapPiece(0.7, 1.0, (PathSeg("J", 0.3, 0.3),))),
         })
         _assert_same_as_reference(m)
+        _assert_arrays_same_as_scalar(m)
         with pytest.raises(InvalidPoint):
             eval_graph_map(m, GraphPoint("J", 0.65))
+        with pytest.raises(InvalidPoint):
+            eval_graph_map_arrays(m, np.array([0, 1, 1]), np.array([0.8, 0.2, 0.65]))
+        # t = 0.8 falls back past the bisected piece to two covering pieces;
+        # the first in order wins
+        overlap = GraphMap(g, g, {
+            "I": (MapPiece(0.0, 1.0, (PathSeg("I", 1.0, 0.0),)),
+                  MapPiece(0.2, 0.9, (PathSeg("J", 0.0, 1.0),)),
+                  MapPiece(0.5, 0.6, (PathSeg("J", 1.0, 0.0),))),
+            "J": (MapPiece(0.0, 1.0, (PathSeg("J", 0.0, 1.0),)),),
+        })
+        _assert_same_as_reference(overlap)
+        _assert_arrays_same_as_scalar(overlap)
 
 
 # The command line's construction knowledge as it stood before each factory
@@ -419,3 +469,13 @@ class TestRegistry:
         assert CONSTRUCTIONS[name](dict(declared)).system.id == CONSTRUCTIONS[name]({}).system.id
         with pytest.raises(WrongInput, match=re.escape(str(sorted(declared)))):
             CONSTRUCTIONS[name]({**declared, "alhpa": 0.3})
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_base_points_have_the_declared_type(self, name):
+        result = CONSTRUCTIONS[name]({})
+        base = result.system.base
+        points = base.sampler(8) + [result.seed(i).b for i in range(3)]
+        points += [base.apply(b) for b in points]
+        if "exceptional_base" in result.reference:
+            points.append(result.reference["exceptional_base"])
+        assert all(isinstance(b, base.point_type) for b in points)

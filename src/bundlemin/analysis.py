@@ -292,18 +292,6 @@ def _cluster_diameter(
     return float(g.distance_matrix(ei, tt, ei, tt).max())
 
 
-def _cluster_gap(
-    g: MetricGraph, edge_idx: np.ndarray, ts: np.ndarray, comps: list[np.ndarray]
-) -> float:
-    """Smallest distance from a point of a later component to an earlier one."""
-    gap = math.inf
-    for a in range(len(comps) - 1):
-        rest = np.concatenate(comps[a + 1:])
-        near = FibreIndex(g, edge_idx[comps[a]], ts[comps[a]]).nearest(edge_idx[rest], ts[rest])
-        gap = min(gap, float(near.min()))
-    return gap
-
-
 def _circle_grid(g: MetricGraph, c: Circle, spacing: float) -> list[GraphPoint]:
     k = max(8, int(math.ceil(c.length / spacing)))
     return [c.point_at(g, c.length * i / k) for i in range(k)]
@@ -344,13 +332,18 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
     verdict = partial(FibreClass, scale=delta, points=pts)
     edge_idx, ts = g.point_arrays(pts)
     index = FibreIndex(g, edge_idx, ts)
-    comps = index.components(delta)
+    comps, gap = index.components(delta)
     n = len(comps)
-    diams = [_cluster_diameter(g, edge_idx, ts, c, 10.0 * delta) for c in comps]
-    if max(diams) < delta / 2.0:
+    cap = 10.0 * delta
+    # the largest component diameter; once one reaches cap, no test reads the rest
+    diam = 0.0
+    for c in comps:
+        diam = max(diam, _cluster_diameter(g, edge_idx, ts, c, cap))
+        if diam >= cap:
+            break
+    if diam < delta / 2.0:
         if n == 1:
             return verdict("finite", n=1)
-        gap = _cluster_gap(g, edge_idx, ts, comps)
         if n * gap > 10.0 * delta:
             return verdict("finite", n=n)
     covered = _covered_circles(g, index, delta)
@@ -362,8 +355,8 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
             return verdict(
                 "circles", m=len(covered), circles=tuple(c.edge_ids() for c, _, _ in covered)
             )
-    if n >= CANTOR_MIN_COMPONENTS and max(diams) < 10.0 * delta:
-        finer = len(index.components(delta / 2.0))
+    if n >= CANTOR_MIN_COMPONENTS and diam < cap:
+        finer = len(index.components(delta / 2.0)[0])
         if finer >= 1.5 * n:
             return verdict("cantor", n=n)
     return verdict("unknown")
@@ -533,7 +526,8 @@ def typical_fibre_report(
     if not verdicts:
         raise NoProbes("no usable probes after the homeo-part filter")
     keys = [str(v) for _, v in verdicts]
-    modal = max(set(keys), key=keys.count)
+    # a tie goes to the class seen first in probe order, not to hash order
+    modal = max(keys, key=keys.count)
     share = keys.count(modal) / len(keys)
     typical = next(v for _, v in verdicts if str(v) == modal) if share >= 0.9 else None
     finite_ns = [v.n for _, v in verdicts if v.kind == "finite" and v.n is not None]

@@ -129,8 +129,9 @@ def csv_to_points(
 ) -> tuple[list[BasePoint], np.ndarray, np.ndarray, np.ndarray]:
     """The sample in a CSV as columns: base points, fibre edge indices,
     parameters and the ``base`` cells.  Every row is checked for five
-    fields, a tag of the base's point type, a numeric ``base``, an edge of
-    the fibre and a parameter in [0, 1]."""
+    fields, its row number as ``step`` (so reordered or spliced rows are
+    refused), a tag of the base's point type, a numeric ``base``, an edge
+    of the fibre and a parameter in [0, 1]."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != SAMPLE_HEADER:
         raise SchemaError("sample CSV header mismatch")
@@ -138,7 +139,10 @@ def csv_to_points(
     i = _first_false([len(row) == 5 for row in body])
     if i is not None:
         raise SchemaError(f"sample CSV line {i + 2}: {len(body[i])} fields, expected 5")
-    _, base_cells, tags, edge_cells, t_cells = zip(*body) if body else ((),) * 5
+    step_cells, base_cells, tags, edge_cells, t_cells = zip(*body) if body else ((),) * 5
+    i = _first_false([cell == str(k) for k, cell in enumerate(step_cells)])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: step {step_cells[i]!r}, expected {i}")
 
     def decode(tag: str) -> BasePoint:
         b = decode_base_point(tag)
@@ -254,11 +258,20 @@ def _load_system(out: Path, cfg: dict, name_arg: str | None) -> tuple[str, Const
 
 def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int, int]:
     """(delta, steps, transient, seed index): each flag, else its config key,
-    else its default, checked the same way for every command."""
+    else its default, checked the same way for every command.  A config
+    value may not be a boolean, nor a fraction for steps or transient."""
+
+    def setting(key: str, default: float, kind: type) -> Any:
+        value = cfg.get(key, default)
+        whole = kind is int
+        if isinstance(value, bool) or whole and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"bad run setting: {key} must be a {'whole ' if whole else ''}number, not {value!r}")
+        return kind(value)
+
     try:
-        delta = args.delta if args.delta is not None else float(cfg.get("delta", 0.02))
-        steps = args.steps if args.steps is not None else int(cfg.get("steps", 100_000))
-        transient = int(cfg.get("transient", 100))
+        delta = args.delta if args.delta is not None else setting("delta", 0.02, float)
+        steps = args.steps if args.steps is not None else setting("steps", 100_000, int)
+        transient = setting("transient", 100, int)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad run setting: {exc}") from exc
     if not 1e-4 <= delta <= 1e-1:
@@ -293,6 +306,16 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_out_file(path: Path) -> str:
+    """The text of a file in --out; one that cannot be read is a SchemaError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResult, SampledSet]:
     """The system and the orbit sample saved in --out."""
     cfg = load_config(args.config)
@@ -302,17 +325,13 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     csv_path = out / "sample.csv"
     if not csv_path.exists():
         raise ConfigError(f"sample not found: {csv_path}")
-    try:
-        text = csv_path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{csv_path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     s = result.system
-    bases, edge_idx, ts, written = csv_to_points(text, s.base, s.bundle.fibre)
+    bases, edge_idx, ts, written = csv_to_points(_read_out_file(csv_path), s.base, s.bundle.fibre)
     if not bases:
         raise SchemaError(f"{csv_path} holds no points")
     prov_path = out / "provenance.json"
     try:
-        prov = json.loads(prov_path.read_text()) if prov_path.exists() else {}
+        prov = json.loads(_read_out_file(prov_path)) if prov_path.exists() else {}
     except ValueError as exc:
         raise SchemaError(f"malformed {prov_path}: {exc}") from exc
     try:

@@ -1,15 +1,17 @@
 """Per-slice fibre index: exact nearest-point and single-linkage queries on a
 point set of a metric graph, answered from per-edge sorted coordinates
-instead of one distance row per point.
+instead of one distance row per point.  Single linkage at every cutoff,
+and the gap between its components, is read from two kinds of link that the
+index computes once: successive points of an edge run, and edge extremes.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import GraphPoint, MetricGraph
+from .graphs import MetricGraph
 
 
 class FibreIndex:
@@ -40,10 +42,6 @@ class FibreIndex:
         #: one twice for a one-point edge; np.unique would import numpy.ma)
         self.extremes = np.concatenate([lo[self.occupied], hi[self.occupied] - 1])
 
-    @classmethod
-    def of_points(cls, g: MetricGraph, pts: Sequence[GraphPoint]) -> "FibreIndex":
-        return cls(g, *g.point_arrays(pts))
-
     def nearest(self, qe: np.ndarray, qt: np.ndarray) -> np.ndarray:
         """Distance from each query point (qe[i], qt[i]) to the set: the
         minimum of ``distances_to_many`` from the query, inf if the set is empty."""
@@ -65,27 +63,42 @@ class FibreIndex:
             best[sel] = np.minimum(best[sel], direct)
         return best
 
-    def components(self, cutoff: float) -> list[np.ndarray]:
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gap from each sorted point to the next (inf where the next is
+        on another edge) and the distance matrix of the edge extremes."""
+        same_edge = self.edge_idx[1:] == self.edge_idx[:-1]
+        steps = np.abs(self.ts[1:] - self.ts[:-1]) * self.g._len_arr[self.edge_idx[1:]]
+        e, t = self.edge_idx[self.extremes], self.ts[self.extremes]
+        return np.where(same_edge, steps, math.inf), self.g.distance_matrix(e, t, e, t)
+
+    def components(self, cutoff: float) -> tuple[list[np.ndarray], float]:
         """Single-linkage components at the cutoff, as arrays of original
-        indices ordered by their smallest index.  A link is a pair whose
-        ``distances_to_many`` distance is <= cutoff in either direction (the
-        two directions can differ in the last bit).
+        indices ordered by their smallest index, and the gap: the smallest
+        distance from a point of a later component to an earlier one (inf
+        for one component).  A link is a pair whose ``distances_to_many``
+        distance is <= cutoff in either direction (the two directions can
+        differ in the last bit).
 
         Each edge's sorted run is split where the gap to the next point
         exceeds the cutoff; the pieces are then joined through links between
         edge extremes only.  A point linked to another through a vertex is
         chained to its edge's extreme on that side by gaps no longer than its
-        own distance to the vertex, so no other link is needed.
+        own distance to the vertex, so no other link is needed.  By the same
+        chains, and because single linkage is a minimum spanning tree (Gower
+        & Ross 1969), the gap is the smallest of these links that joins two
+        components, with each extreme pair read from the later component.
         """
         if len(self.ts) == 0:
-            return []
-        same_edge = self.edge_idx[1:] == self.edge_idx[:-1]
-        gaps = np.abs(self.ts[1:] - self.ts[:-1]) * self.g._len_arr[self.edge_idx[1:]]
-        piece = np.concatenate(([0], np.cumsum(~(same_edge & (gaps <= cutoff)))))
+            return [], math.inf
+        steps, d = self._links
+        cut = ~(steps <= cutoff)
+        piece = np.concatenate(([0], np.cumsum(cut)))
+        split = np.flatnonzero(cut)
+        # each piece (a sorted run between splits) is named by its smallest
+        # original index, and a component's root is its piece of least name
+        name = np.minimum.reduceat(self.order, np.concatenate(([0], split + 1)))
         ext = self.extremes
-        d = self.g.distance_matrix(
-            self.edge_idx[ext], self.ts[ext], self.edge_idx[ext], self.ts[ext]
-        )
         parent = {int(p): int(p) for p in piece[ext]}
 
         def find(x: int) -> int:
@@ -97,11 +110,16 @@ class FibreIndex:
         for i, j in np.argwhere((d <= cutoff) | (d.T <= cutoff)):
             a, b = find(int(piece[ext[i]])), find(int(piece[ext[j]]))
             if a != b:
-                parent[max(a, b)] = min(a, b)
-        root = np.arange(int(piece[-1]) + 1)
+                a, b = (a, b) if name[a] < name[b] else (b, a)
+                parent[b] = a
+        root = np.arange(len(name))
         for p in parent:
             root[p] = find(p)
-        label = root[piece]
-        by_label = np.argsort(label, kind="stable")
-        groups = np.split(self.order[by_label], np.flatnonzero(np.diff(label[by_label])) + 1)
-        return sorted((np.sort(grp) for grp in groups), key=lambda grp: grp[0])
+        # the smallest original index of each sorted point's component
+        key = name[root][piece]
+        by_key = np.argsort(key, kind="stable")
+        groups = np.split(self.order[by_key], np.flatnonzero(np.diff(key[by_key])) + 1)
+        crossing = split[key[split] != key[split + 1]]
+        later = key[ext][:, None] > key[ext][None, :]
+        gap = min(steps[crossing].min(initial=math.inf), d[later].min(initial=math.inf))
+        return [np.sort(grp) for grp in groups], float(gap)

@@ -826,29 +826,20 @@ def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tupl
 # local classification (end-points vs star-like interior points)
 
 
-@dataclass(frozen=True)
-class PointLocalClass:
-    kind: str  # "end" | "star"
-    k: int  # branch count, >= 2 for "star", 0 for "end"
-    r: float
-    delta: float
-
-    @property
-    def is_endpoint(self) -> bool:
-        return self.kind == "end"
-
-
 def star_branch_count(
     g: MetricGraph, pe: int, pt: float, qe: np.ndarray, qt: np.ndarray, dist: np.ndarray,
     r: float, delta: float,
 ) -> int:
-    """Number of distinct edge germs at p = (edge index pe, t = pt) along
-    which shortest paths depart toward the sample points (qe, qt) whose
-    distance ``dist`` from p lies in (delta, min(r, 2·delta)].
+    """Finite-scale end-point / star-like-interior classifier: the number k
+    of distinct edge germs at p = (edge index pe, t = pt) along which
+    shortest paths depart toward the sample points (qe, qt) whose distance
+    ``dist`` from p (a ``distance_matrix`` row) lies in (delta, min(r, 2·delta)].
 
-    Within delta of a vertex the germs are the vertex's, and a tie goes to
-    the first in ``germs_at`` order; inside an edge they are its -t and +t
-    ends, and -t is taken only when it is strictly shorter.
+    p is a star-like interior point at scale (r, delta) when k >= 2, and an
+    end-point otherwise.  Within delta of a vertex the germs are the
+    vertex's, and a tie goes to the first in ``germs_at`` order; inside an
+    edge they are its -t and +t ends, and -t is taken only when it is
+    strictly shorter.
     """
     if delta >= r:
         raise ScaleError(f"need delta < r, got delta={delta}, r={r}")
@@ -881,33 +872,6 @@ def star_branch_count(
         d_minus = np.where(same & (qt < pt), np.minimum(d_minus, (pt - qt) * ep.length), d_minus)
         germ = np.where(d_minus < d_plus, 0, 1)
     return int(np.count_nonzero(np.bincount(germ)))
-
-
-def classify_sample_point(
-    g: MetricGraph,
-    fibre_sample: Sequence[GraphPoint],
-    p: GraphPoint,
-    r: float,
-    delta: float,
-    edge_idx: np.ndarray | None = None,
-    ts: np.ndarray | None = None,
-) -> PointLocalClass:
-    """Finite-scale end-point / star-like-interior classifier.
-
-    A point is a star-like interior point at scale (r, delta) when the
-    sample points within r of p, outside the delta-ball at p, depart along
-    k >= 2 distinct edge germs each witnessed within 2·delta of p
-    (``star_branch_count``).  ``edge_idx`` and ``ts`` are the sample's
-    ``point_arrays``, for callers that classify many points against one
-    sample.
-    """
-    if edge_idx is None or ts is None:
-        edge_idx, ts = g.point_arrays(fibre_sample)
-    dist = g.distances_to_many(p, edge_idx, ts)
-    k = star_branch_count(g, g.edge_index(p.edge), p.t, edge_idx, ts, dist, r, delta)
-    if k >= 2:
-        return PointLocalClass("star", k, r, delta)
-    return PointLocalClass("end", 0, r, delta)
 
 
 # ---------------------------------------------------------------------------

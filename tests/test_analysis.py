@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from itertools import islice
+from itertools import islice, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bundlemin import analysis
 from bundlemin.analysis import (
+    FibreClass,
     SampledSet,
     _thin_points,
     approximate_minimal_set,
@@ -41,10 +43,10 @@ from bundlemin.graphs import (
     GraphPoint,
     circle_graph,
     circle_rotation_pieces,
-    classify_sample_point,
     enumerate_circles,
     eval_graph_map,
     interval_graph,
+    star_branch_count,
 )
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
@@ -435,7 +437,7 @@ def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
     """End-points among the checked points as ``endpoint_statistics``
     counted them before slices were grouped: one slice per quantized base
     coordinate, built from the first point with that key, and one
-    ``classify_sample_point`` per point."""
+    ``distances_to_many`` row and ``star_branch_count`` per point."""
     n = len(sample.points)
     slices = {}
     endpoints = 0
@@ -443,8 +445,10 @@ def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
         x = sample.points[i]
         key = int(sample.base_embed[i] / (delta_base / 2.0))
         if key not in slices:
-            slices[key] = reference_fibre_slice(sample, x.b, delta_base)
-        endpoints += classify_sample_point(g, slices[key], x.y, r, delta).is_endpoint
+            slices[key] = g.point_arrays(reference_fibre_slice(sample, x.b, delta_base))
+        ei, tt = slices[key]
+        dist = g.distances_to_many(x.y, ei, tt)
+        endpoints += star_branch_count(g, g.edge_index(x.y.edge), x.y.t, ei, tt, dist, r, delta) < 2
     return endpoints
 
 
@@ -595,6 +599,20 @@ class TestTrichotomy:
         probes = [sample.points[i].b for i in range(0, len(sample.points), 30)][:15]
         rep = typical_fibre_report(res.system, sample, probes, 0.02)
         assert str(rep.typical) == "Circles(2)"
+
+    TIED = [FibreClass("finite", n=2), FibreClass("cantor", n=30), FibreClass("circles", m=2)]
+
+    @pytest.mark.parametrize("first, second", list(permutations(TIED, 2)), ids=str)
+    def test_modal_tie_goes_to_first_probe_class(self, first, second):
+        # probe classes tie 2-2; the modal class is the one probed first, so
+        # the other two probes are the exceptional ones, whatever the hash order
+        probes = [CircleAngle(x) for x in (0.1, 0.2, 0.3, 0.4)]
+        classes = dict(zip(probes, [first, second, second, first]))
+        system = SimpleNamespace(base=SimpleNamespace(preimages=None))
+        sample = SimpleNamespace(probe_class=lambda b, delta_base, delta: classes[b])
+        rep = typical_fibre_report(system, sample, probes, 0.02)
+        assert rep.typical is None
+        assert rep.exceptional_tags == (repr(probes[1]), repr(probes[2]))
 
 
 class TestCirclesReport:

@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bundlemin
 from bundlemin.base_systems import (
     CircleAngle,
     DoubledCode,
@@ -157,6 +162,10 @@ class TestRunSettings:
         "steps-not-a-number": {"steps": "x"},
         "transient-not-a-number": {"transient": "x"},
         "delta-null": {"delta": None},
+        "steps-boolean": {"steps": True},
+        "transient-boolean": {"transient": True},
+        "steps-fractional": {"steps": 2.7},
+        "transient-fractional": {"transient": 2.7},
     }
 
     @pytest.fixture(scope="class")
@@ -199,6 +208,17 @@ def _replace_row(path, row, field, value):
     path.write_text("".join(lines))
 
 
+def _swap_rows(path, a, b):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[a], lines[b] = lines[b], lines[a]
+    path.write_text("".join(lines))
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 class TestDamagedOut:
     """A damaged sample.csv or provenance.json in --out exits 2 with one
     line from every command that loads the sample."""
@@ -218,6 +238,10 @@ class TestDamagedOut:
         "tag-malformed": lambda out: _replace_row(out / "sample.csv", -1, 2, "angle:xyz"),
         "base-not-a-number": lambda out: _replace_row(out / "sample.csv", 2, 1, "abc"),
         "base-disagrees-with-tag": lambda out: _replace_row(out / "sample.csv", 2, 1, "0.5"),
+        "step-not-an-integer": lambda out: _replace_row(out / "sample.csv", 3, 0, "x"),
+        "rows-swapped": lambda out: _swap_rows(out / "sample.csv", 2, 3),
+        "sample-is-a-directory": lambda out: _replace_with_directory(out / "sample.csv"),
+        "provenance-is-a-directory": lambda out: _replace_with_directory(out / "provenance.json"),
     }
 
     @pytest.fixture(scope="class")
@@ -311,6 +335,28 @@ class TestPipeline:
             "sample.svg",
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_rerun_is_byte_identical_across_hash_seeds(self, tmp_path):
+        # string hash order differs between processes; no output may follow it
+        script = (
+            "import sys\n"
+            "from bundlemin.cli import main\n"
+            "for cmd in (['build', 'mobius'], ['minimal-set', '--steps', '2000'], ['classify'], ['plot']):\n"
+            "    assert main([*cmd, '--out', sys.argv[1]]) in (0, 3), cmd\n"
+        )
+        src = str(Path(bundlemin.__file__).parents[1])
+        runs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"hashseed-{seed}"
+            path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(runs[0]) == [
+            "circles.json", "dichotomy.json", "provenance.json", "sample.csv", "sample.svg",
+            "summary.txt", "system.json", "trichotomy.json", "verdict.txt",
+        ]
+        assert runs[0] == runs[1]
 
     def test_word_tag_survives_pipeline(self, tmp_path):
         # symbolic-word bases rely on exact big-integer tags in the CSV

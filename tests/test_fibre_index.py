@@ -1,9 +1,10 @@
 """Exactness of the per-slice fibre index against one-to-many distance loops.
 
 The index must give, bit for bit, what the one-to-many loops it replaced
-gave: nearest distances, single-linkage components, component gaps and the
-diameter thresholds that ``classify_fibre`` decides on.  The references
-below are copies of those loops and of the one-to-many distance kernel.
+gave: nearest distances, single-linkage components, the gap that
+``components`` reads from its cached links, and the diameter thresholds
+that ``classify_fibre`` decides on.  The references below are copies of
+those loops and of the one-to-many distance kernel.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bundlemin.analysis import _cluster_diameter, _cluster_gap
+from bundlemin.analysis import _cluster_diameter
 from bundlemin.fibre_index import FibreIndex
 from bundlemin.graphs import Edge, GraphPoint, MetricGraph
 
@@ -48,6 +49,10 @@ def point_sets(draw, g: MetricGraph, min_size: int = 1) -> list[GraphPoint]:
 def cases(draw):
     g = draw(graphs())
     return g, draw(point_sets(g)), draw(point_sets(g, min_size=0))
+
+
+def index_of(g: MetricGraph, pts: list[GraphPoint]) -> FibreIndex:
+    return FibreIndex(g, *g.point_arrays(pts))
 
 
 def reference_distances_to_many(g: MetricGraph, p: GraphPoint, edge_idx, ts) -> np.ndarray:
@@ -150,7 +155,7 @@ def test_distance_matrix_equals_path_distance_and_the_old_kernel(case):
 @given(cases())
 def test_nearest_equals_row_minima(case):
     g, pts, queries = case
-    index = FibreIndex.of_points(g, pts)
+    index = index_of(g, pts)
     pe, pt = g.point_arrays(pts)
     got = index.nearest(*g.point_arrays(queries))
     want = [float(reference_distances_to_many(g, q, pe, pt).min()) for q in queries]
@@ -166,7 +171,7 @@ def test_components_equal_breadth_first_search(case, cutoff):
     # d[i, j] and d[j, i] round differently in the last bit on some pairs; a
     # cutoff between the two makes the search's result depend on its start
     assume(((d <= cutoff) == (d.T <= cutoff)).all())
-    got = FibreIndex.of_points(g, pts).components(cutoff)
+    got, _ = index_of(g, pts).components(cutoff)
     assert as_sets(got) == as_sets(reference_clusters(g, pts, cutoff))
     assert sorted(int(i) for c in got for i in c) == list(range(len(pts)))
 
@@ -178,8 +183,9 @@ def test_components_at_a_pairwise_distance_link_either_direction(case, data):
     ei, ts = g.point_arrays(pts)
     d = g.distance_matrix(ei, ts, ei, ts).ravel()
     cutoff = data.draw(st.sampled_from(sorted(set(d[np.isfinite(d)].tolist()))))
-    got = FibreIndex.of_points(g, pts).components(cutoff)
+    got, gap = index_of(g, pts).components(cutoff)
     assert as_sets(got) == linked_closure(g, pts, cutoff)
+    assert gap == brute_gap(g, pts, got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +193,7 @@ def test_components_at_a_pairwise_distance_link_either_direction(case, data):
 def test_gap_and_diameter_decisions_equal_brute_force(case, delta):
     g, pts, _ = case
     ei, ts = g.point_arrays(pts)
-    comps = FibreIndex(g, ei, ts).components(delta)
+    comps, gap = FibreIndex(g, ei, ts).components(delta)
     cap = 10.0 * delta
     diams = [_cluster_diameter(g, ei, ts, c, cap) for c in comps]
     want = [brute_diameter(g, pts, c) for c in comps]
@@ -195,7 +201,7 @@ def test_gap_and_diameter_decisions_equal_brute_force(case, delta):
         assert got == exact if exact < cap else cap <= got <= exact
     assert (max(diams) < delta / 2.0) == (max(want) < delta / 2.0)
     assert (max(diams) < cap) == (max(want) < cap)
-    assert _cluster_gap(g, ei, ts, comps) == brute_gap(g, pts, comps)
+    assert gap == brute_gap(g, pts, comps)
 
 
 def test_chained_points_form_one_component_through_a_vertex():
@@ -203,8 +209,8 @@ def test_chained_points_form_one_component_through_a_vertex():
     g = MetricGraph(["o"], [Edge("a", "o", "o", 1.0), Edge("b", "o", "o", 1.0)])
     pts = [GraphPoint("a", t) for t in (0.7, 0.8, 0.9, 0.99)]
     pts += [GraphPoint("b", t) for t in (0.02, 0.1, 0.2)]
-    comps = FibreIndex.of_points(g, pts).components(0.11)
-    assert as_sets(comps) == {frozenset(range(7))}
-    assert as_sets(FibreIndex.of_points(g, pts).components(0.095)) == {
+    comps, gap = index_of(g, pts).components(0.11)
+    assert as_sets(comps) == {frozenset(range(7))} and gap == math.inf
+    assert as_sets(index_of(g, pts).components(0.095)[0]) == {
         frozenset({0}), frozenset({1}), frozenset({2, 3, 4, 5}), frozenset({6})
     }

@@ -29,8 +29,6 @@ from bundlemin.graphs import (
     circle_graph,
     circle_rotation_pieces,
     MetricGraph,
-    PointLocalClass,
-    classify_sample_point,
     compose_eval,
     enumerate_circles,
     eval_graph_map,
@@ -41,6 +39,7 @@ from bundlemin.graphs import (
     rotation_number,
     rotation_number_of_circle_map,
     shortest_path_segments,
+    star_branch_count,
     star_graph,
 )
 
@@ -362,36 +361,39 @@ class TestShortestPath:
         assert segs[0].length(g) == pytest.approx(0.7)
 
 
+def branch_count(g, fibre_sample, p, r, delta):
+    """``star_branch_count`` of p against the sample, on p's
+    ``distance_matrix`` row; p is an end-point when it is below 2."""
+    pe, pt = g.point_arrays([p])
+    qe, qt = g.point_arrays(fibre_sample)
+    dist = g.distance_matrix(pe, pt, qe, qt)[0]
+    return star_branch_count(g, int(pe[0]), float(pt[0]), qe, qt, dist, r, delta)
+
+
 class TestLocalClass:
     def test_interval_endpoint(self):
         g = interval_graph(1.0)
         pts = [GraphPoint("I", t / 100.0) for t in range(101)]
-        cls = classify_sample_point(g, pts, GraphPoint("I", 0.0), r=0.2, delta=0.02)
-        assert cls.is_endpoint
+        assert branch_count(g, pts, GraphPoint("I", 0.0), r=0.2, delta=0.02) == 1
 
     def test_interval_interior(self):
         g = interval_graph(1.0)
         pts = [GraphPoint("I", t / 100.0) for t in range(101)]
-        cls = classify_sample_point(g, pts, GraphPoint("I", 0.5), r=0.2, delta=0.02)
-        assert not cls.is_endpoint
-        assert cls.k == 2
+        assert branch_count(g, pts, GraphPoint("I", 0.5), r=0.2, delta=0.02) == 2
 
     def test_star_centre(self):
         g = star_graph(3, 1.0)
         pts = [GraphPoint(f"b{i}", t / 50.0) for i in (1, 2, 3) for t in range(51)]
-        cls = classify_sample_point(g, pts, GraphPoint("b1", 0.0), r=0.2, delta=0.02)
-        assert not cls.is_endpoint
-        assert cls.k == 3
+        assert branch_count(g, pts, GraphPoint("b1", 0.0), r=0.2, delta=0.02) == 3
 
     def test_isolated_point(self):
         g = interval_graph(1.0)
-        cls = classify_sample_point(g, [GraphPoint("I", 0.5)], GraphPoint("I", 0.5), 0.2, 0.02)
-        assert cls.is_endpoint
+        assert branch_count(g, [GraphPoint("I", 0.5)], GraphPoint("I", 0.5), 0.2, 0.02) == 0
 
     def test_scale_order_enforced(self):
         g = interval_graph(1.0)
         with pytest.raises(ScaleError):
-            classify_sample_point(g, [], GraphPoint("I", 0.5), r=0.01, delta=0.02)
+            branch_count(g, [], GraphPoint("I", 0.5), r=0.01, delta=0.02)
 
 
 def reference_initial_germ(g, p, q, delta):
@@ -438,9 +440,9 @@ def reference_initial_germ(g, p, q, delta):
     return (p.edge, 0) if d_minus < d_plus else (p.edge, 1)
 
 
-def reference_classify_sample_point(g, fibre_sample, p, r, delta):
-    """``classify_sample_point`` with its per-candidate germ loop and
-    witness dict, as it was before the vectorised germ count."""
+def reference_branch_count(g, fibre_sample, p, r, delta):
+    """The branch count of the per-point classifier with its per-candidate
+    germ loop and witness dict, as it was before the vectorised germ count."""
     edge_idx, ts = g.point_arrays(fibre_sample)
     dist = g.distances_to_many(p, edge_idx, ts)
     witnesses = {}
@@ -449,10 +451,7 @@ def reference_classify_sample_point(g, fibre_sample, p, r, delta):
         germ = reference_initial_germ(g, p, fibre_sample[j], delta)
         if d < witnesses.get(germ, math.inf):
             witnesses[germ] = d
-    k = sum(1 for d in witnesses.values() if d <= 2.0 * delta)
-    if k >= 2:
-        return PointLocalClass("star", k, r, delta)
-    return PointLocalClass("end", 0, r, delta)
+    return sum(1 for d in witnesses.values() if d <= 2.0 * delta)
 
 
 # t values at and next to the edge ends, where the germ comparisons tie
@@ -502,18 +501,16 @@ class TestGermCountEquivalence:
     def test_matches_scalar_germ_loop(self, case):
         g, pts, p, r, delta = case
         assume(delta < r)
-        assert classify_sample_point(g, pts, p, r, delta) == reference_classify_sample_point(
-            g, pts, p, r, delta
-        )
+        assert branch_count(g, pts, p, r, delta) == reference_branch_count(g, pts, p, r, delta)
 
     def test_vertex_tie_goes_to_first_germ(self):
         # p at the vertex of a loop of length 0.5: the antipode q is 0.25 away
         # along both germs, and the tie goes to (c, 0), q2's germ, so k = 1
         g = circle_graph(0.5)
         p, q, q2 = GraphPoint("c", 0.0), GraphPoint("c", 0.5), GraphPoint("c", 0.4)
-        got = classify_sample_point(g, [q, q2], p, 0.45, 0.15)
-        assert got == reference_classify_sample_point(g, [q, q2], p, 0.45, 0.15)
-        assert got.kind == "end"
+        got = branch_count(g, [q, q2], p, 0.45, 0.15)
+        assert got == reference_branch_count(g, [q, q2], p, 0.45, 0.15)
+        assert got == 1
 
     def test_interior_tie_goes_to_plus_t(self):
         # p at the middle of the loop: the vertex q is 0.25 away both ways, and
@@ -521,9 +518,9 @@ class TestGermCountEquivalence:
         # q2 (0.2 away along -t) makes the second germ
         g = circle_graph(0.5)
         p, q, q2 = GraphPoint("c", 0.5), GraphPoint("c", 0.0), GraphPoint("c", 0.1)
-        got = classify_sample_point(g, [q, q2], p, 0.45, 0.15)
-        assert got == reference_classify_sample_point(g, [q, q2], p, 0.45, 0.15)
-        assert got.kind == "star" and got.k == 2
+        got = branch_count(g, [q, q2], p, 0.45, 0.15)
+        assert got == reference_branch_count(g, [q, q2], p, 0.45, 0.15)
+        assert got == 2
 
     def test_vertex_proximity_bound_is_inclusive(self):
         # p exactly delta from the centre of a star takes the centre's germs,
@@ -531,11 +528,11 @@ class TestGermCountEquivalence:
         # its edge and both legs leave along -t
         g = star_graph(3, 1.0)
         pts = [GraphPoint("b2", 0.01), GraphPoint("b3", 0.01)]
-        for t, kind in ((0.02, "star"), (math.nextafter(0.02, 1.0), "end")):
+        for t, k in ((0.02, 2), (math.nextafter(0.02, 1.0), 1)):
             p = GraphPoint("b1", t)
-            got = classify_sample_point(g, pts, p, 0.06, 0.02)
-            assert got == reference_classify_sample_point(g, pts, p, 0.06, 0.02)
-            assert got.kind == kind
+            got = branch_count(g, pts, p, 0.06, 0.02)
+            assert got == reference_branch_count(g, pts, p, 0.06, 0.02)
+            assert got == k
 
 
 class TestRotationNumber:

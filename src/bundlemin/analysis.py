@@ -20,6 +20,7 @@ from .graphs import (
     Circle,
     GraphPoint,
     MetricGraph,
+    circles_disjoint,
     enumerate_circles,
     eval_graph_map_arrays,
     star_branch_count,
@@ -218,18 +219,17 @@ def approximate_minimal_set(
     transient: int,
     n: int,
     delta: float,
-    separation: float | None = None,
 ) -> SampledSet:
     """Thinned orbit sample after a transient.
 
-    ``separation`` (default delta/4) is the pairwise product-metric
-    separation of the kept subset; keeping it below delta preserves
-    delta-coverage for the classifiers downstream.  The orbit is thinned
-    as it is generated, so memory grows with the kept count, not with n.
+    The kept subset is delta/4-separated in the product metric; keeping the
+    separation below delta preserves delta-coverage for the classifiers
+    downstream.  The orbit is thinned as it is generated, so memory grows
+    with the kept count, not with n.
     """
     if n < 1 or transient < 0 or delta <= 0:
         raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
-    sep = separation if separation is not None else delta / 4.0
+    sep = delta / 4.0
     g = s.bundle.fibre
     thinner = _Thinner(g, sep)
     bases, embeds, edges, ts = [], [], [], []
@@ -549,15 +549,6 @@ class CirclesReport:
     probes_used: int
 
 
-def _circles_disjoint(g: MetricGraph, circles: Sequence[Circle]) -> bool:
-    vsets = [c.vertices(g) for c in circles]
-    return not any(
-        vsets[i] & vsets[j] or circles[i].edge_ids() & circles[j].edge_ids()
-        for i in range(len(circles))
-        for j in range(i + 1, len(circles))
-    )
-
-
 def circles_report(
     s: SkewSystem,
     sample: SampledSet,
@@ -601,7 +592,7 @@ def circles_report(
             ok = False
             continue
         img_circles = [all_circles[key] for key in img_class.circles]
-        if not _circles_disjoint(g, img_circles):
+        if not circles_disjoint(g, img_circles):
             ok = False
     return CirclesReport(m, exceptional, ok and tested > 0, len(verdicts))
 

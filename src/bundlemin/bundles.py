@@ -41,21 +41,23 @@ class BundlePoint:
 
 @dataclass(frozen=True)
 class SkewSystem:
-    """Skew product: base system, bundle, and a base-indexed fibre-map family.
+    """Skew product: base system, bundle, and a fibre-map family indexed by
+    the image base point: the fibre over b maps by ``image_family(base.apply(b))``,
+    so an orbit that has already taken the base step need not take it again.
 
     ``reference`` is a symbolic description of the claimed minimal set used
     by oracle tests.
-    ``image_family``, when given, is the same family indexed by the image
-    base point, ``fibre_family(b) == image_family(base.apply(b))``, so an
-    orbit that has already taken the base step need not take it again.
     """
 
     base: BaseSystem
     bundle: Bundle
-    fibre_family: Callable[[BasePoint], GraphMap]
+    image_family: Callable[[BasePoint], GraphMap]
     reference: dict = field(default_factory=dict, compare=False)
     id: str = "skew"
-    image_family: Optional[Callable[[BasePoint], GraphMap]] = None
+
+    def fibre_family(self, b: BasePoint) -> GraphMap:
+        """The fibre map over b."""
+        return self.image_family(self.base.apply(b))
 
 
 def product_bundle(base: BaseSystem, fibre: MetricGraph) -> Bundle:
@@ -110,8 +112,7 @@ def orbit_stream(s: SkewSystem, x: BundlePoint) -> Iterator[tuple[BasePoint, flo
     while True:
         yield b, e, y
         b2 = base.apply(b)
-        m = s.image_family(b2) if s.image_family is not None else s.fibre_family(b)
-        y = eval_graph_map(m, y)
+        y = eval_graph_map(s.image_family(b2), y)
         e2 = float(base.embedding(b2))
         if bundle.is_monodromy and e2 < e:
             y = eval_graph_map(bundle.gluing, y)

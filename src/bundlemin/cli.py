@@ -31,7 +31,7 @@ from .base_systems import (
     SymbolicWord,
     TernaryCode,
 )
-from .constructions import CONSTRUCTIONS, ConstructionResult
+from .constructions import CONSTRUCTIONS, ConstructionResult, coerce_setting
 from .errors import (
     BundleMinError,
     CapExceeded,
@@ -40,6 +40,7 @@ from .errors import (
     NotCircleCase,
     NoProbes,
     SchemaError,
+    WrongInput,
 )
 from .graphs import MetricGraph
 from .plotting import render_sample_svg
@@ -261,18 +262,14 @@ def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int,
     else its default, checked the same way for every command.  A config
     value may not be a boolean, nor a fraction for steps or transient."""
 
-    def setting(key: str, default: float, kind: type) -> Any:
-        value = cfg.get(key, default)
-        whole = kind is int
-        if isinstance(value, bool) or whole and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"bad run setting: {key} must be a {'whole ' if whole else ''}number, not {value!r}")
-        return kind(value)
+    def setting(key: str, default: float) -> Any:
+        return coerce_setting(key, cfg.get(key, default), default)
 
     try:
-        delta = args.delta if args.delta is not None else setting("delta", 0.02, float)
-        steps = args.steps if args.steps is not None else setting("steps", 100_000, int)
-        transient = setting("transient", 100, int)
-    except (TypeError, ValueError, OverflowError) as exc:
+        delta = args.delta if args.delta is not None else setting("delta", 0.02)
+        steps = args.steps if args.steps is not None else setting("steps", 100_000)
+        transient = setting("transient", 100)
+    except (WrongInput, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad run setting: {exc}") from exc
     if not 1e-4 <= delta <= 1e-1:
         raise ConfigError(f"delta {delta} outside [1e-4, 1e-1]")
@@ -334,6 +331,10 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
         prov = json.loads(_read_out_file(prov_path)) if prov_path.exists() else {}
     except ValueError as exc:
         raise SchemaError(f"malformed {prov_path}: {exc}") from exc
+    if not isinstance(prov, dict):
+        raise SchemaError(f"{prov_path} must hold a JSON object, not {type(prov).__name__}")
+    if prov_path.exists() and prov.get("system") != s.id:
+        raise SchemaError(f"{prov_path} names system {prov.get('system')!r}, not {s.id!r}")
     try:
         sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
     except InvalidPoint as exc:

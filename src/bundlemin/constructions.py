@@ -16,7 +16,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .graphs import (
     build_retraction,
     circle_graph,
     circle_rotation_pieces,
+    circles_disjoint,
     enumerate_circles,
     identity_map,
     rotate_along_circle,
@@ -107,7 +108,7 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=lambda b: ident,
+        image_family=lambda b: ident,
         reference={
             "minimal_sets": ["centre", "boundary"],
             "centre_t": 0.5,
@@ -199,7 +200,7 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=lambda b: phi,
+        image_family=lambda b: phi,
         reference={
             "minimal_set": "circle pair",
             "circle_edges": ("A", "B"),
@@ -245,7 +246,6 @@ def build_sturmian_cylinder(
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=lambda b: image_family(base.apply(b)),
         image_family=image_family,
         reference={
             "factor": factor,
@@ -282,7 +282,7 @@ def build_circle_minimal_product(
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=lambda b: m,
+        image_family=lambda b: m,
         reference={"circle": c, "angle": angle},
         id=f"circle-product({base.id},angle={angle})",
     )
@@ -318,11 +318,9 @@ def build_m_circles(
     m = len(circles)
     if m < 1:
         raise OutOfRange("need at least one circle to permute")
+    if not circles_disjoint(fibre, circles):
+        raise CirclesIntersect("two of the circles share points")
     vsets = [c.vertices(fibre) for c in circles]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (vsets[i] & vsets[j]) or (circles[i].edge_ids() & circles[j].edge_ids()):
-                raise CirclesIntersect(f"circles {i} and {j} share points")
 
     def sigma(i: int, s: float) -> tuple[int, float]:
         """Image circle index and coordinate of coordinate s on circle i."""
@@ -372,7 +370,7 @@ def build_m_circles(
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        fibre_family=lambda b: h,
+        image_family=lambda b: h,
         reference={"circles": tuple(circles), "m": m, "angle": angle},
         id=f"m-circles(m={m},angle={angle})",
     )
@@ -452,7 +450,6 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
     system = SkewSystem(
         base=q,
         bundle=bundle,
-        fibre_family=lambda b: image_family(q.apply(b)),
         image_family=image_family,
         reference={
             "exceptional_base": c_l,
@@ -660,15 +657,7 @@ def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float,
             span = (s1 - s0) % circ.length
             if span > circ.length / 2.0 and th1 - th0 < math.pi:
                 span -= circ.length
-            segs = (
-                circ.arc_segments(g, s0, s0 + span)
-                if span >= 0
-                else tuple(
-                    PathSeg(sg.edge, sg.t1, sg.t0)
-                    for sg in reversed(circ.arc_segments(g, s0 + span, s0))
-                )
-            )
-            out.append(MapPiece(t0, t1, segs))
+            out.append(MapPiece(t0, t1, circ.signed_arc(g, s0, span)))
             s_prev = s1
         pieces[e.id] = tuple(out)
     return GraphMap(g, g, pieces)
@@ -703,7 +692,6 @@ def build_theorem_d_case2(
     system = SkewSystem(
         base=q,
         bundle=bundle,
-        fibre_family=lambda b: image_family(q.apply(b)),
         image_family=image_family,
         reference={
             "exceptional_base": c_l,
@@ -761,9 +749,18 @@ def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> 
     return build_m_circles(circle_rotation(alpha), g, circles, angle)
 
 
+def coerce_setting(key: str, value: Any, default: Any) -> Any:
+    """value as its default's type; a boolean is refused, and so is a
+    fraction where the default is an int."""
+    whole = type(default) is int
+    if isinstance(value, bool) or whole and isinstance(value, float) and not value.is_integer():
+        raise WrongInput(f"{key} must be a {'whole ' if whole else ''}number, not {value!r}")
+    return type(default)(value)
+
+
 def _from_params(factory: Callable[..., ConstructionResult]) -> Callable[[dict], ConstructionResult]:
     """Builder from a params object: the factory's keyword defaults are the
-    declared keys, each value coerced to its default's type; any other key
+    declared keys, each value coerced by ``coerce_setting``; any other key
     is refused."""
     defaults = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
 
@@ -771,7 +768,7 @@ def _from_params(factory: Callable[..., ConstructionResult]) -> Callable[[dict],
         unknown = sorted(set(params) - set(defaults))
         if unknown:
             raise WrongInput(f"unknown params {unknown}; declared: {sorted(defaults)}")
-        return factory(**{k: type(d)(params.get(k, d)) for k, d in defaults.items()})
+        return factory(**{k: coerce_setting(k, params.get(k, d), d) for k, d in defaults.items()})
 
     return build
 

@@ -113,6 +113,11 @@ class MetricGraph:
     def germs_at(self, vertex: str) -> list[tuple[str, int]]:
         return list(self._germs[vertex])
 
+    def far_end(self, edge_id: str, end: int) -> str:
+        """The vertex at the other end of the germ (edge_id, end)."""
+        e = self._edge_by_id[edge_id]
+        return e.v if end == 0 else e.u
+
     def degree(self, vertex: str) -> int:
         return len(self._germs[vertex])
 
@@ -120,22 +125,10 @@ class MetricGraph:
         return float(self._vdist[self._vidx[a], self._vidx[b]])
 
     def n_components(self) -> int:
-        seen: set[str] = set()
-        comps = 0
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comps += 1
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                if w in seen:
-                    continue
-                seen.add(w)
-                for eid, end in self._germs[w]:
-                    e = self.edge_of(eid)
-                    stack.append(e.v if end == 0 else e.u)
-        return comps
+        """Connected components: a vertex starts one when the distance
+        table puts no earlier vertex at a finite distance from it."""
+        reached = np.tril(np.isfinite(self._vdist), -1).any(axis=1)
+        return int(np.count_nonzero(~reached))
 
     def is_connected(self) -> bool:
         return self.n_components() == 1
@@ -287,15 +280,8 @@ class Circle:
             out.append(out[-1] + g.edge_of(eid).length)
         return out
 
-    def contains_point(self, g: MetricGraph, p: GraphPoint, tol: float = POINT_TOL) -> bool:
-        if p.edge in self.edge_ids():
-            return True
-        v = g.vertex_of(p)
-        if v is None:
-            return False
-        return any(
-            v in (g.edge_of(eid).u, g.edge_of(eid).v) for eid, _ in self.steps
-        )
+    def contains_point(self, g: MetricGraph, p: GraphPoint) -> bool:
+        return p.edge in self.edge_ids() or g.vertex_of(p) in self.vertices(g)
 
     def coord_of(self, g: MetricGraph, p: GraphPoint) -> float:
         """Arc-length coordinate in [0, length) of a point lying on the circle."""
@@ -341,11 +327,15 @@ class Circle:
             i = min(bisect_right(cum, sl + 1e-15) - 1, len(self.steps) - 1)
             if sl < cum[i]:
                 i = max(i - 1, 0)
+            if base + cum[i + 1] <= s:
+                # s rounds onto the end of step i: go on from the next step
+                base, i = (base + self.length, 0) if i + 1 == len(self.steps) else (base, i + 1)
+                sl = cum[i]
             eid, d = self.steps[i]
             e = g.edge_of(eid)
             seg_end_abs = base + cum[i + 1]
             stop = min(s1, seg_end_abs)
-            f0 = (s - base - cum[i]) / e.length
+            f0 = (sl - cum[i]) / e.length
             f1 = (stop - base - cum[i]) / e.length
             if d > 0:
                 segs.append(PathSeg(eid, f0, f1))
@@ -356,6 +346,23 @@ class Circle:
             p = self.point_at(g, s0)
             segs.append(PathSeg(p.edge, p.t, p.t))
         return tuple(segs)
+
+    def signed_arc(self, g: MetricGraph, s0: float, span: float) -> tuple["PathSeg", ...]:
+        """Directed segments of the arc that starts at coordinate s0 and
+        runs |span| along the circle, forward when span >= 0, else backward."""
+        if span >= 0:
+            return self.arc_segments(g, s0, s0 + span)
+        return reverse_path(self.arc_segments(g, s0 + span, s0))
+
+
+def circles_disjoint(g: MetricGraph, circles: Sequence[Circle]) -> bool:
+    """No two of the circles share an edge or a vertex."""
+    vsets = [c.vertices(g) for c in circles]
+    return not any(
+        vsets[i] & vsets[j] or circles[i].edge_ids() & circles[j].edge_ids()
+        for i in range(len(circles))
+        for j in range(i + 1, len(circles))
+    )
 
 
 def _circle_from_edge_set(g: MetricGraph, edge_ids: frozenset[str]) -> Circle:
@@ -403,12 +410,9 @@ def enumerate_circles(g: MetricGraph) -> list[Circle]:
     # DFS over edge paths from each start vertex
     def dfs(start: str, cur: str, used: set[str], visited: set[str]) -> None:
         for eid, end in g.germs_at(cur):
-            if eid in used:
+            if eid in used or g.edge_of(eid).is_loop:
                 continue
-            e = g.edge_of(eid)
-            if e.is_loop:
-                continue
-            nxt = e.v if end == 0 else e.u
+            nxt = g.far_end(eid, end)
             if nxt == start and len(used) >= 1:
                 found.add(frozenset(used | {eid}))
                 continue
@@ -422,11 +426,7 @@ def enumerate_circles(g: MetricGraph) -> list[Circle]:
 
     for v in g.vertices:
         dfs(v, v, set(), {v})
-    cycles = [
-        s for s in found
-        if len(s) == 1 and g.edge_of(next(iter(s))).is_loop or len(s) >= 2
-    ]
-    circles = [_circle_from_edge_set(g, s) for s in cycles]
+    circles = [_circle_from_edge_set(g, s) for s in found]
     circles.sort(key=lambda c: tuple(sorted(c.edge_ids())))
     return circles
 
@@ -443,6 +443,11 @@ class PathSeg:
 
     def length(self, g: MetricGraph) -> float:
         return abs(self.t1 - self.t0) * g.edge_of(self.edge).length
+
+
+def reverse_path(path: Sequence[PathSeg]) -> tuple[PathSeg, ...]:
+    """The same path traversed from its end back to its start."""
+    return tuple(PathSeg(s.edge, s.t1, s.t0) for s in reversed(path))
 
 
 @dataclass(frozen=True)
@@ -604,25 +609,17 @@ def check_continuity(m: GraphMap, tol: float = 1e-12) -> bool:
     g, g2 = m.domain, m.codomain
     for eid, plist in m.pieces.items():
         for a, b in zip(plist, plist[1:]):
-            pa = _path_endpoint(g2, a.path, 1.0)
-            pb = _path_endpoint(g2, b.path, 0.0)
+            pa = GraphPoint(a.path[-1].edge, a.path[-1].t1)
+            pb = GraphPoint(b.path[0].edge, b.path[0].t0)
             if g2.path_distance(pa, pb) > tol:
                 return False
     # vertex image consistency across incident edges
     for v in g.vertices:
-        images = []
-        for eid, end in g.germs_at(v):
-            images.append(eval_graph_map(m, GraphPoint(eid, float(end))))
+        images = [eval_graph_map(m, GraphPoint(eid, float(end))) for eid, end in g.germs_at(v)]
         for q in images[1:]:
             if g2.path_distance(images[0], q) > tol:
                 return False
     return True
-
-
-def _path_endpoint(g: MetricGraph, path: tuple[PathSeg, ...], u: float) -> GraphPoint:
-    seg = path[-1] if u >= 0.5 else path[0]
-    t = seg.t1 if u >= 0.5 else seg.t0
-    return GraphPoint(seg.edge, t)
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +639,18 @@ def build_retraction(g: MetricGraph, c: Circle) -> GraphMap:
     circle_edges = c.edge_ids()
     if not circle_edges <= {e.id for e in g.edges}:
         raise NotACircle("circle does not belong to this graph")
-    on_circle: set[str] = set()
-    for eid, _ in c.steps:
-        e = g.edge_of(eid)
-        on_circle.update((e.u, e.v))
+    on_circle = c.vertices(g)
     anchor: dict[str, str] = {v: v for v in on_circle}
     frontier = sorted(on_circle)
     while frontier:
         nxt: list[str] = []
         for v in frontier:
             for eid, end in sorted(g.germs_at(v)):
-                e = g.edge_of(eid)
-                w = e.v if end == 0 else e.u
+                w = g.far_end(eid, end)
                 if w not in anchor:
                     anchor[w] = anchor[v]
                     nxt.append(w)
         frontier = sorted(set(nxt))
-    if set(anchor) != set(g.vertices):
-        raise Disconnected("graph has vertices unreachable from the circle")
 
     def image_coord(v: str) -> float:
         return c.coord_of(g, g.vertex_point(anchor[v]))
@@ -675,13 +666,10 @@ def build_retraction(g: MetricGraph, c: Circle) -> GraphMap:
         if abs(su - sv) <= 1e-15 or (fwd <= 1e-15 or bwd <= 1e-15):
             p = c.point_at(g, su)
             pieces[e.id] = (MapPiece(0.0, 1.0, (PathSeg(p.edge, p.t, p.t),)),)
-        elif fwd <= bwd:
-            pieces[e.id] = (MapPiece(0.0, 1.0, c.arc_segments(g, su, su + fwd)),)
         else:
-            # traverse backwards: reverse the forward arc from sv
-            segs = c.arc_segments(g, sv, sv + bwd)
-            rev = tuple(PathSeg(s.edge, s.t1, s.t0) for s in reversed(segs))
-            pieces[e.id] = (MapPiece(0.0, 1.0, rev),)
+            # backwards: the forward arc from sv, reversed
+            segs = c.signed_arc(g, su, fwd) if fwd <= bwd else reverse_path(c.signed_arc(g, sv, bwd))
+            pieces[e.id] = (MapPiece(0.0, 1.0, segs),)
     return GraphMap(g, g, pieces)
 
 
@@ -703,13 +691,8 @@ def rotate_along_circle(m: GraphMap, c: Circle, angle: float) -> GraphMap:
             mid = _path_point_at(g2, pc.path, min(total / 2, total))
             smid = c.coord_of(g2, mid)
             fwd = (smid - s0) % c.length
-            direction = 1 if fwd <= c.length / 2 else -1
-            if direction > 0:
-                segs = c.arc_segments(g2, s0 + shift, s0 + shift + total)
-            else:
-                segs = c.arc_segments(g2, s0 + shift - total, s0 + shift)
-                segs = tuple(PathSeg(s.edge, s.t1, s.t0) for s in reversed(segs))
-            out.append(MapPiece(pc.lo, pc.hi, segs))
+            span = total if fwd <= c.length / 2 else -total
+            out.append(MapPiece(pc.lo, pc.hi, c.signed_arc(g2, s0 + shift, span)))
         pieces[eid] = tuple(out)
     return GraphMap(m.domain, g2, pieces)
 
@@ -738,83 +721,44 @@ def circle_rotation_pieces(
     coordinate ``s_at_zero`` with signed arc speed ``rate`` per unit of domain
     arc length.
     """
-    e = g.edge_of(domain_edge)
-    span = rate * e.length
-    if span >= 0:
-        segs = target.arc_segments(g, s_at_zero, s_at_zero + span)
-    else:
-        segs = target.arc_segments(g, s_at_zero + span, s_at_zero)
-        segs = tuple(PathSeg(s.edge, s.t1, s.t0) for s in reversed(segs))
-    return (MapPiece(0.0, 1.0, segs),)
-
-
-def _vertex_route(g: MetricGraph, a: str, b: str) -> list[str]:
-    """Vertices along a shortest a-to-b walk (Dijkstra, smallest-id ties)."""
-    if a == b:
-        return [a]
-    dist: dict[str, float] = {a: 0.0}
-    prev: dict[str, str] = {}
-    heap = [(0.0, a)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist.get(u, math.inf):
-            continue
-        for eid, end in sorted(g.germs_at(u)):
-            e = g.edge_of(eid)
-            w = e.v if end == 0 else e.u
-            nd = du + e.length
-            if nd < dist.get(w, math.inf) - 1e-15:
-                dist[w] = nd
-                prev[w] = u
-                heapq.heappush(heap, (nd, w))
-    if b not in dist:
-        raise Disconnected(f"no path from {a!r} to {b!r}")
-    route = [b]
-    while route[-1] != a:
-        route.append(prev[route[-1]])
-    return route[::-1]
-
-
-def _edge_between(g: MetricGraph, a: str, b: str) -> tuple[str, int]:
-    """Shortest edge joining adjacent vertices, returned with direction from a."""
-    best: tuple[float, str, int] | None = None
-    for e in g.edges:
-        if e.u == a and e.v == b:
-            cand = (e.length, e.id, 1)
-        elif e.v == a and e.u == b:
-            cand = (e.length, e.id, -1)
-        else:
-            continue
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise Disconnected(f"vertices {a!r}, {b!r} not adjacent")
-    return best[1], best[2]
+    span = rate * g.edge_of(domain_edge).length
+    return (MapPiece(0.0, 1.0, target.signed_arc(g, s_at_zero, span)),)
 
 
 def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tuple[PathSeg, ...]:
-    """Directed segments of a shortest path from p to q."""
+    """Directed segments of a shortest path from p to q.
+
+    Between vertices the path is read from the vertex distance table: at
+    each vertex it leaves along the first germ, in sorted order, that
+    minimises edge length plus the table distance left to the end vertex.
+    Each step must strictly lower that distance, so an unreachable q raises
+    ``Disconnected``.
+    """
     ep, eq = g.edge_of(p.edge), g.edge_of(q.edge)
-    options: list[tuple[float, tuple]] = []
-    if p.edge == q.edge:
-        options.append((abs(p.t - q.t) * ep.length, ("direct",)))
+    # (length, then the vertex and t where the path leaves p's edge and
+    # enters q's edge); no vertex for the path along one edge
+    options = [(abs(p.t - q.t) * ep.length, None, 0.0, None, 0.0)] if p.edge == q.edge else []
     pu, pv = p.t * ep.length, (1.0 - p.t) * ep.length
     qu, qv = q.t * eq.length, (1.0 - q.t) * eq.length
     for dp, a, ta in ((pu, ep.u, 0.0), (pv, ep.v, 1.0)):
         for dq, b, tb in ((qu, eq.u, 0.0), (qv, eq.v, 1.0)):
-            options.append((dp + g.vertex_distance(a, b) + dq, ("via", a, ta, b, tb)))
-    options.sort(key=lambda o: o[0])
-    best = options[0][1]
-    if best[0] == "direct":
+            options.append((dp + g.vertex_distance(a, b) + dq, a, ta, b, tb))
+    _, a, ta, b, tb = min(options, key=lambda o: o[0])
+    if a is None:
         return (PathSeg(p.edge, p.t, q.t),)
-    _, a, ta, b, tb = best
     segs: list[PathSeg] = []
     if abs(p.t - ta) > 0:
         segs.append(PathSeg(p.edge, p.t, ta))
-    route = _vertex_route(g, a, b)
-    for x, y in zip(route, route[1:]):
-        eid, d = _edge_between(g, x, y)
-        segs.append(PathSeg(eid, 0.0, 1.0) if d > 0 else PathSeg(eid, 1.0, 0.0))
+    x = a
+    while x != b:
+        eid, end = min(
+            sorted(g.germs_at(x)), key=lambda ge: g.edge_of(ge[0]).length + g.vertex_distance(g.far_end(*ge), b)
+        )
+        w = g.far_end(eid, end)
+        if not g.vertex_distance(w, b) < g.vertex_distance(x, b):
+            raise Disconnected(f"no path from {a!r} to {b!r}")
+        segs.append(PathSeg(eid, 0.0, 1.0) if end == 0 else PathSeg(eid, 1.0, 0.0))
+        x = w
     if abs(q.t - tb) > 0:
         segs.append(PathSeg(q.edge, tb, q.t))
     if not segs:

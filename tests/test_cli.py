@@ -122,6 +122,9 @@ class TestConfigBoundary:
         "zero-edge-length": {"construction": "circle-product", "params": {"length": 0}},
         "zero-precision": {"construction": "sturmian-cylinder", "params": {"precision": 0}},
         "unknown-param": {"construction": "mobius", "params": {"alhpa": 0.3}},
+        "precision-boolean": {"construction": "sturmian-cylinder", "params": {"precision": True}},
+        "precision-fractional": {"construction": "sturmian-cylinder", "params": {"precision": 40.7}},
+        "m-fractional": {"construction": "m-circles", "params": {"m": 2.5}},
     }
 
     @staticmethod
@@ -214,6 +217,12 @@ def _swap_rows(path, a, b):
     path.write_text("".join(lines))
 
 
+def _replace_provenance_system(out, system):
+    prov = json.loads((out / "provenance.json").read_text())
+    prov["system"] = system
+    (out / "provenance.json").write_text(json.dumps(prov))
+
+
 def _replace_with_directory(path):
     path.unlink()
     path.mkdir()
@@ -242,6 +251,8 @@ class TestDamagedOut:
         "rows-swapped": lambda out: _swap_rows(out / "sample.csv", 2, 3),
         "sample-is-a-directory": lambda out: _replace_with_directory(out / "sample.csv"),
         "provenance-is-a-directory": lambda out: _replace_with_directory(out / "provenance.json"),
+        "provenance-not-an-object": lambda out: (out / "provenance.json").write_text("[1, 2]"),
+        "provenance-other-system": lambda out: _replace_provenance_system(out, "mobius(alpha=0.5)"),
     }
 
     @pytest.fixture(scope="class")

@@ -25,6 +25,7 @@ from .graphs import (
     eval_graph_map_arrays,
     star_branch_count,
 )
+from .thinning import thin_stream
 
 # ---------------------------------------------------------------------------
 # sampled sets
@@ -133,84 +134,20 @@ class SampledSet:
         return self._probe_classes[key]
 
 
-class _Thinner:
-    """Online sep-separated subset (product max-metric), greedy first-seen.
-
-    Points are offered one at a time; a point is kept unless an earlier
-    kept point lies within sep of it, so the kept set depends only on
-    earlier points and memory grows with the kept count alone.  Hash grid
-    on (base cell, edge, arc cell); near-vertex points are also registered
-    under per-vertex buckets so cross-edge duplicates are caught.
-    """
-
-    def __init__(self, g: MetricGraph, sep: float):
-        self.g = g
-        self.sep = sep
-        self._vdist = g._vdist.tolist()
-        self._vidx = g._vidx
-        self.cells: dict[tuple, list[int]] = {}
-        self.vcells: dict[tuple, list[int]] = {}
-        # per kept point: (base embedding, edge id, t, arc to u, arc to v,
-        # vertex index of u, vertex index of v)
-        self.kept: list[tuple] = []
-
-    def offer(self, e: float, y: GraphPoint) -> bool:
-        """Keep (e, y) unless it duplicates a kept point; True when kept."""
-        g, sep, vd = self.g, self.sep, self._vdist
-        g.validate_point(y)
-        edge = g.edge_of(y.edge)
-        L, t = edge.length, y.t
-        pu, pv = t * L, (1.0 - t) * L
-        iu, iv = self._vidx[edge.u], self._vidx[edge.v]
-        bc = int(e / sep)
-        ac = int(pu / sep)
-        near_u, near_v = pu <= 2 * sep, pv <= 2 * sep
-        buckets = [
-            self.cells.get((bc + db, y.edge, ac + da), ())
-            for db in (-1, 0, 1)
-            for da in (-1, 0, 1)
-        ]
-        if near_u:
-            buckets += [self.vcells.get((bc + db, edge.u), ()) for db in (-1, 0, 1)]
-        if near_v:
-            buckets += [self.vcells.get((bc + db, edge.v), ()) for db in (-1, 0, 1)]
-        kept = self.kept
-        for bucket in buckets:
-            for j in bucket:
-                ej, eid, tj, qu, qv, ju, jv = kept[j]
-                if abs(e - ej) > sep:
-                    continue
-                # MetricGraph.path_distance(y, kept point) with its float
-                # operations in the same order, minus the per-pair validation
-                d = abs(t - tj) * L if eid == y.edge else math.inf
-                d = min(d, pu + vd[iu][ju] + qu, pu + vd[iu][jv] + qv,
-                        pv + vd[iv][ju] + qu, pv + vd[iv][jv] + qv)
-                if d <= sep:
-                    return False
-        i = len(kept)
-        kept.append((e, y.edge, t, pu, pv, iu, iv))
-        self.cells.setdefault((bc, y.edge, ac), []).append(i)
-        if near_u:
-            self.vcells.setdefault((bc, edge.u), []).append(i)
-        if near_v:
-            self.vcells.setdefault((bc, edge.v), []).append(i)
-        return True
-
-
 def _thin_points(
     g: MetricGraph,
     base_embed: Sequence[float],
     ys: Sequence[GraphPoint],
     sep: float,
 ) -> list[int]:
-    """Indices of a sep-separated subset (product max-metric), greedy first-seen.
+    """Indices of the points that greedy first-seen sep-thinning keeps.
 
-    The batch form of ``_Thinner``: only the tests and ``perfbench/tracer.py``
-    (which times it by name) call it, and it goes when the benchmark reads
-    stage spans instead of patching names (ROADMAP item 1).
+    The batch form of ``thinning.thin_stream``, the thinner the orbit runs:
+    only the tests and ``perfbench/tracer.py`` (which times it by name)
+    call it, and it goes when the benchmark reads stage spans instead of
+    patching names (ROADMAP item 1).
     """
-    thinner = _Thinner(g, sep)
-    return [i for i, (e, y) in enumerate(zip(base_embed, ys)) if thinner.offer(e, y)]
+    return thin_stream(g, sep, zip(range(len(ys)), base_embed, ys))[0]
 
 
 def approximate_minimal_set(
@@ -222,28 +159,22 @@ def approximate_minimal_set(
 ) -> SampledSet:
     """Thinned orbit sample after a transient.
 
-    The kept subset is delta/4-separated in the product metric; keeping the
+    The kept subset is the greedy first-seen delta/4-thinning of the orbit
+    (the ``thinning`` module says which pairs it compares); keeping the
     separation below delta preserves delta-coverage for the classifiers
-    downstream.  The orbit is thinned as it is generated, so memory grows
-    with the kept count, not with n.
+    downstream.  The orbit is thinned as it is generated, one block at a
+    time, so memory grows with the kept count, not with n.
     """
     if n < 1 or transient < 0 or delta <= 0:
         raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
     sep = delta / 4.0
-    g = s.bundle.fibre
-    thinner = _Thinner(g, sep)
-    bases, embeds, edges, ts = [], [], [], []
-    for b, e, y in islice(orbit_stream(s, seed), transient, transient + n):
-        if thinner.offer(e, y):
-            bases.append(b)
-            embeds.append(e)
-            edges.append(g.edge_index(y.edge))
-            ts.append(y.t)
+    bases, kept = thin_stream(s.bundle.fibre, sep, islice(orbit_stream(s, seed), transient, transient + n))
+    embeds, edges, ts = kept.arrays()
     return SampledSet(
         delta,
         bases,
-        np.array(edges, dtype=int),
-        np.array(ts, dtype=float),
+        edges,
+        ts,
         provenance={
             "system": s.id,
             "seed": repr(seed),
@@ -253,7 +184,7 @@ def approximate_minimal_set(
         },
         base=s.base,
         bundle=s.bundle,
-        base_embed=np.array(embeds, dtype=float),
+        base_embed=embeds,
     )
 
 

@@ -530,6 +530,12 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
     if precision < 1:
         raise OutOfRange("precision must be >= 1")
     K = precision
+    k_alpha = K * alpha
+    # the coding cell of each new digit, shifted back to the word's start
+    shifted_cells = tuple(
+        ((cell[0] - ((K - 1) * alpha) % 1.0) % 1.0, cell[1])
+        for cell in (_cell_arc(0, alpha), _cell_arc(1, alpha))
+    )
 
     def ensure_arc(w: SymbolicWord) -> SymbolicWord:
         if w.arc is None:
@@ -545,12 +551,10 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         w = ensure_arc(w)
         s, l = w.arc
         theta = (s + l / 2.0) % 1.0
-        new_digit = _digit_of(theta + K * alpha, alpha)
+        new_digit = _digit_of(theta + k_alpha, alpha)
         bits = (w.bits >> 1) | (new_digit << (K - 1))
         rotated = ((s + alpha) % 1.0, l)
-        cell = _cell_arc(new_digit, alpha)
-        c = ((cell[0] - ((K - 1) * alpha) % 1.0) % 1.0, cell[1])
-        arc = _arc_intersect(rotated, c)
+        arc = _arc_intersect(rotated, shifted_cells[new_digit])
         if arc[1] <= 0.0:
             arc = rotated
         return SymbolicWord(bits, K, arc)

@@ -106,7 +106,8 @@ def orbit_stream(s: SkewSystem, x: BundlePoint) -> Iterator[tuple[BasePoint, flo
     step once and embeds each base point once: that embedding serves both
     the cut-crossing test and the caller.
     """
-    base, bundle = s.base, s.bundle
+    base = s.base
+    monodromy, gluing = s.bundle.is_monodromy, s.bundle.gluing
     b, y = x.b, x.y
     e = float(base.embedding(b))
     while True:
@@ -114,8 +115,8 @@ def orbit_stream(s: SkewSystem, x: BundlePoint) -> Iterator[tuple[BasePoint, flo
         b2 = base.apply(b)
         y = eval_graph_map(s.image_family(b2), y)
         e2 = float(base.embedding(b2))
-        if bundle.is_monodromy and e2 < e:
-            y = eval_graph_map(bundle.gluing, y)
+        if monodromy and e2 < e:
+            y = eval_graph_map(gluing, y)
         b, e = b2, e2
 
 

@@ -177,31 +177,43 @@ class MetricGraph:
         pe = np.array([self._eidx[self.edge_of(p.edge).id]])
         return self.distance_matrix(pe, np.array([p.t]), edge_idx, ts)[0]
 
-    def distance_matrix(
+    def _vertex_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``_vdist[a, b]`` for vertex index arrays that broadcast together.
+        A column against a row is gathered by rows, then by columns, several
+        times faster than numpy's broadcast fancy index."""
+        if a.ndim == 2 == b.ndim and a.shape[1] == 1 == b.shape[0]:
+            return self._vdist[a[:, 0]][:, b[0]]
+        return self._vdist[a, b]
+
+    def pair_distances(
         self, pe: np.ndarray, pt: np.ndarray, qe: np.ndarray, qt: np.ndarray
     ) -> np.ndarray:
-        """Path distances from the points (pe, pt) (rows) to the points
-        (qe, qt) (columns).
+        """Path distance from each point (pe, pt) to the point (qe, qt) at
+        the same position; the four arrays broadcast together.
 
         Each entry is ``path_distance``'s value, bit for bit: the same four
         vertex terms, each summed as ``(p to vertex + vertex distance) +
         vertex to q``, and ``|t_q - t_p| * length`` for a pair on one edge.
         """
-        lens = self._len_arr[qe]
-        qu = qt * lens
-        qv = (1.0 - qt) * lens
-        plen = self._len_arr[pe]
-        pu = (pt * plen)[:, None]
-        pv = ((1.0 - pt) * plen)[:, None]
-        du = self._vdist[self._u_arr[pe]]
-        dv = self._vdist[self._v_arr[pe]]
+        plen, qlen = self._len_arr[pe], self._len_arr[qe]
+        pu, pv = pt * plen, (1.0 - pt) * plen
+        qu, qv = qt * qlen, (1.0 - qt) * qlen
+        pa, pb = self._u_arr[pe], self._v_arr[pe]
         qa, qb = self._u_arr[qe], self._v_arr[qe]
+        vd = self._vertex_distances
         best = np.minimum(
-            np.minimum(pu + du[:, qa] + qu, pu + du[:, qb] + qv),
-            np.minimum(pv + dv[:, qa] + qu, pv + dv[:, qb] + qv),
+            np.minimum(pu + vd(pa, qa) + qu, pu + vd(pa, qb) + qv),
+            np.minimum(pv + vd(pb, qa) + qu, pv + vd(pb, qb) + qv),
         )
-        direct = np.abs(qt[None, :] - pt[:, None]) * plen[:, None]
-        return np.where(pe[:, None] == qe[None, :], np.minimum(best, direct), best)
+        direct = np.abs(qt - pt) * plen
+        return np.where(pe == qe, np.minimum(best, direct), best)
+
+    def distance_matrix(
+        self, pe: np.ndarray, pt: np.ndarray, qe: np.ndarray, qt: np.ndarray
+    ) -> np.ndarray:
+        """Path distances from the points (pe, pt) (rows) to the points
+        (qe, qt) (columns): ``pair_distances`` of every pair."""
+        return self.pair_distances(pe[:, None], pt[:, None], qe[None, :], qt[None, :])
 
     def point_arrays(self, pts: Sequence[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
         """(edge index, t) arrays of a point list, the form the vectorized

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlemin import analysis
+from bundlemin import analysis, thinning
 from bundlemin.analysis import (
     FibreClass,
     SampledSet,
@@ -26,7 +26,14 @@ from bundlemin.analysis import (
     typical_fibre_report,
 )
 from bundlemin.base_systems import GOLDEN, BaseSystem, CircleAngle, circle_rotation
-from bundlemin.bundles import BundlePoint, monodromy_bundle, orbit, orbit_stream, product_bundle
+from bundlemin.bundles import (
+    BundlePoint,
+    SkewSystem,
+    monodromy_bundle,
+    orbit,
+    orbit_stream,
+    product_bundle,
+)
 from bundlemin.cli import csv_to_points, sample_to_csv
 from bundlemin.constructions import (
     CONSTRUCTIONS,
@@ -37,10 +44,14 @@ from bundlemin.constructions import (
     chained_loops_graph,
     word_embed,
 )
-from bundlemin.errors import EmptyG, EmptyInput, WrongInput
+from bundlemin.errors import EmptyG, EmptyInput, InvalidPoint, WrongInput
 from bundlemin.graphs import (
+    Edge,
     GraphMap,
     GraphPoint,
+    MapPiece,
+    MetricGraph,
+    PathSeg,
     circle_graph,
     circle_rotation_pieces,
     enumerate_circles,
@@ -113,6 +124,33 @@ class TestApproximateMinimalSet:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+    def test_memory_per_kept_point(self):
+        # the kept set lives in flat arrays and one block of orbit points;
+        # per-point tuples and grid dicts took about 580 B a kept point
+        s, seed = _orbit_system("torus-on-mobius")
+        tracemalloc.start()
+        try:
+            sample = approximate_minimal_set(s, seed, 100, 20_000, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(sample.bases) < 400, (peak, len(sample.bases))
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("t", [1.5, -0.25])
+    def test_orbit_point_outside_its_edge_raises(self, t, last):
+        # a constant piece returns its image point unchecked, so the bad
+        # point reaches the thinner; as the run's last step it is never
+        # mapped again, and only the thinner's check sees it
+        g = interval_graph(1.0)
+        bad = GraphMap(g, g, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", t, t),)),)})
+        base = circle_rotation(GOLDEN)
+        s = SkewSystem(base, product_bundle(base, g), lambda b: bad)
+        seed = BundlePoint(CircleAngle(0.1), GraphPoint("I", 0.5))
+        n = 2 if last else 3_000
+        with pytest.raises(InvalidPoint, match=rf"parameter {t} outside \[0, 1\] on edge 'I'"):
+            approximate_minimal_set(s, seed, 0, n, 0.05)
+
     @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
     def test_cached_embeddings_are_the_base_embedding(self, name):
         s, seed = _orbit_system(name)
@@ -132,6 +170,75 @@ def _orbit_system(name):
         return s, BundlePoint(w, GraphPoint("I", word_embed(w)))
     s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
     return s, BundlePoint(CircleAngle(0.1), GraphPoint("A", 0.2))
+
+
+@st.composite
+def _thinning_cases(draw):
+    """A random graph with loops and parallel edges, a separation, and a
+    point sequence crowded onto the thinner's edge cases: vertices, the
+    2*sep bands at edge ends, cell boundaries, and pairs sep apart in the
+    base or the fibre, each possibly one float step off."""
+    nv = draw(st.integers(1, 3))
+    lengths = st.sampled_from([0.03, 0.1, 1.0]) | st.floats(0.01, 2.0)
+    edges = [
+        Edge(f"e{k}", f"v{draw(st.integers(0, nv - 1))}", f"v{draw(st.integers(0, nv - 1))}", draw(lengths))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    g = MetricGraph([f"v{i}" for i in range(nv)], edges)
+    sep = draw(st.sampled_from([0.005, 0.01, 0.025]))
+    step = st.sampled_from([-1, 0, 0, 1])
+
+    def nudge(x):
+        return {-1: math.nextafter(x, -math.inf), 0: x, 1: math.nextafter(x, math.inf)}[draw(step)]
+
+    es, ys = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        if es and draw(st.booleans()):
+            j = draw(st.integers(0, len(es) - 1))
+            edge = g.edge_of(ys[j].edge)
+            e = es[j] + draw(st.sampled_from([-sep, 0.0, sep]))
+            t = ys[j].t + draw(st.sampled_from([-sep, 0.0, sep])) / edge.length
+        else:
+            edge = draw(st.sampled_from(edges))
+            e = draw(st.sampled_from([k * sep for k in range(-2, 6)]) | st.floats(-0.05, 1.0))
+            cells = [k * sep / edge.length for k in range(4)]
+            t = draw(st.sampled_from(
+                [0.0, 1.0, 2 * sep / edge.length, 1.0 - 2 * sep / edge.length, *cells]
+            ) | st.floats(0.0, 1.0))
+        es.append(nudge(e))
+        ys.append(GraphPoint(edge.id, min(max(nudge(t), 0.0), 1.0)))
+    return g, sep, es, ys
+
+
+class TestBlockThinning:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_thinning_cases(),
+        block=st.sampled_from([1, 2, 7, None]),
+        chunk=st.sampled_from([1, 3, thinning._CHUNK]),
+    )
+    def test_equals_reference(self, case, block, chunk):
+        g, sep, es, ys = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thinning, "THIN_BLOCK", block or len(ys) + 1)
+            mp.setattr(thinning, "_CHUNK", chunk)
+            assert _thin_points(g, es, ys, sep) == _reference_thin_points(g, es, ys, sep)
+
+    def test_grid_keys_that_would_overflow_are_refused(self):
+        g = interval_graph(1.0)
+        with pytest.raises(WrongInput, match="base embedding too large"):
+            _thin_points(g, [0.5, 1e300], [GraphPoint("I", 0.5)] * 2, 0.01)
+        with pytest.raises(WrongInput, match="too small for the fibre"):
+            _thin_points(g, [0.5], [GraphPoint("I", 0.5)], 1e-12)
+
+    def test_first_bad_point_is_named(self):
+        g = interval_graph(1.0)
+        ys = [GraphPoint("I", 0.5), GraphPoint("J", 0.5), GraphPoint("I", 2.0)]
+        with pytest.raises(InvalidPoint, match="unknown edge 'J'"):
+            _thin_points(g, [0.0, 0.5, 0.9], ys, 0.01)
+        ys = [GraphPoint("I", 0.5), GraphPoint("I", math.nan), GraphPoint("J", 0.5)]
+        with pytest.raises(InvalidPoint, match="parameter nan outside"):
+            _thin_points(g, [0.0, 0.5, 0.9], ys, 0.01)
 
 
 def _reference_thin_points(g, base_embed, ys, sep):

@@ -92,7 +92,9 @@ def _ranges(start: np.ndarray, stop: np.ndarray, owner: np.ndarray) -> tuple[np.
 
 def _merged(index: _Index, new: _Index) -> _Index:
     """The keys of both indexes, sorted: the new keys are inserted, one
-    pass over the old keys."""
+    pass over the old keys (none when there are no new keys)."""
+    if not len(new.cell_keys):
+        return index
     at = np.searchsorted(index.cell_keys, new.cell_keys)
     vat = np.searchsorted(index.vertex_keys, new.vertex_keys)
     return _Index(
@@ -235,16 +237,16 @@ class KeptSet:
 
     def _append(self, p: _Points) -> None:
         """Append the points p to the kept arrays."""
-        m = len(p.e)
-        if self.n + m > len(self.e):
-            cap = max(2 * len(self.e), self.n + m)
+        end = self.n + len(p.e)
+        if end > len(self.e):
+            cap = max(2 * len(self.e), end)
             for name in ("e", "edge", "t"):
                 old = getattr(self, name)
                 grown = np.empty(cap, dtype=old.dtype)
                 grown[:self.n] = old[:self.n]
                 setattr(self, name, grown)
-        self.e[self.n:self.n + m], self.edge[self.n:self.n + m], self.t[self.n:self.n + m] = p.e, p.edge, p.t
-        self.n += m
+        self.e[self.n:end], self.edge[self.n:end], self.t[self.n:end] = p.e, p.edge, p.t
+        self.n = end
 
 
 def thin_stream(

@@ -1,6 +1,6 @@
 """Orbit-closure sampling, fibre classification, and the empirical verdicts:
-the end-point dichotomy, circle-count reports with image disjointness, the
-typical-fibre trichotomy, redundant-open-set falsification, and discrepancy.
+the end-point dichotomy, circle-count reports with image disjointness, and
+the typical-fibre trichotomy.
 """
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .base_systems import BasePoint, BaseSystem, star_discrepancy
+from .base_systems import BasePoint, BaseSystem
 from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_stream
-from .errors import EmptyG, EmptyInput, NoProbes, NotCircleCase, WrongInput
+from .errors import EmptyInput, NoProbes, NotCircleCase, WrongInput
 from .fibre_index import FibreIndex
 from .graphs import (
     Circle,
@@ -527,35 +527,3 @@ def circles_report(
             ok = False
     return CirclesReport(m, exceptional, ok and tested > 0, len(verdicts))
 
-
-# ---------------------------------------------------------------------------
-# redundant open sets and discrepancy
-
-
-def redundant_open_set_test(
-    apply_fn: Callable,
-    points: Sequence,
-    metric: Callable,
-    predicate: Callable[[object], bool],
-    delta: float,
-) -> bool:
-    """True when every image of a predicate point lies within delta of the
-    image of some non-predicate point: evidence against minimality."""
-    inside = [p for p in points if predicate(p)]
-    outside = [p for p in points if not predicate(p)]
-    if not inside:
-        raise EmptyG("predicate holds nowhere on the sample")
-    if not outside:
-        return False
-    img_out = [apply_fn(p) for p in outside]
-    for p in inside:
-        ip = apply_fn(p)
-        if all(metric(ip, q) > delta for q in img_out):
-            return False
-    return True
-
-
-def equidistribution_discrepancy(angles: Sequence[float]) -> float:
-    if len(angles) == 0:
-        raise EmptyInput("empty angle list")
-    return star_discrepancy(angles)

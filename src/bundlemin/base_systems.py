@@ -1,7 +1,7 @@
 """Minimal base dynamical systems: circle rotations, the dyadic adding machine
 on the ternary Cantor set, its blow-up with a doubled backward orbit, the
-quotient base identifying the doubled pair, Sturmian codings, and an
-equidistribution-driven rotation-angle search.
+quotient base identifying the doubled pair, Sturmian codings, and a rotation
+angle searched for by its exact star discrepancy along a return-time sequence.
 
 Coded points carry a finite precision K; all comparisons happen at that
 precision.
@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     BadBlowupCenter,
-    EmptyInput,
     InvalidPoint,
     OutOfRange,
     SearchExhausted,
@@ -107,13 +106,7 @@ class SymbolicWord:
         return (self.bits >> n) & 1
 
 
-@dataclass(frozen=True)
-class PeriodicIndex:
-    i: int
-    q: int
-
-
-BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord | PeriodicIndex
+BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +132,6 @@ class BaseSystem:
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
-
-    def preimage_count(self, x: BasePoint) -> int:
-        return len(self.preimages(x))
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +169,6 @@ def circle_rotation(alpha: float) -> BaseSystem:
         preimages=preimages,
         params={"alpha": alpha},
         circular=True,
-    )
-
-
-def periodic_orbit(q: int) -> BaseSystem:
-    if q < 1:
-        raise OutOfRange("period must be >= 1")
-
-    def metric(x: PeriodicIndex, y: PeriodicIndex) -> float:
-        d = abs(x.i - y.i) % q
-        return min(d, q - d) / q
-
-    return BaseSystem(
-        id=f"periodic({q})",
-        point_type=PeriodicIndex,
-        apply=lambda x: PeriodicIndex((x.i + 1) % q, q),
-        metric=metric,
-        sampler=lambda n: [PeriodicIndex(i % q, q) for i in range(min(n, q))],
-        embedding=lambda x: x.i / q,
-        preimages=lambda x: [PeriodicIndex((x.i - 1) % q, q)],
-        params={"q": q},
     )
 
 
@@ -301,9 +271,14 @@ def doubled_cantor(
     side-tagged pairs separated by a gap of length L_{-j} in the embedding;
     both members of the first pair map to ``a``, deeper pairs shift one step
     forward keeping their tag. Untagged codes always follow the plain
-    odometer.
+    odometer. Those backward points need distinct codes, so the precision
+    must give 2^K > DOUBLING_HORIZON.
     """
     K = precision
+    if K < 1 or 1 << K <= DOUBLING_HORIZON:
+        raise BadBlowupCenter(
+            f"precision {K} has too few codes for {DOUBLING_HORIZON} distinct doubled backward points"
+        )
     if a is None:
         a = default_blowup_center(K)
     if a.K != K:
@@ -505,10 +480,6 @@ def _word_arc(bits: int, K: int, alpha: float, hint: float | None = None) -> tup
     return arc
 
 
-def word_precision(w: SymbolicWord) -> float:
-    return w.arc[1] if w.arc is not None else 1.0
-
-
 def word_embedding(w: SymbolicWord) -> float:
     """Cantor-style coordinate of a coding word, read from its first 35 digits.
 
@@ -623,18 +594,6 @@ def sturmian_fibre_codings(
 
 # ---------------------------------------------------------------------------
 # Weyl-based selection of a rotation angle
-
-
-def star_discrepancy(values: Sequence[float]) -> float:
-    """Exact star discrepancy of a finite sequence of angles mod 1."""
-    if not values:
-        raise EmptyInput("discrepancy of an empty sequence")
-    u = sorted(v % 1.0 for v in values)
-    K = len(u)
-    d = 0.0
-    for i, ui in enumerate(u, start=1):
-        d = max(d, i / K - ui, ui - (i - 1) / K)
-    return d
 
 
 def _discrepancy_exact(numerators: list[int], den: int) -> Fraction:

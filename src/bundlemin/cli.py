@@ -27,7 +27,6 @@ from .base_systems import (
     BaseSystem,
     CircleAngle,
     DoubledCode,
-    PeriodicIndex,
     SymbolicWord,
     TernaryCode,
 )
@@ -50,7 +49,8 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CAP = 4
 
-DEFAULT_CAP = 10_000_000
+#: most orbit steps, and most transient steps, one run may take
+STEP_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -62,35 +62,41 @@ def encode_base_point(b: BasePoint) -> str:
         return f"angle:{b.theta!r}"
     if isinstance(b, DoubledCode):
         return f"dcode:{b.code.bits:x}:{b.code.K}:{b.side}"
-    if isinstance(b, TernaryCode):
-        return f"tern:{b.bits:x}:{b.K}"
     if isinstance(b, SymbolicWord):
         return f"word:{b.bits:x}:{b.K}"
-    if isinstance(b, PeriodicIndex):
-        return f"per:{b.i}:{b.q}"
     raise SchemaError(f"unknown base point type {type(b).__name__}")
 
 
 def decode_base_point(tag: str) -> BasePoint:
+    """The base point of a tag; a code that is not K digits for a
+    precision K >= 1, or a side outside {-1, 0, 1}, is refused like a
+    malformed tag."""
     kind, _, rest = tag.partition(":")
     try:
         if kind == "angle":
             return CircleAngle(float(rest))
         if kind == "dcode":
             bits, K, side = rest.split(":")
-            return DoubledCode(TernaryCode(int(bits, 16), int(K)), int(side))
-        if kind == "tern":
-            bits, K = rest.split(":")
-            return TernaryCode(int(bits, 16), int(K))
+            if int(side) not in (-1, 0, 1):
+                raise SchemaError(f"side {side} outside {{-1, 0, 1}}")
+            return DoubledCode(TernaryCode(*_code_fields(bits, K)), int(side))
         if kind == "word":
             bits, K = rest.split(":")
-            return SymbolicWord(int(bits, 16), int(K))
-        if kind == "per":
-            i, q = rest.split(":")
-            return PeriodicIndex(int(i), int(q))
+            return SymbolicWord(*_code_fields(bits, K))
     except ValueError as exc:
         raise SchemaError(f"malformed base tag {tag!r}") from exc
     raise SchemaError(f"unknown base tag kind {kind!r}")
+
+
+def _code_fields(bits: str, K: str) -> tuple[int, int]:
+    """A tag's hex digit block and precision K, which must be at least 1;
+    the block must be a K-digit code, without a sign."""
+    code, k = int(bits, 16), int(K)
+    if k < 1:
+        raise SchemaError(f"precision {k} below 1")
+    if code < 0 or code.bit_length() > k:
+        raise SchemaError(f"digits {bits} are not a {k}-digit code")
+    return code, k
 
 
 SAMPLE_HEADER = ["step", "base", "tag", "edge", "parameter"]
@@ -193,16 +199,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def step_cap() -> int:
-    raw = os.environ.get("BUNDLEMIN_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BUNDLEMIN_CAP is not an integer: {raw!r}") from exc
-
-
 def _jdump(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -241,7 +237,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     atomic_write(out / "system.json", _jdump({"construction": name, "params": params}))
     lines = [f"construction: {name}", f"system: {result.system.id}", f"note: {result.note}"]
-    if "exceptional_base" in result.reference:
+    if "exceptional_base" in result.system.reference:
         lines.append("exceptional fibre tag: c_l (the identified doubled point)")
     atomic_write(out / "summary.txt", "\n".join(lines) + "\n")
     print(f"wrote {out / 'system.json'}")
@@ -289,11 +285,10 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name, result = _load_system(out, cfg, args.name)
-    cap = step_cap()
-    if steps > cap:
-        raise CapExceeded(f"steps {steps} exceed cap {cap}")
-    if transient > cap:
-        raise CapExceeded(f"transient {transient} exceeds cap {cap}")
+    if steps > STEP_CAP:
+        raise CapExceeded(f"steps {steps} exceed cap {STEP_CAP}")
+    if transient > STEP_CAP:
+        raise CapExceeded(f"transient {transient} exceeds cap {STEP_CAP}")
     sample = approximate_minimal_set(result.system, result.seed(seed_index), transient, steps, delta)
     atomic_write(out / "sample.csv", sample_to_csv(sample))
     prov = dict(sample.provenance)
@@ -372,7 +367,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     n = len(sample.bases)
     probes = sample.bases[:: max(1, n // 20)][:20]
-    exceptional = result.reference.get("exceptional_base")
+    exceptional = result.system.reference.get("exceptional_base")
 
     try:
         tri = typical_fibre_report(s, sample, probes, delta, delta_base=delta_base)
@@ -419,7 +414,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     edges = [e.id for e in sample.bundle.fibre.edges]
     rows = list(zip(sample.base_embed.tolist(), [edges[k] for k in sample.edge_idx.tolist()], sample.ts.tolist()))
     highlight = []
-    exceptional = result.reference.get("exceptional_base")
+    exceptional = result.system.reference.get("exceptional_base")
     if exceptional is not None:
         highlight.append(float(result.system.base.embedding(exceptional)))
     svg = render_sample_svg(

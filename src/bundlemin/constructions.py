@@ -4,9 +4,9 @@ coding-system cylinder, products with a rotated circle retraction, cyclic
 circle permutations, and the two blown-up-odometer constructions whose
 exceptional fibre carries two circles (disjoint or intersecting).
 
-Each factory returns a ConstructionResult bundling the system with a
-symbolic description of its claimed minimal set for oracle-driven tests,
-its orbit seed rule and its slice width.  ``CONSTRUCTIONS`` maps each
+Each factory returns a ConstructionResult bundling the system (whose
+``reference`` describes its claimed minimal set for oracle-driven tests)
+with its orbit seed rule and its slice width.  ``CONSTRUCTIONS`` maps each
 command-line name to a builder that reads the factory's keyword defaults
 as its parameter declaration.
 """
@@ -60,15 +60,14 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A built system with its oracle reference, its orbit seed rule and the
-    base width of its fibre slices (None: the sample's delta).
+    """A built system with its orbit seed rule and the base width of its
+    fibre slices (None: the sample's delta).
 
     ``seed_rule(i)`` is the orbit seed for seed index i; without one, the
     seed is the i-th base sample point on the first fibre edge at t = 0.37.
     """
 
     system: SkewSystem
-    reference: dict = field(default_factory=dict, compare=False)
     note: str = ""
     seed_rule: Optional[Callable[[int], BundlePoint]] = field(default=None, compare=False)
     delta_base: Optional[float] = None
@@ -119,7 +118,7 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
         id=f"mobius(alpha={alpha})",
     )
     return ConstructionResult(
-        system, system.reference, "interval band, flip gluing",
+        system, "interval band, flip gluing",
         seed_rule=lambda i: BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0)),
     )
 
@@ -209,15 +208,11 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
         },
         id=f"torus-on-mobius(alpha={alpha},beta={beta})",
     )
-    return ConstructionResult(system, system.reference, "two circles joined by an interval, swap gluing")
+    return ConstructionResult(system, "two circles joined by an interval, swap gluing")
 
 
 # ---------------------------------------------------------------------------
 # coding-system cylinder, carried on its minimal set
-
-
-#: Cantor-style fibre coordinate of a coding word: the Sturmian base embedding
-word_embed = word_embedding
 
 
 def build_sturmian_cylinder(
@@ -241,7 +236,7 @@ def build_sturmian_cylinder(
         )
 
     def image_family(b2: SymbolicWord) -> GraphMap:
-        return constant_map(word_embed(b2))
+        return constant_map(word_embedding(b2))
 
     system = SkewSystem(
         base=base,
@@ -251,17 +246,17 @@ def build_sturmian_cylinder(
             "factor": factor,
             "fibre_cardinality_generic": 1,
             "fibre_cardinality_boundary": 2,
-            "embed": word_embed,
+            "embed": word_embedding,
         },
         id=f"sturmian-cylinder(alpha={alpha},K={precision})",
     )
 
     def seed_rule(i: int) -> BundlePoint:
         w = base.sampler(i + 1)[-1]
-        return BundlePoint(w, GraphPoint("I", word_embed(w)))
+        return BundlePoint(w, GraphPoint("I", word_embedding(w)))
 
     return ConstructionResult(
-        system, system.reference, "coding cylinder on its minimal set",
+        system, "coding cylinder on its minimal set",
         seed_rule=seed_rule, delta_base=1e-6,
     )
 
@@ -286,7 +281,7 @@ def build_circle_minimal_product(
         reference={"circle": c, "angle": angle},
         id=f"circle-product({base.id},angle={angle})",
     )
-    return ConstructionResult(system, system.reference, "rotated retraction onto one circle")
+    return ConstructionResult(system, "rotated retraction onto one circle")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +369,7 @@ def build_m_circles(
         reference={"circles": tuple(circles), "m": m, "angle": angle},
         id=f"m-circles(m={m},angle={angle})",
     )
-    return ConstructionResult(system, system.reference, "cyclic circle permutation with one rotated leg")
+    return ConstructionResult(system, "cyclic circle permutation with one rotated leg")
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +458,7 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
         id=f"theorem-d-1(K={precision})",
     )
     return ConstructionResult(
-        system, system.reference, "two disjoint circles over a blown-up odometer",
+        system, "two disjoint circles over a blown-up odometer",
         seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
     )
 
@@ -704,7 +699,7 @@ def build_theorem_d_case2(
         id=f"theorem-d-2:{pattern}(K={precision})",
     )
     return ConstructionResult(
-        system, system.reference, "two intersecting circles over a blown-up odometer",
+        system, "two intersecting circles over a blown-up odometer",
         seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
     )
 
@@ -719,8 +714,8 @@ def case2_branch_images(
     and reads the angle there. On the shared radius-1 set both give the
     same image point; returning the pair lets tests check the seams.
     """
-    geo: Case2Geometry = result.reference["geometry"]
-    rho: float = result.reference["rotation"]
+    geo: Case2Geometry = result.system.reference["geometry"]
+    rho: float = result.system.reference["rotation"]
     delta = (rho % 1.0) * TWO_PI
     push = geo.push_inner if target_inner else geo.push_outer
     direct = push(geo.theta_of(y) + delta)
@@ -743,7 +738,15 @@ def _circle_product(
     return build_circle_minimal_product(circle_rotation(alpha), g, enumerate_circles(g)[0], angle)
 
 
+#: largest m the m-circles construction accepts: the circle search is a
+#: recursive DFS along the chain and the vertex distance table holds m^2
+#: floats, so a much larger m overflows the stack or the memory
+MAX_M_CIRCLES = 100
+
+
 def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> ConstructionResult:
+    if m > MAX_M_CIRCLES:
+        raise OutOfRange(f"m {m} above {MAX_M_CIRCLES}")
     g = chained_loops_graph(m)
     circles = [c for c in enumerate_circles(g) if len(c.steps) == 1]
     return build_m_circles(circle_rotation(alpha), g, circles, angle)

@@ -6,15 +6,7 @@ class BundleMinError(Exception):
 
 
 # graph construction / queries
-class EmptyGraph(BundleMinError):
-    pass
-
-
 class NonPositiveLength(BundleMinError):
-    pass
-
-
-class DanglingEdge(BundleMinError):
     pass
 
 
@@ -74,10 +66,6 @@ class NoProbes(BundleMinError):
 
 
 class NotCircleCase(BundleMinError):
-    pass
-
-
-class EmptyG(BundleMinError):
     pass
 
 

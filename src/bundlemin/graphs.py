@@ -17,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DanglingEdge,
     Disconnected,
-    EmptyGraph,
     InvalidPoint,
     NonPositiveLength,
     NotACircle,
@@ -68,7 +66,6 @@ class MetricGraph:
             self._germs[e.v].append((e.id, 1))
         self._vdist = self._all_pairs_vertex_distances()
         # numpy caches for vectorized fibre distances
-        n = len(self.edges)
         self._len_arr = np.array([e.length for e in self.edges])
         self._u_arr = np.array([self._vidx[e.u] for e in self.edges], dtype=int)
         self._v_arr = np.array([self._vidx[e.v] for e in self.edges], dtype=int)
@@ -118,9 +115,6 @@ class MetricGraph:
         e = self._edge_by_id[edge_id]
         return e.v if end == 0 else e.u
 
-    def degree(self, vertex: str) -> int:
-        return len(self._germs[vertex])
-
     def vertex_distance(self, a: str, b: str) -> float:
         return float(self._vdist[self._vidx[a], self._vidx[b]])
 
@@ -153,9 +147,6 @@ class MetricGraph:
     def vertex_point(self, vertex: str) -> GraphPoint:
         eid, end = self._germs[vertex][0]
         return GraphPoint(eid, float(end))
-
-    def points_equal(self, p: GraphPoint, q: GraphPoint) -> bool:
-        return self.path_distance(p, q) <= POINT_TOL
 
     def path_distance(self, p: GraphPoint, q: GraphPoint) -> float:
         """Shortest-path length; math.inf marks a disconnected pair."""
@@ -227,44 +218,6 @@ class MetricGraph:
         """The point list of (edge index, t) arrays; ``point_arrays`` inverted."""
         edges = self.edges
         return [GraphPoint(edges[e].id, t) for e, t in zip(edge_idx.tolist(), ts.tolist())]
-
-
-def build_graph(spec: dict) -> MetricGraph:
-    """Validate and build a metric graph from a vertex/edge spec dict.
-
-    Expected shape: ``{"vertices": [id, ...],
-    "edges": [{"id", "from", "to", "length"}, ...]}``.
-    """
-    vertices = list(spec.get("vertices", []))
-    raw_edges = list(spec.get("edges", []))
-    if not vertices or not raw_edges:
-        raise EmptyGraph("a graph needs at least one vertex and one edge")
-    vset = set(vertices)
-    edges = []
-    for i, ed in enumerate(raw_edges):
-        eid = str(ed.get("id", f"e{i}"))
-        u, v, L = ed["from"], ed["to"], float(ed["length"])
-        if L <= 0.0:
-            raise NonPositiveLength(f"edge {eid!r} has length {L}")
-        if u not in vset or v not in vset:
-            raise DanglingEdge(f"edge {eid!r} references unknown vertex")
-        edges.append(Edge(eid, u, v, L))
-    if len({e.id for e in edges}) != len(edges):
-        raise DanglingEdge("duplicate edge ids")
-    return MetricGraph(vertices, edges)
-
-
-def point_order(g: MetricGraph, p: GraphPoint) -> int:
-    """Number of arcs emanating from p: 2 at edge-interior points, degree at vertices."""
-    g.validate_point(p)
-    v = g.vertex_of(p)
-    if v is None:
-        return 2
-    return g.degree(v)
-
-
-def path_distance(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
-    return g.path_distance(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +561,6 @@ def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:
 def identity_map(g: MetricGraph) -> GraphMap:
     pieces = {e.id: (MapPiece(0.0, 1.0, (PathSeg(e.id, 0.0, 1.0),)),) for e in g.edges}
     return GraphMap(g, g, pieces)
-
-
-def compose_eval(maps: Sequence[GraphMap], p: GraphPoint) -> GraphPoint:
-    for m in maps:
-        p = eval_graph_map(m, p)
-    return p
 
 
 def check_continuity(m: GraphMap, tol: float = 1e-12) -> bool:

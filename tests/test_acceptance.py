@@ -20,7 +20,6 @@ from bundlemin.analysis import (
     circles_report,
     classify_fibre,
     endpoint_statistics,
-    redundant_open_set_test,
     typical_fibre_report,
 )
 from bundlemin.base_systems import (
@@ -34,7 +33,7 @@ from bundlemin.base_systems import (
     sturmian,
     sturmian_fibre_codings,
     weyl_minimal_rotation,
-    word_precision,
+    word_embedding,
 )
 from bundlemin.bundles import BundlePoint
 from bundlemin.cli import main as cli_main
@@ -48,11 +47,11 @@ from bundlemin.constructions import (
     case2_branch_images,
     chained_loops_graph,
     mobius_boundary_circle_map,
-    word_embed,
 )
 from bundlemin.graphs import (
+    Edge,
     GraphPoint,
-    build_graph,
+    MetricGraph,
     build_retraction,
     circle_graph,
     enumerate_circles,
@@ -89,7 +88,7 @@ def torus():
 def sturmian_cylinder():
     res = build_sturmian_cylinder(GOLDEN, precision=1500)
     w0 = coding_word(0.2, GOLDEN, 1500)
-    seed = BundlePoint(w0, GraphPoint("I", word_embed(w0)))
+    seed = BundlePoint(w0, GraphPoint("I", word_embedding(w0)))
     return res, _sample(res, seed)
 
 
@@ -112,7 +111,7 @@ def m_circle_systems():
 def two_disjoint_circles():
     t0 = time.monotonic()
     res = build_theorem_d_case1(precision=40)
-    sample = _sample(res, res.reference["seed"])
+    sample = _sample(res, res.system.reference["seed"])
     return res, sample, time.monotonic() - t0
 
 
@@ -121,7 +120,7 @@ def two_intersecting_circles():
     out = {}
     for pattern in ("point", "arc", "two"):
         res = build_theorem_d_case2(pattern, precision=40)
-        out[pattern] = (res, _sample(res, res.reference["seed"]))
+        out[pattern] = (res, _sample(res, res.system.reference["seed"]))
     return out
 
 
@@ -131,14 +130,14 @@ def two_intersecting_circles():
 class TestTwoDisjointCircles:
     def test_exceptional_fibre_is_two_circles(self, two_disjoint_circles):
         res, sample, _ = two_disjoint_circles
-        c_l = res.reference["exceptional_base"]
+        c_l = res.system.reference["exceptional_base"]
         ys = sample.fibre_slice(c_l, DELTA)
         assert str(classify_fibre(res.system.bundle.fibre, ys, DELTA)) == "Circles(2)"
 
     def test_fifty_generic_fibres_are_one_circle(self, two_disjoint_circles):
         res, sample, _ = two_disjoint_circles
         s = res.system
-        c_l = res.reference["exceptional_base"]
+        c_l = res.system.reference["exceptional_base"]
         rng = random.Random(7)
         probes = []
         while len(probes) < 50:
@@ -162,8 +161,8 @@ class TestTwoIntersectingCircles:
     def test_exceptional_fibre_covers_both_circles(self, two_intersecting_circles, pattern):
         res, sample = two_intersecting_circles[pattern]
         g = res.system.bundle.fibre
-        geo = res.reference["geometry"]
-        ys = sample.fibre_slice(res.reference["exceptional_base"], DELTA)
+        geo = res.system.reference["geometry"]
+        ys = sample.fibre_slice(res.system.reference["exceptional_base"], DELTA)
         ei = np.array([g.edge_index(y.edge) for y in ys])
         ts = np.array([y.t for y in ys])
         for circ in (geo.outer, geo.inner):
@@ -173,7 +172,7 @@ class TestTwoIntersectingCircles:
     @pytest.mark.parametrize("pattern", ["point", "arc", "two"])
     def test_branch_formulas_agree_on_seams(self, two_intersecting_circles, pattern):
         res, _ = two_intersecting_circles[pattern]
-        geo = res.reference["geometry"]
+        geo = res.system.reference["geometry"]
         g = geo.graph
         if geo.seam_arc is not None:
             a, b = geo.seam_arc
@@ -193,7 +192,7 @@ class TestTwoIntersectingCircles:
         # evaluating the exceptional-fibre formula at y or at its radial
         # identification gives the same image point
         res, _ = two_intersecting_circles[pattern]
-        geo = res.reference["geometry"]
+        geo = res.system.reference["geometry"]
         g = geo.graph
         for i in range(1000):
             th = (i + 0.5) * math.tau / 1000.0
@@ -238,7 +237,7 @@ class TestCodingSystem:
 
     def test_factor_commutes_with_shift(self):
         bs, factor = sturmian(GOLDEN, 1500)
-        bound = 2.0 * word_precision(coding_word(0.1, GOLDEN, 1500)) + 1e-12
+        bound = 2.0 * coding_word(0.1, GOLDEN, 1500).arc[1] + 1e-12
         for i in range(1000):
             w = coding_word((0.123 + i * 0.000917) % 1.0, GOLDEN, 1500)
             lhs = float(factor(bs.apply(w)))
@@ -333,37 +332,7 @@ class TestRotationSearch:
         assert _star_discrepancy_oracle(vals) < 0.02
 
 
-# -- 8. redundant-open-set falsifier ------------------------------------------
-
-
-class TestMinimalityFalsifier:
-    METRIC = staticmethod(lambda a, b: min(abs(a - b) % 1.0, 1.0 - abs(a - b) % 1.0))
-
-    def _arc_predicate(self, start):
-        return lambda x: (x - start) % 1.0 < 0.1
-
-    def test_constant_map_flagged(self):
-        pts = [i / 500.0 for i in range(500)]
-        assert redundant_open_set_test(
-            lambda x: 0.37, pts, self.METRIC, self._arc_predicate(0.2), delta=1e-9
-        )
-
-    def test_doubling_map_flagged(self):
-        pts = [i / 500.0 for i in range(500)]
-        assert redundant_open_set_test(
-            lambda x: (2.0 * x) % 1.0, pts, self.METRIC, self._arc_predicate(0.2), delta=1e-9
-        )
-
-    def test_irrational_rotation_never_flagged(self):
-        pts = [i / 500.0 for i in range(500)]
-        rot = lambda x: (x + GOLDEN) % 1.0
-        rng = random.Random(3)
-        for _ in range(100):
-            pred = self._arc_predicate(rng.random())
-            assert not redundant_open_set_test(rot, pts, self.METRIC, pred, delta=1e-4)
-
-
-# -- 9. exact graph core -------------------------------------------------------
+# -- 8. exact graph core -------------------------------------------------------
 
 
 def _brute_force_circles(g):
@@ -391,39 +360,13 @@ def _brute_force_circles(g):
 class TestGraphCore:
     def test_circle_counts_match_brute_force(self):
         four_star = star_graph(4, 1.0)
-        figure_eight = build_graph(
-            {
-                "vertices": ["v"],
-                "edges": [
-                    {"id": "l", "from": "v", "to": "v", "length": 1.0},
-                    {"id": "r", "from": "v", "to": "v", "length": 1.0},
-                ],
-            }
-        )
-        theta = build_graph(
-            {
-                "vertices": ["p", "q"],
-                "edges": [
-                    {"id": "a", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "b", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "c", "from": "p", "to": "q", "length": 2.0},
-                ],
-            }
-        )
+        figure_eight = MetricGraph(["v"], [Edge("l", "v", "v", 1.0), Edge("r", "v", "v", 1.0)])
+        theta = MetricGraph(["p", "q"], [Edge(e, "p", "q", L) for e, L in (("a", 1.0), ("b", 1.0), ("c", 2.0))])
         for g, expect in ((four_star, 0), (figure_eight, 2), (theta, 3)):
             assert len(enumerate_circles(g)) == expect == _brute_force_circles(g)
 
     def test_retraction_idempotent_on_thousand_points(self):
-        theta = build_graph(
-            {
-                "vertices": ["p", "q"],
-                "edges": [
-                    {"id": "a", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "b", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "c", "from": "p", "to": "q", "length": 2.0},
-                ],
-            }
-        )
+        theta = MetricGraph(["p", "q"], [Edge(e, "p", "q", L) for e, L in (("a", 1.0), ("b", 1.0), ("c", 2.0))])
         c = next(cc for cc in enumerate_circles(theta) if "c" not in cc.edge_ids())
         r = build_retraction(theta, c)
         rng = random.Random(5)
@@ -434,7 +377,7 @@ class TestGraphCore:
             assert theta.path_distance(q1, q2) <= 1e-12
 
 
-# -- 10. odometer recurrence ----------------------------------------------------
+# -- 9. odometer recurrence ----------------------------------------------------
 
 
 class TestOdometerRecurrence:
@@ -445,7 +388,7 @@ class TestOdometerRecurrence:
             assert recurrence_horizon(bs, seed, 3.0 ** (-k), 10_000) == 2**k
 
 
-# -- 11. determinism -------------------------------------------------------------
+# -- 10. determinism -------------------------------------------------------------
 
 
 class TestDeterminism:

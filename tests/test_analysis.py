@@ -20,12 +20,10 @@ from bundlemin.analysis import (
     circles_report,
     classify_fibre,
     endpoint_statistics,
-    equidistribution_discrepancy,
     interior_detector,
-    redundant_open_set_test,
     typical_fibre_report,
 )
-from bundlemin.base_systems import GOLDEN, BaseSystem, CircleAngle, circle_rotation
+from bundlemin.base_systems import GOLDEN, BaseSystem, CircleAngle, circle_rotation, word_embedding
 from bundlemin.bundles import (
     BundlePoint,
     SkewSystem,
@@ -42,9 +40,8 @@ from bundlemin.constructions import (
     build_sturmian_cylinder,
     build_torus_on_mobius,
     chained_loops_graph,
-    word_embed,
 )
-from bundlemin.errors import EmptyG, EmptyInput, InvalidPoint, WrongInput
+from bundlemin.errors import EmptyInput, InvalidPoint, WrongInput
 from bundlemin.graphs import (
     Edge,
     GraphMap,
@@ -167,7 +164,7 @@ def _orbit_system(name):
     if name == "sturmian-cylinder":
         s = build_sturmian_cylinder(GOLDEN).system
         w = s.base.sampler(1)[0]
-        return s, BundlePoint(w, GraphPoint("I", word_embed(w)))
+        return s, BundlePoint(w, GraphPoint("I", word_embedding(w)))
     s = build_torus_on_mobius(GOLDEN, SQRT2_FRAC).system
     return s, BundlePoint(CircleAngle(0.1), GraphPoint("A", 0.2))
 
@@ -755,32 +752,3 @@ class TestCirclesReport:
         thinned = [sample.probe_class(b, 0.02, 0.02).points for b in probes[:3]]
         assert [len(args[1]) for args in calls] == [len(pts) for pts in thinned]
 
-
-class TestRedundantOpenSet:
-    def test_rotation_never_redundant(self):
-        pts = [i / 100.0 for i in range(100)]
-        metric = lambda a, b: min(abs(a - b) % 1.0, 1.0 - abs(a - b) % 1.0)
-        rot = lambda x: (x + GOLDEN) % 1.0
-        pred = lambda x: 0.3 <= x < 0.4
-        assert not redundant_open_set_test(rot, pts, metric, pred, delta=1e-3)
-
-    def test_constant_map_redundant(self):
-        pts = [i / 100.0 for i in range(100)]
-        metric = lambda a, b: abs(a - b)
-        const = lambda x: 0.5
-        pred = lambda x: 0.3 <= x < 0.4
-        assert redundant_open_set_test(const, pts, metric, pred, delta=1e-6)
-
-    def test_predicate_must_hold_somewhere(self):
-        with pytest.raises(EmptyG):
-            redundant_open_set_test(lambda x: x, [0.0], lambda a, b: 0.0, lambda x: False, 0.1)
-
-
-class TestDiscrepancyWrapper:
-    def test_matches_direct_computation(self):
-        vals = [(i * GOLDEN) % 1.0 for i in range(500)]
-        assert equidistribution_discrepancy(vals) < 0.02
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            equidistribution_discrepancy([])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bundlemin.base_systems import (
     GOLDEN,
+    _discrepancy_exact,
     CircleAngle,
     DoubledCode,
     TernaryCode,
@@ -22,14 +23,11 @@ from bundlemin.base_systems import (
     doubled_cantor,
     doubled_pair,
     embed_code,
-    periodic_orbit,
     quotient_base,
     recurrence_horizon,
-    star_discrepancy,
     sturmian,
     sturmian_fibre_codings,
     weyl_minimal_rotation,
-    word_precision,
 )
 from bundlemin.errors import BadBlowupCenter, SearchExhausted
 
@@ -49,7 +47,7 @@ class TestCircleRotation:
         x = CircleAngle(0.3)
         (y,) = bs.preimages(x)
         assert bs.metric(bs.apply(y), x) < 1e-12
-        assert bs.preimage_count(x) == 1
+        assert len(bs.preimages(x)) == 1
 
     def test_sampler_is_orbit(self):
         bs = circle_rotation(GOLDEN)
@@ -66,16 +64,6 @@ class TestCircleRotation:
         for _ in range(n):
             x, y = bs.apply(x), bs.apply(y)
         assert bs.metric(x, y) == pytest.approx(d0, abs=1e-9)
-
-
-class TestPeriodicOrbit:
-    def test_cycles(self):
-        bs = periodic_orbit(4)
-        x = bs.sampler(1)[0]
-        y = x
-        for _ in range(4):
-            y = bs.apply(y)
-        assert bs.metric(x, y) == 0.0
 
 
 class TestAddingMachine:
@@ -180,11 +168,11 @@ class TestDoubledCantor:
         bs = doubled_cantor()
         lo, hi = doubled_pair(bs)
         target = DoubledCode(bs.params["a"], 0)
-        assert bs.preimage_count(target) == 2
+        assert len(bs.preimages(target)) == 2
         assert set(bs.preimages(target)) == {lo, hi}
         assert bs.apply(lo) == target
         assert bs.apply(hi) == target
-        assert bs.preimage_count(lo) == 1
+        assert len(bs.preimages(lo)) == 1
 
     def test_backward_orbit_gaps_match_schedule(self):
         bs = doubled_cantor()
@@ -219,7 +207,7 @@ class TestQuotient:
         dc = doubled_cantor()
         q = quotient_base(dc)
         for x in q.sampler(32):
-            assert q.preimage_count(x) == 1
+            assert len(q.preimages(x)) == 1
 
     def test_preimages_invert_apply(self):
         dc = doubled_cantor()
@@ -241,15 +229,15 @@ class TestSturmian:
     def test_factor_recovers_angle(self):
         bs, factor = sturmian(GOLDEN, precision=800)
         w = coding_word(0.37, GOLDEN, 800)
-        assert circle_distance(float(factor(w)), 0.37) < word_precision(w) + 1e-12
-        assert word_precision(w) < 1e-2
+        assert circle_distance(float(factor(w)), 0.37) < w.arc[1] + 1e-12
+        assert w.arc[1] < 1e-2
 
     def test_shift_commutes_with_rotation(self):
         bs, factor = sturmian(GOLDEN, precision=800)
         w = coding_word(0.61, GOLDEN, 800)
         lhs = float(factor(bs.apply(w)))
         rhs = (float(factor(w)) + GOLDEN) % 1.0
-        assert circle_distance(lhs, rhs) < 2 * word_precision(w) + 1e-12
+        assert circle_distance(lhs, rhs) < 2 * w.arc[1] + 1e-12
 
     def test_generic_point_single_coding(self):
         words = sturmian_fibre_codings(GOLDEN, 0.2, 300)
@@ -268,17 +256,20 @@ class TestSturmian:
 
 
 class TestDiscrepancy:
+    """The exact star discrepancy the rotation search ranks candidates by."""
+
     def test_uniform_grid_is_small(self):
-        vals = [(i + 0.5) / 1000 for i in range(1000)]
-        assert star_discrepancy(vals) < 2e-3
+        # (i + 0.5) / 1000 = (2i + 1) / 2000
+        assert _discrepancy_exact([2 * i + 1 for i in range(1000)], 2000) < 2e-3
 
     def test_clustered_is_large(self):
-        vals = [0.1] * 100
-        assert star_discrepancy(vals) > 0.8
+        assert _discrepancy_exact([1] * 100, 10) > 0.8
 
     def test_golden_rotation_low_discrepancy(self):
-        vals = [(i * GOLDEN) % 1.0 for i in range(1000)]
-        assert star_discrepancy(vals) < 0.02
+        # these floats are whole multiples of 2^-64, so the numerators are exact
+        den = 1 << 64
+        nums = [int(Fraction((i * GOLDEN) % 1.0) * den) for i in range(1000)]
+        assert _discrepancy_exact(nums, den) < 0.02
 
 
 class TestWeylSearch:

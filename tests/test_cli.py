@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bundlemin
+from bundlemin import cli
 from bundlemin.base_systems import (
     CircleAngle,
     DoubledCode,
@@ -40,7 +41,7 @@ class TestBasePointTags:
         [
             CircleAngle(0.123456789),
             CircleAngle(GOLDEN),
-            TernaryCode(1234567, 40),
+            DoubledCode(TernaryCode(1234567, 40), 1),
             DoubledCode(TernaryCode(98765, 40), -1),
             DoubledCode(TernaryCode(98765, 40), 0),
             SymbolicWord((1 << 300) - 7, 400),
@@ -54,6 +55,15 @@ class TestBasePointTags:
             decode_base_point("martian:1:2")
         with pytest.raises(SchemaError):
             decode_base_point("dcode:zz")
+
+    @pytest.mark.parametrize(
+        "tag",
+        ["word:ff:-3", "word:ff:0", "word:1ff:8", "dcode:ff:0:0", "dcode:-ff:40:0", "dcode:ff:40:2",
+         "tern:ff:40", "per:1:2"],
+    )
+    def test_out_of_range_or_removed_kind_rejected(self, tag):
+        with pytest.raises(SchemaError):
+            decode_base_point(tag)
 
 
 class TestExitCodes:
@@ -75,13 +85,13 @@ class TestExitCodes:
 
     def test_step_cap(self, tmp_path, monkeypatch):
         assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
-        monkeypatch.setenv("BUNDLEMIN_CAP", "100")
+        monkeypatch.setattr(cli, "STEP_CAP", 100)
         rc = main(["minimal-set", "--out", str(tmp_path), "--steps", "20000"])
         assert rc == EXIT_CAP
 
     @pytest.mark.parametrize("transient, rc", [(100, EXIT_OK), (101, EXIT_CAP), (1e30, EXIT_CAP)])
     def test_transient_cap(self, tmp_path, monkeypatch, capsys, transient, rc):
-        monkeypatch.setenv("BUNDLEMIN_CAP", "100")
+        monkeypatch.setattr(cli, "STEP_CAP", 100)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"construction": "mobius", "transient": transient}))
         args = ["minimal-set", "--config", str(cfg), "--out", str(tmp_path), "--steps", "10"]
@@ -125,6 +135,8 @@ class TestConfigBoundary:
         "precision-boolean": {"construction": "sturmian-cylinder", "params": {"precision": True}},
         "precision-fractional": {"construction": "sturmian-cylinder", "params": {"precision": 40.7}},
         "m-fractional": {"construction": "m-circles", "params": {"m": 2.5}},
+        "m-too-large": {"construction": "m-circles", "params": {"m": 1500}},
+        "doubling-precision-too-small": {"construction": "theorem-d-1", "params": {"precision": 3}},
     }
 
     @staticmethod
@@ -243,7 +255,7 @@ class TestDamagedOut:
             (out / "sample.csv").read_bytes() + b"\xff\n"),
         "no-points": lambda out: (out / "sample.csv").write_text("step,base,tag,edge,parameter\n"),
         "provenance-not-json": lambda out: (out / "provenance.json").write_text("{oops"),
-        "tag-wrong-kind": lambda out: _replace_row(out / "sample.csv", 2, 2, "tern:ff:40"),
+        "tag-wrong-kind": lambda out: _replace_row(out / "sample.csv", 2, 2, "dcode:ff:40:0"),
         "tag-malformed": lambda out: _replace_row(out / "sample.csv", -1, 2, "angle:xyz"),
         "base-not-a-number": lambda out: _replace_row(out / "sample.csv", 2, 1, "abc"),
         "base-disagrees-with-tag": lambda out: _replace_row(out / "sample.csv", 2, 1, "0.5"),
@@ -281,6 +293,18 @@ class TestDamagedOut:
         assert main(["minimal-set", "--out", str(out), "--steps", "500"]) == EXIT_OK
         tag = (out / "sample.csv").read_text().splitlines()[2].split(",")[2]
         _replace_row(out / "sample.csv", 2, 2, tag.rpartition(":")[0] + ":1")
+        capsys.readouterr()
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    def test_word_tag_below_precision_one(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["build", "sturmian-cylinder", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        tag = (out / "sample.csv").read_text().splitlines()[2].split(",")[2]
+        _replace_row(out / "sample.csv", 2, 2, tag.rpartition(":")[0] + ":-3")
         capsys.readouterr()
         assert main([command, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation, coding_word
+from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation, coding_word, word_embedding
 from bundlemin.bundles import BundlePoint, apply_skew, orbit
 from bundlemin.constructions import (
     build_circle_minimal_product,
@@ -21,7 +21,6 @@ from bundlemin.constructions import (
     case2_branch_images,
     chained_loops_graph,
     mobius_boundary_circle_map,
-    word_embed,
 )
 from bundlemin import constructions
 from bundlemin.cli import CONSTRUCTIONS
@@ -115,10 +114,10 @@ class TestSturmianCylinder:
         res = build_sturmian_cylinder(GOLDEN, precision=400)
         s = res.system
         w = coding_word(0.23, GOLDEN, 400)
-        x = BundlePoint(w, GraphPoint("I", word_embed(w)))
+        x = BundlePoint(w, GraphPoint("I", word_embedding(w)))
         for _ in range(40):
             x = apply_skew(s, x)
-            assert x.y.t == pytest.approx(word_embed(x.b), abs=1e-12)
+            assert x.y.t == pytest.approx(word_embedding(x.b), abs=1e-12)
 
     def test_off_graph_points_collapse_in_one_step(self):
         res = build_sturmian_cylinder(GOLDEN, precision=400)
@@ -155,18 +154,7 @@ class TestCircleProduct:
 
 class TestMCircles:
     def test_intersecting_circles_rejected(self):
-        from bundlemin.graphs import build_graph
-
-        g = build_graph(
-            {
-                "vertices": ["p", "q"],
-                "edges": [
-                    {"id": "a", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "b", "from": "p", "to": "q", "length": 1.0},
-                    {"id": "c", "from": "p", "to": "q", "length": 2.0},
-                ],
-            }
-        )
+        g = MetricGraph(["p", "q"], [Edge(e, "p", "q", L) for e, L in (("a", 1.0), ("b", 1.0), ("c", 2.0))])
         c1, c2 = enumerate_circles(g)[:2]
         with pytest.raises(CirclesIntersect):
             build_m_circles(circle_rotation(GOLDEN), g, [c1, c2], angle=SQRT2_FRAC)
@@ -201,7 +189,7 @@ class TestMCircles:
 class TestCase1:
     def test_sides_partition_base(self):
         res = build_theorem_d_case1(precision=30)
-        side = res.reference["side_of"]
+        side = res.system.reference["side_of"]
         q = res.system.base
         sides = {side(x) for x in q.sampler(64)}
         assert sides == {1, 2}
@@ -220,8 +208,8 @@ class TestCase1:
     def test_orbit_rides_circles(self):
         res = build_theorem_d_case1(precision=30)
         s = res.system
-        xs = orbit(s, res.reference["seed"], 200, transient=2)
-        side = res.reference["side_of"]
+        xs = orbit(s, res.system.reference["seed"], 200, transient=2)
+        side = res.system.reference["side_of"]
         for x in xs:
             assert x.y.edge == ("s1" if side(x.b) == 1 else "s2")
 
@@ -236,7 +224,7 @@ class TestCase2:
     @pytest.mark.parametrize("pattern", ["point", "arc", "two"])
     def test_charts_roundtrip(self, pattern):
         res = build_theorem_d_case2(pattern, precision=20)
-        geo = res.reference["geometry"]
+        geo = res.system.reference["geometry"]
         for k in range(1, 40):
             th = k * math.tau / 40.0
             p = geo.push_outer(th)
@@ -247,7 +235,7 @@ class TestCase2:
     @pytest.mark.parametrize("pattern", ["point", "arc", "two"])
     def test_branches_agree_on_seams(self, pattern):
         res = build_theorem_d_case2(pattern, precision=20)
-        geo = res.reference["geometry"]
+        geo = res.system.reference["geometry"]
         g = geo.graph
         for th in geo.seam_thetas:
             y = geo.push_outer(th)
@@ -257,7 +245,7 @@ class TestCase2:
 
     def test_radial_projection_moves_points_off_seam(self):
         res = build_theorem_d_case2("point", precision=20)
-        geo = res.reference["geometry"]
+        geo = res.system.reference["geometry"]
         y = geo.push_outer(math.pi)  # inner radius is 1/2 here
         p = geo.radial_project(y)
         assert p.edge != y.edge
@@ -266,10 +254,10 @@ class TestCase2:
 
     def test_fibre_map_interpolation_accuracy(self):
         res = build_theorem_d_case2("point", precision=20)
-        geo = res.reference["geometry"]
-        rho = res.reference["rotation"]
+        geo = res.system.reference["geometry"]
+        rho = res.system.reference["rotation"]
         # side-2 map pushes onto the inner curve; compare against the formula
-        side = res.reference["side_of"]
+        side = res.system.reference["side_of"]
         q = res.system.base
         b = next(x for x in q.sampler(16) if side(q.apply(x)) == 2)
         m = res.system.fibre_family(b)
@@ -426,8 +414,8 @@ def default_seed(name: str, result, seed_index: int) -> BundlePoint:
         return BundlePoint(CircleAngle(0.1), GraphPoint("I", 1.0))
     if name == "sturmian-cylinder":
         w = s.base.sampler(seed_index + 1)[-1]
-        return BundlePoint(w, GraphPoint("I", word_embed(w)))
-    ref_seed = result.reference.get("seed")
+        return BundlePoint(w, GraphPoint("I", word_embedding(w)))
+    ref_seed = result.system.reference.get("seed")
     if ref_seed is not None and seed_index == 0:
         return ref_seed
     b = s.base.sampler(seed_index + 1)[-1]
@@ -476,6 +464,6 @@ class TestRegistry:
         base = result.system.base
         points = base.sampler(8) + [result.seed(i).b for i in range(3)]
         points += [base.apply(b) for b in points]
-        if "exceptional_base" in result.reference:
-            points.append(result.reference["exceptional_base"])
+        if "exceptional_base" in result.system.reference:
+            points.append(result.system.reference["exceptional_base"])
         assert all(isinstance(b, base.point_type) for b in points)

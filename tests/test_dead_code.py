@@ -1,0 +1,74 @@
+"""No dead library surface: every top-level function and class in
+``src/bundlemin``, and every method of such a class, is named somewhere else
+in ``src/``, unless it is allowed below."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+#: definitions nothing in src/ calls, kept because tests use them as the
+#: reference for a construction or a base (``rotation_number_of_circle_map``
+#: and ``Circle.contains_point`` are reached through ``rotation_number``)
+ORACLES = {
+    "analysis.SampledSet.from_points",
+    "base_systems.adding_machine",
+    "base_systems.code_from_digits",
+    "base_systems.recurrence_horizon",
+    "base_systems.sturmian_fibre_codings",
+    "bundles.orbit",
+    "constructions.case2_branch_images",
+    "constructions.mobius_boundary_circle_map",
+    "graphs.check_continuity",
+    "graphs.interval_graph",
+    "graphs.rotation_number",
+    "graphs.star_graph",
+}
+
+
+def tracer_pinned() -> set[str]:
+    """The attribute names the benchmark tracer wraps by name, read from the
+    ``FUNCTIONS`` table of ``perfbench/tracer.py``; none once that table is
+    gone."""
+    if not TRACER.exists():
+        return set()
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
+            return {owner_attr.elts[1].value for owner_attr in node.value.values}
+    return set()
+
+
+def uncalled_definitions() -> set[str]:
+    """``module.name`` or ``module.Class.method`` of each definition whose
+    name no module in src/ reads, as a name, an attribute or an import."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            names = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                names += [(f"{node.name}.{m.name}", m.name) for m in node.body if isinstance(m, defs)]
+            out.update(f"{path.stem}.{qual}" for qual, name in names if name not in read)
+    return out
+
+
+def test_every_uncalled_definition_is_pinned_or_an_oracle():
+    pinned = tracer_pinned()
+    names = {qual: qual.rpartition(".")[2] for qual in uncalled_definitions()}
+    dunder = {qual for qual, name in names.items() if name.startswith("__") and name.endswith("__")}
+    assert {qual for qual, name in names.items() if name not in pinned} - dunder == ORACLES

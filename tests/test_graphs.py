@@ -10,8 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundlemin.errors import (
-    DanglingEdge,
-    EmptyGraph,
     InvalidPoint,
     NonPositiveLength,
     NotACircle,
@@ -23,19 +21,15 @@ from bundlemin.graphs import (
     GraphPoint,
     MapPiece,
     PathSeg,
-    build_graph,
     build_retraction,
     check_continuity,
     circle_graph,
     circle_rotation_pieces,
     MetricGraph,
-    compose_eval,
     enumerate_circles,
     eval_graph_map,
     identity_map,
     interval_graph,
-    path_distance,
-    point_order,
     rotation_number,
     rotation_number_of_circle_map,
     shortest_path_segments,
@@ -46,45 +40,24 @@ from bundlemin.graphs import (
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _spec(vertices, edges):
-    return {
-        "vertices": vertices,
-        "edges": [{"id": i, "from": u, "to": v, "length": L} for i, u, v, L in edges],
-    }
-
-
 def theta_graph():
     # two vertices joined by three arcs of lengths 1, 1, 2
-    return build_graph(
-        _spec(["p", "q"], [("a", "p", "q", 1.0), ("b", "p", "q", 1.0), ("c", "p", "q", 2.0)])
+    return MetricGraph(
+        ["p", "q"], [Edge("a", "p", "q", 1.0), Edge("b", "p", "q", 1.0), Edge("c", "p", "q", 2.0)]
     )
 
 
 def figure_eight():
-    return build_graph(_spec(["v"], [("l", "v", "v", 1.0), ("r", "v", "v", 1.0)]))
+    return MetricGraph(["v"], [Edge("l", "v", "v", 1.0), Edge("r", "v", "v", 1.0)])
 
 
 class TestBuildGraph:
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyGraph):
-            build_graph({"vertices": [], "edges": []})
-
     def test_rejects_nonpositive_length(self):
         with pytest.raises(NonPositiveLength):
-            build_graph(_spec(["v"], [("e", "v", "v", 0.0)]))
-
-    def test_rejects_dangling_edge(self):
-        with pytest.raises(DanglingEdge):
-            build_graph(_spec(["v"], [("e", "v", "w", 1.0)]))
-
-    def test_rejects_duplicate_edge_ids(self):
-        with pytest.raises(DanglingEdge):
-            build_graph(_spec(["v"], [("e", "v", "v", 1.0), ("e", "v", "v", 2.0)]))
+            MetricGraph(["v"], [Edge("e", "v", "v", 0.0)])
 
     def test_detects_disconnected(self):
-        g = build_graph(
-            _spec(["a", "b", "c", "d"], [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)])
-        )
+        g = MetricGraph(["a", "b", "c", "d"], [Edge("e1", "a", "b", 1.0), Edge("e2", "c", "d", 1.0)])
         assert not g.is_connected()
         assert g.n_components() == 2
 
@@ -99,18 +72,18 @@ class TestBuildGraph:
 class TestPathDistance:
     def test_same_edge(self):
         g = interval_graph(2.0)
-        d = path_distance(g, GraphPoint("I", 0.25), GraphPoint("I", 0.75))
+        d = g.path_distance(GraphPoint("I", 0.25), GraphPoint("I", 0.75))
         assert d == pytest.approx(1.0)
 
     def test_across_vertex(self):
         g = star_graph(3, 1.0)
         # two leg tips meet only through the centre
-        d = path_distance(g, GraphPoint("b1", 1.0), GraphPoint("b2", 1.0))
+        d = g.path_distance(GraphPoint("b1", 1.0), GraphPoint("b2", 1.0))
         assert d == pytest.approx(2.0)
 
     def test_loop_shortcut(self):
         g = circle_graph(1.0)
-        d = path_distance(g, GraphPoint("c", 0.1), GraphPoint("c", 0.9))
+        d = g.path_distance(GraphPoint("c", 0.1), GraphPoint("c", 0.9))
         # around the loop through the vertex is shorter than along the edge
         assert d == pytest.approx(0.2)
 
@@ -123,8 +96,8 @@ class TestPathDistance:
             GraphPoint("a", 0.0),
         ]
         for x, y, z in itertools.permutations(pts, 3):
-            assert path_distance(g, x, z) <= (
-                path_distance(g, x, y) + path_distance(g, y, z) + 1e-12
+            assert g.path_distance(x, z) <= (
+                g.path_distance(x, y) + g.path_distance(y, z) + 1e-12
             )
 
     @given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
@@ -132,14 +105,13 @@ class TestPathDistance:
     def test_symmetry_and_identity(self, s, t):
         g = theta_graph()
         x, y = GraphPoint("a", s), GraphPoint("c", t)
-        assert path_distance(g, x, y) == pytest.approx(path_distance(g, y, x))
-        assert path_distance(g, x, x) == 0.0
+        assert g.path_distance(x, y) == pytest.approx(g.path_distance(y, x))
+        assert g.path_distance(x, x) == 0.0
 
     def test_vertex_identification(self):
         g = theta_graph()
         # a(1) and b(1) are both vertex q
-        assert path_distance(g, GraphPoint("a", 1.0), GraphPoint("b", 1.0)) == 0.0
-        assert g.points_equal(GraphPoint("a", 1.0), GraphPoint("b", 1.0))
+        assert g.path_distance(GraphPoint("a", 1.0), GraphPoint("b", 1.0)) == 0.0
 
     def test_vectorized_matches_scalar(self):
         import numpy as np
@@ -155,21 +127,19 @@ class TestPathDistance:
 
 
 class TestPointOrder:
-    def test_interior_is_two(self):
-        g = theta_graph()
-        assert point_order(g, GraphPoint("c", 0.5)) == 2
+    """The order of a vertex is its germ count; a self-loop gives two."""
 
     def test_theta_vertex_is_three(self):
         g = theta_graph()
-        assert point_order(g, GraphPoint("a", 0.0)) == 3
+        assert len(g.germs_at(g.vertex_of(GraphPoint("a", 0.0)))) == 3
 
     def test_interval_tip_is_one(self):
         g = interval_graph(1.0)
-        assert point_order(g, GraphPoint("I", 0.0)) == 1
+        assert len(g.germs_at(g.vertex_of(GraphPoint("I", 0.0)))) == 1
 
     def test_figure_eight_vertex_is_four(self):
         g = figure_eight()
-        assert point_order(g, GraphPoint("l", 0.0)) == 4
+        assert len(g.germs_at(g.vertex_of(GraphPoint("l", 0.0)))) == 4
 
 
 def _brute_force_circle_count(g) -> int:
@@ -278,7 +248,7 @@ class TestGraphMaps:
         g = theta_graph()
         f = identity_map(g)
         for p in [GraphPoint("a", 0.3), GraphPoint("c", 0.99)]:
-            assert path_distance(g, p, eval_graph_map(f, p)) < 1e-12
+            assert g.path_distance(p, eval_graph_map(f, p)) < 1e-12
 
     def test_continuity_accepts_identity(self):
         assert check_continuity(identity_map(theta_graph()))
@@ -308,7 +278,7 @@ class TestGraphMaps:
     def test_compose(self):
         g = circle_graph(1.0)
         f = _doubling_map(g)
-        q = compose_eval([f, f], GraphPoint("c", 0.1))
+        q = eval_graph_map(f, eval_graph_map(f, GraphPoint("c", 0.1)))
         assert q.t == pytest.approx(0.4)
 
     @given(t=st.floats(0.0, 1.0))
@@ -332,7 +302,7 @@ class TestRetraction:
         for p in [GraphPoint("a", 0.2), GraphPoint("b", 0.8), GraphPoint("c", 0.5)]:
             q = eval_graph_map(r, p)
             assert c.contains_point(g, q)
-            assert path_distance(g, q, eval_graph_map(r, q)) < 1e-12
+            assert g.path_distance(q, eval_graph_map(r, q)) < 1e-12
 
     def test_rotation_pieces(self):
         g = circle_graph(1.0)
@@ -352,7 +322,7 @@ class TestShortestPath:
         assert segs[0].edge == "b1"
         assert segs[-1].edge == "b3"
         total = sum(s.length(g) for s in segs)
-        assert total == pytest.approx(path_distance(g, p, q))
+        assert total == pytest.approx(g.path_distance(p, q))
 
     def test_same_edge_path(self):
         g = interval_graph(1.0)

@@ -81,6 +81,11 @@ class SampledSet:
         order = np.argsort(self.base_embed, kind="stable")
         return order, self.base_embed[order]
 
+    def base_offsets(self, embeds: np.ndarray, e: float) -> np.ndarray:
+        """Signed base offsets embeds - e, wrapped into [-1/2, 1/2] on a circular base."""
+        d = embeds - e
+        return d - np.round(d) if self._circular else d
+
     def slice_indices(self, b: BasePoint, delta_base: float) -> np.ndarray:
         """Indices, ascending, of the points within delta_base of b in the
         base (distances wrap for a circular base).  Only the points in a
@@ -100,11 +105,7 @@ class SampledSet:
             order[np.searchsorted(sorted_e, lo, "left"):np.searchsorted(sorted_e, hi, "right")]
             for lo, hi in windows
         ])
-        d = np.abs(self.base_embed[cand] - e)
-        if self._circular:
-            d %= 1.0
-            d = np.minimum(d, 1.0 - d)
-        return np.sort(cand[d <= delta_base])
+        return np.sort(cand[np.abs(self.base_offsets(self.base_embed[cand], e)) <= delta_base])
 
     def slice_arrays(self, b: BasePoint, delta_base: float) -> tuple[np.ndarray, np.ndarray]:
         """The fibre slice over b as (edge index, t) arrays: the points
@@ -199,8 +200,9 @@ class FibreClass:
     m: int | None = None
     scale: float = 0.0
     circles: tuple[frozenset, ...] = ()
-    #: the fibre slice the verdict was computed from, as given
-    points: tuple[GraphPoint, ...] = field(default=(), compare=False, repr=False)
+    #: the fibre slice the verdict was computed from, as (edge index, t) arrays
+    edge_idx: np.ndarray | None = field(default=None, compare=False, repr=False)
+    ts: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.kind == "finite":
@@ -255,13 +257,12 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
 
     Order of tests: finite point set, union of circles, Cantor-like dust,
     Unknown. The slice is clustered as given (``FibreIndex`` keeps that
-    O(n log n)), and it is kept on the verdict as ``points``.
+    O(n log n)), and it is kept on the verdict as ``edge_idx`` and ``ts``.
     """
     if not fibre_sample:
         raise EmptyInput("empty fibre sample")
-    pts = tuple(fibre_sample)
-    verdict = partial(FibreClass, scale=delta, points=pts)
-    edge_idx, ts = g.point_arrays(pts)
+    edge_idx, ts = g.point_arrays(fibre_sample)
+    verdict = partial(FibreClass, scale=delta, edge_idx=edge_idx, ts=ts)
     index = FibreIndex(g, edge_idx, ts)
     comps, gap = index.components(delta)
     n = len(comps)
@@ -379,6 +380,9 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
     sample point is delta/2-covered by the sample, relative to the sampled
     base space.
 
+    The box around a sample point x0 is ``slice_arrays`` over x0, in the
+    chart of x0, and its base offsets wrap as in ``slice_indices``, so the
+    verdict does not depend on where the seam of a circular base falls.
     Base probes are taken from the sample's own base coordinates, so a
     Cantor base does not count its embedding gaps against coverage.
     """
@@ -390,12 +394,12 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
         box = sample.slice_indices(sample.bases[x0], delta)
         if len(box) < 4:
             continue
-        ei = sample.edge_idx[box]
-        tt = sample.ts[box]
+        ei, tt = sample.slice_arrays(sample.bases[x0], delta)
         be = sample.base_embed[box]
-        # base probes: spread through the boxed base coordinates
-        order = np.argsort(be)
-        base_gaps = [np.abs(be - be[order[i]]) for i in (0, len(order) // 2, -1)]
+        # base probes: the boxed points farthest back, in the middle and
+        # farthest on from x0 along the base
+        order = np.argsort(sample.base_offsets(be, sample.base_embed[x0]))
+        base_gaps = [np.abs(sample.base_offsets(be, be[order[i]])) for i in (0, len(order) // 2, -1)]
         pe, pt = _fibre_window_probes(
             g, sample.edge_idx[x0], sample.ts[x0], INTERIOR_WINDOW_FACTOR * delta, delta / 4.0
         )
@@ -437,6 +441,19 @@ def _in_homeo_part(base: BaseSystem, b: BasePoint, window: int = 10) -> bool:
     return True
 
 
+def _probe_verdicts(
+    sample: SampledSet, probes: Sequence[BasePoint], delta_base: float, delta: float
+) -> list[tuple[BasePoint, FibreClass]]:
+    """(probe, ``probe_class``) of each probe with a nonempty fibre slice,
+    in probe order; both fibre reports read this one list."""
+    return [(b, v) for b in probes if (v := sample.probe_class(b, delta_base, delta)) is not None]
+
+
+def _modal(keys: list) -> object:
+    """The most frequent key; a tie goes to the key seen first."""
+    return max(keys, key=keys.count)
+
+
 def typical_fibre_report(
     s: SkewSystem,
     sample: SampledSet,
@@ -447,18 +464,12 @@ def typical_fibre_report(
     """Classify fibre slices over homeo-part probes and report the modal class."""
     if delta_base is None:
         delta_base = delta
-    verdicts: list[tuple[BasePoint, FibreClass]] = []
-    for b in base_probe:
-        if not _in_homeo_part(s.base, b):
-            continue
-        v = sample.probe_class(b, delta_base, delta)
-        if v is not None:
-            verdicts.append((b, v))
+    homeo = [b for b in base_probe if _in_homeo_part(s.base, b)]
+    verdicts = _probe_verdicts(sample, homeo, delta_base, delta)
     if not verdicts:
         raise NoProbes("no usable probes after the homeo-part filter")
     keys = [str(v) for _, v in verdicts]
-    # a tie goes to the class seen first in probe order, not to hash order
-    modal = max(keys, key=keys.count)
+    modal = _modal(keys)
     share = keys.count(modal) / len(keys)
     typical = next(v for _, v in verdicts if str(v) == modal) if share >= 0.9 else None
     finite_ns = [v.n for _, v in verdicts if v.kind == "finite" and v.n is not None]
@@ -495,18 +506,13 @@ def circles_report(
         delta_base = delta
     g = s.bundle.fibre
     all_circles = {c.edge_ids(): c for c, _, _ in _circle_grids(g, delta / 4.0)}
-    verdicts: list[tuple[BasePoint, FibreClass]] = []
-    for b in base_probe:
-        v = sample.probe_class(b, delta_base, delta)
-        if v is not None:
-            verdicts.append((b, v))
+    verdicts = _probe_verdicts(sample, base_probe, delta_base, delta)
     if not verdicts:
         raise NoProbes("no nonempty fibre slices over the probes")
     non_circle = sum(1 for _, v in verdicts if v.kind != "circles")
     if 2 * non_circle > len(verdicts):
         raise NotCircleCase(f"{non_circle}/{len(verdicts)} probes are not circle fibres")
-    counts = [v.m for _, v in verdicts if v.kind == "circles"]
-    m = max(set(counts), key=counts.count)
+    m = _modal([v.m for _, v in verdicts if v.kind == "circles"])
     exceptional = tuple(
         repr(b) for b, v in verdicts if v.kind == "circles" and v.m > m
     )
@@ -517,7 +523,7 @@ def circles_report(
         if v.kind != "circles" or v.m != m or tested >= image_probes:
             continue
         tested += 1
-        images = eval_graph_map_arrays(s.fibre_family(b), *g.point_arrays(v.points))
+        images = eval_graph_map_arrays(s.fibre_family(b), v.edge_idx, v.ts)
         img_class = classify_fibre(g, g.points_from_arrays(*images), delta)
         if img_class.kind != "circles" or img_class.m != m:
             ok = False

@@ -783,7 +783,8 @@ CONSTRUCTIONS: dict[str, Callable[[dict], ConstructionResult]] = {
     "circle-product": _from_params(_circle_product),
     "m-circles": _from_params(_m_circles),
     "theorem-d-1": _from_params(build_theorem_d_case1),
-    "theorem-d-2:point": _from_params(partial(build_theorem_d_case2, "point")),
+    # only the arc pattern reads the plateau end theta0
+    "theorem-d-2:point": _from_params(lambda precision=40: build_theorem_d_case2("point", precision)),
     "theorem-d-2:arc": _from_params(partial(build_theorem_d_case2, "arc")),
-    "theorem-d-2:two": _from_params(partial(build_theorem_d_case2, "two")),
+    "theorem-d-2:two": _from_params(lambda precision=40: build_theorem_d_case2("two", precision)),
 }

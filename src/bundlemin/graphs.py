@@ -11,7 +11,6 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -424,64 +423,47 @@ class MapPiece:
 
 @dataclass(frozen=True)
 class GraphMap:
-    """Per-edge subdivision into pieces, each mapped affinely onto an edge path."""
+    """Per-edge subdivision into pieces, each mapped affinely onto an edge path.
+
+    The pieces of each domain edge must tile [0, 1]: the first ``lo`` is 0,
+    each ``hi`` is the next ``lo``, the last ``hi`` is 1, and no piece is
+    empty; building a map that breaks this raises ``InvalidPoint``.  The
+    build compiles ``_table``, which both evaluators read: per domain edge
+    id, the piece ``lo`` list and one row per piece, ``(lo, hi - lo, total,
+    const edge index, const t, const, segs)``, where ``total`` is the path
+    length, ``const`` the image of a piece that collapses to a point (else
+    None, edge index -1) and a seg is ``(edge, t0, t1 - t0, length, length
+    + 1e-15, is_last, edge index)``.  ``pieces`` must not change afterwards.
+    """
 
     domain: MetricGraph
     codomain: MetricGraph
     pieces: dict[str, tuple[MapPiece, ...]] = field(compare=False)
 
-    @cached_property
-    def _compiled(self) -> dict[str, tuple[list[float], list[tuple]]]:
-        """Per edge: the piece ``lo`` list and one flat tuple per piece.
-
-        A piece tuple is ``(lo - 1e-12, hi + 1e-12, lo, hi - lo, total,
-        const, segs)``: ``total`` is the path length, ``const`` the image
-        point of a piece that collapses to a point (else None), and each seg
-        is ``(edge, t0, t1 - t0, length, length + 1e-15, is_last)``.  Each
-        value is the float the evaluation formula needs, computed once per
-        map instead of once per call; ``pieces`` must not change after the
-        first evaluation.
-        """
+    def __post_init__(self) -> None:
         g2 = self.codomain
-        out = {}
-        for eid, plist in self.pieces.items():
-            compiled = []
+        table = {}
+        for e in self.domain.edges:
+            plist = self.pieces.get(e.id, ())
+            rows = []
+            end = 0.0
             for pc in plist:
-                total = sum(seg.length(g2) for seg in pc.path)
-                const = None
-                if total <= 0.0 or pc.hi - pc.lo <= 0.0:
-                    const = GraphPoint(pc.path[0].edge, pc.path[0].t0)
+                if pc.lo != end or not pc.lo < pc.hi:
+                    break
+                end = pc.hi
+                lengths = [sg.length(g2) for sg in pc.path]
+                total = sum(lengths)
+                const = GraphPoint(pc.path[0].edge, pc.path[0].t0) if total <= 0.0 else None
                 segs = tuple(
-                    (sg.edge, sg.t0, sg.t1 - sg.t0, sg.length(g2), sg.length(g2) + 1e-15,
-                     sg is pc.path[-1])
-                    for sg in pc.path
+                    (sg.edge, sg.t0, sg.t1 - sg.t0, sl, sl + 1e-15, sg is pc.path[-1], g2.edge_index(sg.edge))
+                    for sg, sl in zip(pc.path, lengths)
                 )
-                compiled.append(
-                    (pc.lo - 1e-12, pc.hi + 1e-12, pc.lo, pc.hi - pc.lo, total, const, segs)
-                )
-            out[eid] = ([pc.lo for pc in plist], compiled)
-        return out
-
-    @cached_property
-    def _piece_tables(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``_compiled`` as arrays, per domain edge index: ``(pieces, const,
-        segs)``, one row per piece.  A ``pieces`` row is (lo - 1e-12, hi +
-        1e-12, lo, hi - lo, total); a ``const`` row the codomain edge index
-        and t of a constant piece's image (edge -1 for other pieces); a
-        ``segs`` row the piece's segments as (codomain edge index, t0, t1 -
-        t0, length, length + 1e-15, is_last), padded to the longest path
-        with copies of its last segment, which is never read past."""
-        g2 = self.codomain
-        out = {}
-        for eid, (_, plist) in self._compiled.items():
-            k = max(len(pc[6]) for pc in plist)
-            out[self.domain.edge_index(eid)] = (
-                np.array([pc[:5] for pc in plist], dtype=float),
-                np.array([(g2.edge_index(c.edge), c.t) if c else (-1, 0.0) for c in (pc[5] for pc in plist)]),
-                np.array([[(g2.edge_index(sg[0]), *sg[1:]) for sg in pc[6] + pc[6][-1:] * (k - len(pc[6]))]
-                          for pc in plist], dtype=float),
-            )
-        return out
+                ce, ct = (g2.edge_index(const.edge), const.t) if const else (-1, 0.0)
+                rows.append((pc.lo, pc.hi - pc.lo, total, ce, ct, const, segs))
+            if end != 1.0 or len(rows) < len(plist):
+                raise InvalidPoint(f"the pieces of edge {e.id!r} do not tile [0, 1]")
+            table[e.id] = ([pc.lo for pc in plist], rows)
+        object.__setattr__(self, "_table", table)
 
 
 def _py_clamp(x: np.ndarray) -> np.ndarray:
@@ -493,62 +475,51 @@ def _py_clamp(x: np.ndarray) -> np.ndarray:
 
 def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``eval_graph_map`` of each point (ei, tt), bit for bit, as (codomain
-    edge index, t) arrays: the same piece choice, tolerances, clamps and
-    float operations in the same order (a point its bisected piece misses
-    goes through ``eval_graph_map``), and ``InvalidPoint`` for a parameter
-    outside [0, 1] or not covered by a piece."""
+    edge index, t) arrays: the rows of the map's ``_table``, read as
+    arrays, with the same piece choice, clamps and float operations in the
+    same order, and ``InvalidPoint`` for a parameter outside [0, 1]."""
     outside = ~((tt >= 0.0) & (tt <= 1.0))
     if outside.any():
         j = int(np.flatnonzero(outside)[0])
         raise InvalidPoint(f"parameter {tt[j]} outside [0, 1] on edge {m.domain.edges[ei[j]].id!r}")
     out_e = np.empty(len(ei), dtype=int)
     out_t = np.empty(len(ei), dtype=float)
-    mapped = 0
-    for k, (pieces, const, segs) in m._piece_tables.items():
+    for k in np.unique(ei).tolist():
+        _, rows = m._table[m.domain.edges[k].id]
+        lo, width, total, const_e, const_t = np.array([r[:5] for r in rows]).T
+        # each path padded to the longest with copies of its last segment,
+        # which is never read past
+        n = max(len(r[6]) for r in rows)
+        segs = np.array([[sg[1:] for sg in r[6] + r[6][-1:] * (n - len(r[6]))] for r in rows])
         at = np.flatnonzero(ei == k)
-        mapped += len(at)
-        lo_tol, hi_tol, lo, width, total = pieces.T
         t = tt[at]
-        p = np.maximum(np.searchsorted(lo, t, side="right") - 1, 0)
-        held = (lo_tol[p] <= t) & (t <= hi_tol[p])
-        for j in np.flatnonzero(~held):
-            y = eval_graph_map(m, GraphPoint(m.domain.edges[k].id, float(t[j])))
-            out_e[at[j]], out_t[at[j]] = m.codomain.edge_index(y.edge), y.t
-        at, p, t = at[held], p[held], t[held]
-        fixed = const[p, 0] >= 0
-        out_e[at[fixed]], out_t[at[fixed]] = const[p[fixed], 0], const[p[fixed], 1]
+        p = np.searchsorted(lo, t, side="right") - 1
+        fixed = const_e[p] >= 0
+        out_e[at[fixed]], out_t[at[fixed]] = const_e[p[fixed]], const_t[p[fixed]]
         at, p, t = at[~fixed], p[~fixed], t[~fixed]
         s = _py_clamp((t - lo[p]) / width[p]) * total[p]
-        for j in range(segs.shape[1]):
-            edge, t0, dt, sl, sl_tol, last = segs[p, j].T
+        for j in range(n):
+            t0, dt, sl, sl_tol, last, edge = segs[p, j].T
             hit = (s <= sl_tol) | (last != 0)
             sh, slh = s[hit], sl[hit]
             frac = _py_clamp(np.where(slh > 0, sh / np.where(slh > 0, slh, 1.0), 0.0))
             out_e[at[hit]] = edge[hit]
             out_t[at[hit]] = _py_clamp(t0[hit] + dt[hit] * frac)
             at, p, s = at[~hit], p[~hit], s[~hit] - sl[~hit]
-    if mapped != len(ei):
-        raise InvalidPoint("a point lies on an edge the map has no pieces for")
     return out_e, out_t
 
 
 def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:
     m.domain.validate_point(p)
     t = p.t
-    lows, plist = m._compiled[p.edge]
-    lo_tol, hi_tol, lo, width, total, const, segs = plist[max(bisect_right(lows, t) - 1, 0)]
-    if not (lo_tol <= t <= hi_tol):
-        for lo_tol, hi_tol, lo, width, total, const, segs in plist:
-            if lo_tol <= t <= hi_tol:
-                break
-        else:
-            raise InvalidPoint(f"no piece covers t={t} on edge {p.edge!r}")
+    lows, rows = m._table[p.edge]
+    lo, width, total, _, _, const, segs = rows[bisect_right(lows, t) - 1]
     if const is not None:
         return const
     u = (t - lo) / width
     u = min(max(u, 0.0), 1.0)
     s = u * total
-    for edge, t0, dt, sl, sl_tol, last in segs:
+    for edge, t0, dt, sl, sl_tol, last, _ in segs:
         if s <= sl_tol or last:
             frac = s / sl if sl > 0 else 0.0
             frac = min(max(frac, 0.0), 1.0)

@@ -499,7 +499,8 @@ class TestClassifyFibre:
         pts = [GraphPoint("c", i / 400.0) for i in range(400)]
         c = classify_fibre(g, pts, 0.05)
         assert str(c) == "Circles(1)"
-        assert c.points == tuple(pts)
+        assert c.edge_idx.tolist() == [0] * 400
+        assert c.ts.tolist() == [p.t for p in pts]
 
 
 def _mobius_sample(delta=0.02, n=30_000):
@@ -596,20 +597,30 @@ def reference_fibre_window_probes(g, y0, radius, spacing):
 
 def reference_interior_detector(bundle, sample, delta):
     """``interior_detector`` as a loop over fibre probes, one
-    ``distances_to_many`` per probe, stopping at the first uncovered pair."""
+    ``distances_to_many`` per probe, stopping at the first uncovered pair.
+    The box is ``reference_fibre_slice`` over x0, each point transported to
+    the chart of x0; on a circular base, base offsets wrap the short way
+    round, and the base probes are the boxed points farthest back, in the
+    middle and farthest on from x0."""
     g = bundle.fibre
     n = len(sample.points)
     if n == 0:
         return False
+    circular = sample.base.circular
+
+    def base_gap(a, b):
+        d = np.abs(a - b)
+        return np.minimum(d % 1.0, 1.0 - d % 1.0) if circular else d
+
     candidates = [sample.points[(j * n) // 8] for j in range(min(8, n))]
     for x0 in candidates:
         box = sample.slice_indices(x0.b, delta)
         if len(box) < 4:
             continue
-        ei = sample.edge_idx[box]
-        tt = sample.ts[box]
+        ei, tt = g.point_arrays(reference_fibre_slice(sample, x0.b, delta))
         be = sample.base_embed[box]
-        order = np.argsort(be)
+        e0 = float(sample.base.embedding(x0.b))
+        order = np.argsort((be - e0 + 0.5) % 1.0 - 0.5 if circular else be - e0, kind="stable")
         probe_base = [be[order[0]], be[order[len(order) // 2]], be[order[-1]]]
         fibre_probes = reference_fibre_window_probes(
             g, x0.y, analysis.INTERIOR_WINDOW_FACTOR * delta, delta / 4.0
@@ -618,7 +629,7 @@ def reference_interior_detector(bundle, sample, delta):
         for fp in fibre_probes:
             dfib = g.distances_to_many(fp, ei, tt)
             for pb in probe_base:
-                dprod = np.maximum(dfib, np.abs(be - pb))
+                dprod = np.maximum(dfib, base_gap(be, pb))
                 if float(dprod.min()) > delta / 2.0:
                     covered = False
                     break
@@ -653,12 +664,17 @@ class TestInteriorDetector:
         assert interior_detector(res.system.bundle, sample, delta) is want
 
     # (base angle, fibre points spread over the circle) groups, in sample
-    # order; a one-point group leaves its base probe uncovered
+    # order; a one-point group leaves its base probe uncovered, unless it
+    # lies 0.02 from a full group, the short way round the base: the last
+    # three layouts are one layout turned, so the seam must not matter
     LAYOUTS = {
         "min-probe-uncovered": ([(0.44, 1), (0.48, 50)], False),
         "median-probe-uncovered": ([(0.49, 1), (0.455, 50), (0.525, 50)], False),
         "max-probe-uncovered": ([(0.52, 1), (0.48, 50)], False),
         "covered": ([(0.455, 50), (0.49, 50), (0.525, 50)], True),
+        "across-the-seam": ([(0.99, 50), (0.01, 1)], True),
+        "just-across-the-seam": ([(0.995, 50), (0.015, 1)], True),
+        "turned-off-the-seam": ([(0.49, 50), (0.51, 1)], True),
     }
 
     @pytest.mark.parametrize("layout", list(LAYOUTS.values()), ids=list(LAYOUTS))
@@ -720,6 +736,18 @@ class TestTrichotomy:
 
 
 class TestCirclesReport:
+    def test_modal_tie_goes_to_first_probe_count(self):
+        # circle counts tie 2-2; the modal count is the one probed first,
+        # as in the trichotomy, not the smaller one
+        probes = [CircleAngle(x) for x in (0.1, 0.2, 0.3, 0.4)]
+        two, one = FibreClass("circles", m=2), FibreClass("circles", m=1)
+        classes = dict(zip(probes, [two, one, one, two]))
+        system = SimpleNamespace(bundle=SimpleNamespace(fibre=circle_graph(1.0)))
+        sample = SimpleNamespace(probe_class=lambda b, delta_base, delta: classes[b])
+        rep = circles_report(system, sample, 0.02, probes, image_probes=0)
+        assert rep.m == 2
+        assert rep.exceptional_tags == ()
+
     def test_m_circles_modal_count(self):
         g = chained_loops_graph(2)
         circles = [c for c in enumerate_circles(g) if len(c.steps) == 1]
@@ -749,6 +777,6 @@ class TestCirclesReport:
         # only the three image fibres are classified; each maps the probe's
         # fibre slice, the points its verdict was computed from
         assert len(calls) == 3
-        thinned = [sample.probe_class(b, 0.02, 0.02).points for b in probes[:3]]
-        assert [len(args[1]) for args in calls] == [len(pts) for pts in thinned]
+        slices = [sample.probe_class(b, 0.02, 0.02).ts for b in probes[:3]]
+        assert [len(args[1]) for args in calls] == [len(ts) for ts in slices]
 

@@ -137,6 +137,7 @@ class TestConfigBoundary:
         "m-fractional": {"construction": "m-circles", "params": {"m": 2.5}},
         "m-too-large": {"construction": "m-circles", "params": {"m": 1500}},
         "doubling-precision-too-small": {"construction": "theorem-d-1", "params": {"precision": 3}},
+        "theta0-on-two-points": {"construction": "theorem-d-2:two", "params": {"theta0": -5}},
     }
 
     @staticmethod

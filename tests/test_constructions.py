@@ -375,32 +375,32 @@ class TestCompiledGraphMaps:
         for m in _construction_maps(name):
             _assert_arrays_same_as_scalar(m)
 
-    def test_piece_fallback_and_gap(self):
+    def test_pieces_must_tile_each_edge(self):
         g = MetricGraph(("v0", "v1", "v2"), (Edge("I", "v0", "v1", 2.0), Edge("J", "v1", "v2", 1.0)))
-        # the bisected piece [0.5, 0.6] misses t = 0.8, the first piece covers it;
-        # nothing covers t in (0.6, 0.7) on edge "J"
+        whole_j = (MapPiece(0.0, 1.0, (PathSeg("J", 0.0, 1.0),)),)
+        split_i = {
+            "gap": ((0.0, 0.6), (0.7, 1.0)),
+            "overlap": ((0.0, 0.6), (0.5, 1.0)),
+            "empty-piece": ((0.0, 0.5), (0.5, 0.5), (0.5, 1.0)),
+            "short-of-one": ((0.0, 0.5), (0.5, 0.9)),
+            "after-zero": ((0.1, 1.0),),
+            "no-pieces": (),
+        }
+        for bounds in split_i.values():
+            split = tuple(MapPiece(lo, hi, (PathSeg("I", lo, hi),)) for lo, hi in bounds)
+            with pytest.raises(InvalidPoint, match="'I' do not tile"):
+                GraphMap(g, g, {"I": split, "J": whole_j})
+        with pytest.raises(InvalidPoint, match="'I' do not tile"):
+            GraphMap(g, g, {"J": whole_j})
+        # a tiling with a constant piece is accepted and evaluates as the
+        # reference does, on both evaluators
         m = GraphMap(g, g, {
-            "I": (MapPiece(0.0, 1.0, (PathSeg("I", 1.0, 0.0),)),
-                  MapPiece(0.5, 0.6, (PathSeg("J", 0.0, 1.0),))),
-            "J": (MapPiece(0.0, 0.6, (PathSeg("I", 0.0, 0.5), PathSeg("J", 0.0, 1.0))),
-                  MapPiece(0.7, 1.0, (PathSeg("J", 0.3, 0.3),))),
+            "I": (MapPiece(0.0, 0.5, (PathSeg("I", 0.0, 1.0),)),
+                  MapPiece(0.5, 1.0, (PathSeg("J", 0.3, 0.3),))),
+            "J": whole_j,
         })
         _assert_same_as_reference(m)
         _assert_arrays_same_as_scalar(m)
-        with pytest.raises(InvalidPoint):
-            eval_graph_map(m, GraphPoint("J", 0.65))
-        with pytest.raises(InvalidPoint):
-            eval_graph_map_arrays(m, np.array([0, 1, 1]), np.array([0.8, 0.2, 0.65]))
-        # t = 0.8 falls back past the bisected piece to two covering pieces;
-        # the first in order wins
-        overlap = GraphMap(g, g, {
-            "I": (MapPiece(0.0, 1.0, (PathSeg("I", 1.0, 0.0),)),
-                  MapPiece(0.2, 0.9, (PathSeg("J", 0.0, 1.0),)),
-                  MapPiece(0.5, 0.6, (PathSeg("J", 1.0, 0.0),))),
-            "J": (MapPiece(0.0, 1.0, (PathSeg("J", 0.0, 1.0),)),),
-        })
-        _assert_same_as_reference(overlap)
-        _assert_arrays_same_as_scalar(overlap)
 
 
 # The command line's construction knowledge as it stood before each factory
@@ -431,9 +431,9 @@ DECLARED_PARAMS = {
     "circle-product": {"alpha": GOLDEN, "length": 1.0, "angle": SQRT2_FRAC},
     "m-circles": {"m": 3, "alpha": GOLDEN, "angle": SQRT2_FRAC},
     "theorem-d-1": {"precision": 40},
-    "theorem-d-2:point": {"precision": 40, "theta0": math.pi / 2},
+    "theorem-d-2:point": {"precision": 40},
     "theorem-d-2:arc": {"precision": 40, "theta0": math.pi / 2},
-    "theorem-d-2:two": {"precision": 40, "theta0": math.pi / 2},
+    "theorem-d-2:two": {"precision": 40},
 }
 
 

@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .base_systems import BasePoint, BaseSystem
-from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_stream
+from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_blocks
 from .errors import EmptyInput, NoProbes, NotCircleCase, WrongInput
 from .fibre_index import FibreIndex
 from .graphs import (
@@ -25,7 +24,7 @@ from .graphs import (
     eval_graph_map_arrays,
     star_branch_count,
 )
-from .thinning import thin_stream
+from . import thinning
 
 # ---------------------------------------------------------------------------
 # sampled sets
@@ -143,12 +142,19 @@ def _thin_points(
 ) -> list[int]:
     """Indices of the points that greedy first-seen sep-thinning keeps.
 
-    The batch form of ``thinning.thin_stream``, the thinner the orbit runs:
-    only the tests and ``perfbench/tracer.py`` (which times it by name)
-    call it, and it goes when the benchmark reads stage spans instead of
-    patching names (ROADMAP item 1).
+    The batch form of ``thinning.thin_blocks``, ``THIN_BLOCK`` points at a
+    time: only the tests and ``perfbench/tracer.py`` (which times it by
+    name) call it, and it goes when the benchmark reads stage spans instead
+    of patching names (ROADMAP item 1).
     """
-    return thin_stream(g, sep, zip(range(len(ys)), base_embed, ys))[0]
+    edges = [g._eidx.get(y.edge, -1) for y in ys]
+    if -1 in edges:
+        for y in ys:
+            g.validate_point(y)
+    k = thinning.THIN_BLOCK
+    blocks = ((range(i, i + k), base_embed[i:i + k], edges[i:i + k], [y.t for y in ys[i:i + k]])
+              for i in range(0, len(ys), k))
+    return thinning.thin_blocks(g, sep, blocks)[0]
 
 
 def approximate_minimal_set(
@@ -169,7 +175,8 @@ def approximate_minimal_set(
     if n < 1 or transient < 0 or delta <= 0:
         raise WrongInput("need n >= 1, transient >= 0 and delta > 0")
     sep = delta / 4.0
-    bases, kept = thin_stream(s.bundle.fibre, sep, islice(orbit_stream(s, seed), transient, transient + n))
+    blocks = orbit_blocks(s, seed, transient, n, thinning.THIN_BLOCK)
+    bases, kept = thinning.thin_blocks(s.bundle.fibre, sep, blocks)
     embeds, edges, ts = kept.arrays()
     return SampledSet(
         delta,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .base_systems import BasePoint, BaseSystem
 from .errors import NotHomeomorphism, WrongInput
-from .graphs import GraphMap, GraphPoint, MetricGraph, eval_graph_map
+from .graphs import GraphMap, GraphPoint, MetricGraph, eval_et, eval_graph_map
 
 
 @dataclass(frozen=True)
@@ -99,25 +99,39 @@ def apply_skew(s: SkewSystem, x: BundlePoint) -> BundlePoint:
     return BundlePoint(b2, y2)
 
 
-def orbit_stream(s: SkewSystem, x: BundlePoint) -> Iterator[tuple[BasePoint, float, GraphPoint]]:
-    """The orbit of x as ``(b, base embedding of b, y)``, without end.
-
-    Same points as ``apply_skew`` iterated, but each step takes the base
-    step once and embeds each base point once: that embedding serves both
-    the cut-crossing test and the caller.
-    """
-    base = s.base
-    monodromy, gluing = s.bundle.is_monodromy, s.bundle.gluing
-    b, y = x.b, x.y
-    e = float(base.embedding(b))
-    while True:
-        yield b, e, y
-        b2 = base.apply(b)
-        y = eval_graph_map(s.image_family(b2), y)
-        e2 = float(base.embedding(b2))
-        if monodromy and e2 < e:
-            y = eval_graph_map(gluing, y)
-        b, e = b2, e2
+def orbit_blocks(
+    s: SkewSystem, x: BundlePoint, transient: int, n: int, size: int
+) -> Iterator[tuple[list[BasePoint], list[float], list[int], list[float]]]:
+    """Points transient, ..., transient + n - 1 of the orbit of x, in blocks
+    of at most ``size``, each four lists: base points, base embeddings,
+    fibre edge indices and fibre ``t``.  Same points as ``apply_skew``
+    iterated, stepped with ``eval_et`` on plain numbers; each base point is
+    embedded once, for the cut-crossing test and the caller.  Only the seed
+    is validated: the caller checks the rest."""
+    apply, embedding, family = s.base.apply, s.base.embedding, s.image_family
+    gluing, fibre = s.bundle.gluing, s.bundle.fibre
+    fibre.validate_point(x.y)
+    b, e, k, t = x.b, float(embedding(x.b)), fibre.edge_index(x.y.edge), x.y.t
+    start, last = 0, transient + n - 1
+    while start <= last:
+        stop = min(start + size, transient if start < transient else last + 1)
+        bs, es, ks, ts = block = [], [], [], []
+        for i in range(start, stop):
+            bs.append(b)
+            es.append(e)
+            ks.append(k)
+            ts.append(t)
+            if i == last:
+                break
+            b2 = apply(b)
+            k, t = eval_et(family(b2), k, t)
+            e2 = float(embedding(b2))
+            if gluing is not None and e2 < e:
+                k, t = eval_et(gluing, k, t)
+            b, e = b2, e2
+        if start >= transient:
+            yield block
+        start = stop
 
 
 def orbit(

@@ -279,7 +279,7 @@ def build_circle_minimal_product(
         bundle=bundle,
         image_family=lambda b: m,
         reference={"circle": c, "angle": angle},
-        id=f"circle-product({base.id},angle={angle})",
+        id=f"circle-product({base.id},length={c.length},angle={angle})",
     )
     return ConstructionResult(system, "rotated retraction onto one circle")
 
@@ -367,7 +367,7 @@ def build_m_circles(
         bundle=bundle,
         image_family=lambda b: h,
         reference={"circles": tuple(circles), "m": m, "angle": angle},
-        id=f"m-circles(m={m},angle={angle})",
+        id=f"m-circles({base.id},m={m},angle={angle})",
     )
     return ConstructionResult(system, "cyclic circle permutation with one rotated leg")
 
@@ -671,6 +671,7 @@ def build_theorem_d_case2(
     defined across its defining branches.
     """
     geo = _case2_geometry(pattern, theta0)
+    params = f"K={precision}" + (f",theta0={theta0}" if pattern == "arc" else "")
     q, c_l, side = _quotient_with_sides(precision)
     rho = _case_rotation()
     delta = (rho % 1.0) * TWO_PI
@@ -696,7 +697,7 @@ def build_theorem_d_case2(
             "rotation": rho,
             "seed": BundlePoint(q.sampler(1)[0], geo.push_outer(seed_theta)),
         },
-        id=f"theorem-d-2:{pattern}(K={precision})",
+        id=f"theorem-d-2:{pattern}({params})",
     )
     return ConstructionResult(
         system, "two intersecting circles over a blown-up odometer",

@@ -428,12 +428,13 @@ class GraphMap:
     The pieces of each domain edge must tile [0, 1]: the first ``lo`` is 0,
     each ``hi`` is the next ``lo``, the last ``hi`` is 1, and no piece is
     empty; building a map that breaks this raises ``InvalidPoint``.  The
-    build compiles ``_table``, which both evaluators read: per domain edge
-    id, the piece ``lo`` list and one row per piece, ``(lo, hi - lo, total,
-    const edge index, const t, const, segs)``, where ``total`` is the path
-    length, ``const`` the image of a piece that collapses to a point (else
-    None, edge index -1) and a seg is ``(edge, t0, t1 - t0, length, length
-    + 1e-15, is_last, edge index)``.  ``pieces`` must not change afterwards.
+    build compiles ``_table``, which ``eval_et`` and ``eval_graph_map_arrays``
+    read: per domain edge index, the piece ``lo`` list and one row per piece,
+    ``(lo, hi - lo, total, const edge index, const t, segs)``, where
+    ``total`` is the path length, the const pair the image of a piece that
+    collapses to a point (edge index -1 otherwise) and a seg is
+    ``(t0, t1 - t0, length, length + 1e-15, is_last, edge index)``.
+    ``pieces`` must not change afterwards.
     """
 
     domain: MetricGraph
@@ -442,7 +443,7 @@ class GraphMap:
 
     def __post_init__(self) -> None:
         g2 = self.codomain
-        table = {}
+        table = []
         for e in self.domain.edges:
             plist = self.pieces.get(e.id, ())
             rows = []
@@ -453,16 +454,15 @@ class GraphMap:
                 end = pc.hi
                 lengths = [sg.length(g2) for sg in pc.path]
                 total = sum(lengths)
-                const = GraphPoint(pc.path[0].edge, pc.path[0].t0) if total <= 0.0 else None
                 segs = tuple(
-                    (sg.edge, sg.t0, sg.t1 - sg.t0, sl, sl + 1e-15, sg is pc.path[-1], g2.edge_index(sg.edge))
+                    (sg.t0, sg.t1 - sg.t0, sl, sl + 1e-15, sg is pc.path[-1], g2.edge_index(sg.edge))
                     for sg, sl in zip(pc.path, lengths)
                 )
-                ce, ct = (g2.edge_index(const.edge), const.t) if const else (-1, 0.0)
-                rows.append((pc.lo, pc.hi - pc.lo, total, ce, ct, const, segs))
+                ce, ct = (segs[0][5], pc.path[0].t0) if total <= 0.0 else (-1, 0.0)
+                rows.append((pc.lo, pc.hi - pc.lo, total, ce, ct, segs))
             if end != 1.0 or len(rows) < len(plist):
                 raise InvalidPoint(f"the pieces of edge {e.id!r} do not tile [0, 1]")
-            table[e.id] = ([pc.lo for pc in plist], rows)
+            table.append(([pc.lo for pc in plist], rows))
         object.__setattr__(self, "_table", table)
 
 
@@ -485,12 +485,12 @@ def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[
     out_e = np.empty(len(ei), dtype=int)
     out_t = np.empty(len(ei), dtype=float)
     for k in np.unique(ei).tolist():
-        _, rows = m._table[m.domain.edges[k].id]
+        _, rows = m._table[k]
         lo, width, total, const_e, const_t = np.array([r[:5] for r in rows]).T
         # each path padded to the longest with copies of its last segment,
         # which is never read past
-        n = max(len(r[6]) for r in rows)
-        segs = np.array([[sg[1:] for sg in r[6] + r[6][-1:] * (n - len(r[6]))] for r in rows])
+        n = max(len(r[5]) for r in rows)
+        segs = np.array([r[5] + r[5][-1:] * (n - len(r[5])) for r in rows])
         at = np.flatnonzero(ei == k)
         t = tt[at]
         p = np.searchsorted(lo, t, side="right") - 1
@@ -509,24 +509,29 @@ def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[
     return out_e, out_t
 
 
-def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:
-    m.domain.validate_point(p)
-    t = p.t
-    lows, rows = m._table[p.edge]
-    lo, width, total, _, _, const, segs = rows[bisect_right(lows, t) - 1]
-    if const is not None:
-        return const
+def eval_et(m: GraphMap, e: int, t: float) -> tuple[int, float]:
+    """The image of (domain edge index e, t) as (codomain edge index, t),
+    unchecked.  Each clamp is ``min(max(x, 0.0), 1.0)`` as comparisons with
+    Python's tie rule, as in ``_py_clamp``: -0.0 stays -0.0, NaN passes."""
+    lows, rows = m._table[e]
+    lo, width, total, ce, ct, segs = rows[bisect_right(lows, t) - 1]
+    if ce >= 0:
+        return ce, ct
     u = (t - lo) / width
-    u = min(max(u, 0.0), 1.0)
-    s = u * total
-    for edge, t0, dt, sl, sl_tol, last, _ in segs:
+    s = (0.0 if 0.0 > u else 1.0 if 1.0 < u else u) * total
+    for t0, dt, sl, sl_tol, last, edge in segs:
         if s <= sl_tol or last:
             frac = s / sl if sl > 0 else 0.0
-            frac = min(max(frac, 0.0), 1.0)
-            t = t0 + dt * frac
-            return GraphPoint(edge, min(max(t, 0.0), 1.0))
+            t = t0 + dt * (0.0 if 0.0 > frac else 1.0 if 1.0 < frac else frac)
+            return edge, 0.0 if 0.0 > t else 1.0 if 1.0 < t else t
         s -= sl
     raise AssertionError("unreachable")
+
+
+def eval_graph_map(m: GraphMap, p: GraphPoint) -> GraphPoint:
+    m.domain.validate_point(p)
+    e, t = eval_et(m, m.domain.edge_index(p.edge), p.t)
+    return GraphPoint(m.codomain.edges[e].id, t)
 
 
 def identity_map(g: MetricGraph) -> GraphMap:

@@ -1,5 +1,5 @@
-"""Greedy first-seen thinning of a stream of (base embedding, fibre point)
-pairs at separation sep, one block of points at a time.
+"""Greedy first-seen thinning of a stream of points (base embedding, fibre
+edge index, fibre t) at separation sep, one block of points at a time.
 
 What the kept set guarantees: a point is dropped exactly when an earlier
 kept point among its grid candidates is within sep of it in both of
@@ -26,13 +26,12 @@ own block are decided one by one, in order.
 """
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import WrongInput
-from .graphs import GraphPoint, MetricGraph
+from .errors import InvalidPoint, WrongInput
+from .graphs import MetricGraph
 
 #: points tested against the kept set in one array pass
 THIN_BLOCK = 1024
@@ -129,11 +128,11 @@ class KeptSet:
         self.t = np.empty(64)
         self._index = _NO_KEYS
 
-    def offer_block(self, es: Sequence[float], ys: Sequence[GraphPoint]) -> list[int]:
-        """Offer the points (es[i], ys[i]) in order; the indices of those
-        kept, ascending.  Raises ``InvalidPoint`` for the first point with
-        an unknown edge or a parameter outside [0, 1]."""
-        p = self._points(es, ys)
+    def offer_block(self, es: Sequence[float], edges: Sequence[int], ts: Sequence[float]) -> list[int]:
+        """Offer the points (es[i], edges[i], ts[i]) in order, each edge a
+        fibre edge index; the indices of those kept, ascending.  Raises
+        ``InvalidPoint`` for the first point with a parameter outside [0, 1]."""
+        p = self._points(es, edges, ts)
         near_kept, _ = self._close_pairs(p, self._index, self.e, self.edge, self.t)
         fresh = np.delete(np.arange(len(p.e)), near_kept)
         kept = fresh[self._first_seen(p.take(fresh))]
@@ -172,14 +171,14 @@ class KeptSet:
         """(base embedding, edge index, t) of the kept points, as copies."""
         return self.e[:self.n].copy(), self.edge[:self.n].copy(), self.t[:self.n].copy()
 
-    def _points(self, es: Sequence[float], ys: Sequence[GraphPoint]) -> _Points:
+    def _points(self, es: Sequence[float], edges: Sequence[int], ts: Sequence[float]) -> _Points:
         g, sep = self.g, self.sep
-        eidx = g._eidx
-        edge = np.fromiter((eidx.get(y.edge, -1) for y in ys), dtype=np.int64, count=len(ys))
-        t = np.fromiter((y.t for y in ys), dtype=float, count=len(ys))
-        if (edge < 0).any() or not ((t >= 0.0) & (t <= 1.0)).all():
-            for y in ys:
-                g.validate_point(y)
+        edge = np.asarray(edges, dtype=np.int64)
+        t = np.asarray(ts, dtype=float)
+        outside = ~((t >= 0.0) & (t <= 1.0))
+        if outside.any():
+            j = int(np.flatnonzero(outside)[0])
+            raise InvalidPoint(f"parameter {float(t[j])} outside [0, 1] on edge {g.edges[edge[j]].id!r}")
         e = np.asarray(es, dtype=float)
         cell = e / sep
         if not (np.abs(cell) < _CELL_LIMIT).all():
@@ -249,19 +248,18 @@ class KeptSet:
         self.n = end
 
 
-def thin_stream(
-    g: MetricGraph, sep: float, points: Iterable[tuple[Tag, float, GraphPoint]]
+def thin_blocks(
+    g: MetricGraph, sep: float, blocks: Iterable[tuple[Sequence[Tag], Sequence, Sequence, Sequence]]
 ) -> tuple[list[Tag], KeptSet]:
-    """Greedy first-seen sep-thinning of (tag, base embedding, fibre point)
-    triples, offered THIN_BLOCK at a time: the tags of the kept points, in
-    order, and the kept set."""
+    """Greedy first-seen sep-thinning of points offered a block at a time,
+    each block (tags, base embeddings, fibre edge indices, fibre t): the
+    tags of the kept points, in order, and the kept set."""
     kept = KeptSet(g, sep)
     tags: list[Tag] = []
-    it = iter(points)
-    while block := list(islice(it, THIN_BLOCK)):
-        block_tags, es, ys = zip(*block)
-        tags.extend(block_tags[i] for i in kept.offer_block(es, ys))
+    for block in blocks:
+        block_tags, es, edges, ts = block
+        tags.extend(block_tags[i] for i in kept.offer_block(es, edges, ts))
         # release this block before the next one is drawn, so that at most
         # one block of points is alive
-        del block, block_tags, es, ys
+        del block, block_tags, es, edges, ts
     return tags, kept

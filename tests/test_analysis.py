@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from itertools import islice, permutations
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +29,7 @@ from bundlemin.bundles import (
     SkewSystem,
     monodromy_bundle,
     orbit,
-    orbit_stream,
+    orbit_blocks,
     product_bundle,
 )
 from bundlemin.cli import csv_to_points, sample_to_csv
@@ -91,10 +91,8 @@ class TestApproximateMinimalSet:
         s, seed = _orbit_system(name)
         n, transient, sep = 5_000, 100, 0.02 / 4.0
         pts = orbit(s, seed, n, transient=transient)
-        streamed = list(islice(orbit_stream(s, seed), transient, transient + n))
-        assert [BundlePoint(b, y) for b, _, y in streamed] == pts
+        _assert_blocks_are_orbit(s, list(orbit_blocks(s, seed, transient, n, thinning.THIN_BLOCK)), pts)
         embeds = [float(s.base.embedding(x.b)) for x in pts]
-        assert [e for _, e, _ in streamed] == embeds
         ys = [x.y for x in pts]
         kept = _thin_points(s.bundle.fibre, embeds, ys, sep)
         assert kept == _reference_thin_points(s.bundle.fibre, embeds, ys, sep)
@@ -133,6 +131,13 @@ class TestApproximateMinimalSet:
             tracemalloc.stop()
         assert peak / len(sample.bases) < 400, (peak, len(sample.bases))
 
+    @pytest.mark.parametrize("transient", [0, 100])
+    @pytest.mark.parametrize("y", [GraphPoint("Z", 0.5), GraphPoint("A", 1.5), GraphPoint("A", math.nan)])
+    def test_bad_seed_raises(self, y, transient):
+        s, seed = _orbit_system("torus-on-mobius")
+        with pytest.raises(InvalidPoint, match="unknown edge 'Z'" if y.edge == "Z" else "outside"):
+            approximate_minimal_set(s, BundlePoint(seed.b, y), transient, 10, 0.02)
+
     @pytest.mark.parametrize("last", [False, True])
     @pytest.mark.parametrize("t", [1.5, -0.25])
     def test_orbit_point_outside_its_edge_raises(self, t, last):
@@ -158,6 +163,35 @@ class TestApproximateMinimalSet:
             assert len(sample.base_embed) == len(sample.points)
             for i, x in enumerate(sample.points):
                 assert sample.base_embed[i] == float(s.base.embedding(x.b))
+
+
+class TestOrbitBlocks:
+    """``orbit_blocks`` against ``orbit`` (iterated ``apply_skew``) on each
+    side of the block boundaries: over a gluing on every wrap
+    (torus-on-mobius) and over constant fibre maps (sturmian-cylinder)."""
+
+    @pytest.mark.parametrize("transient", [0, 100])
+    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
+    def test_equals_orbit(self, name, transient):
+        s, seed = _orbit_system(name)
+        size = thinning.THIN_BLOCK
+        sizes = [1, size - 1, size, size + 1, 2 * size + 3]
+        pts = orbit(s, seed, max(sizes), transient=transient)
+        for n in sizes:
+            blocks = list(orbit_blocks(s, seed, transient, n, size))
+            assert [len(b[0]) for b in blocks] == [size] * (n // size) + [n % size] * (n % size > 0), n
+            _assert_blocks_are_orbit(s, blocks, pts[:n])
+
+
+def _assert_blocks_are_orbit(s, blocks, pts):
+    """The blocks, joined, hold the points pts: the same base points, their
+    base embeddings, and the fibre points bit for bit."""
+    bases, embeds, edges, ts = ([v for block in blocks for v in block[i]] for i in range(4))
+    assert bases == [x.b for x in pts]
+    assert embeds == [float(s.base.embedding(x.b)) for x in pts]
+    fibre = s.bundle.fibre
+    assert edges == [fibre.edge_index(x.y.edge) for x in pts]
+    assert np.array(ts).view(np.int64).tolist() == np.array([x.y.t for x in pts]).view(np.int64).tolist()
 
 
 def _orbit_system(name):

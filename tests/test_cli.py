@@ -286,6 +286,24 @@ class TestDamagedOut:
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("construction, params", [
+        ("theorem-d-2:arc", {"theta0": 1.0}),
+        ("circle-product", {"length": 2.0}),
+        ("m-circles", {"alpha": 0.3}),
+    ])
+    def test_sample_of_another_build(self, tmp_path, capsys, construction, params):
+        # the sample was drawn under other params than the rebuilt system's
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": construction, "params": params}))
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "3000"]) == EXIT_OK
+        assert main(["build", construction, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["classify", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command", ["classify", "plot"])
     def test_side_tag_off_the_doubled_orbit(self, tmp_path, capsys, command):
         # a doubled-code tag of the right type whose side the base refuses

@@ -34,6 +34,7 @@ from bundlemin.graphs import (
     PathSeg,
     check_continuity,
     enumerate_circles,
+    eval_et,
     eval_graph_map,
     eval_graph_map_arrays,
     rotation_number_of_circle_map,
@@ -364,6 +365,18 @@ def _assert_arrays_same_as_scalar(m):
     assert _bits(got_t) == _bits([want[i].t for i in order])
 
 
+def _assert_et_same_as_scalar(m):
+    """``eval_et`` on every grid point and -0.0 of every edge against
+    ``eval_graph_map`` and ``_reference_eval``, bit for bit."""
+    g, g2 = m.domain, m.codomain
+    for e in g.edges:
+        k = g.edge_index(e.id)
+        for t in _t_grid(m, e.id) + [-0.0]:
+            got_e, got_t = eval_et(m, k, t)
+            for want in (eval_graph_map(m, GraphPoint(e.id, t)), _reference_eval(m, GraphPoint(e.id, t))):
+                assert (got_e, _bits([got_t])) == (g2.edge_index(want.edge), _bits([want.t])), (e.id, t)
+
+
 class TestCompiledGraphMaps:
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_matches_reference_evaluator(self, name):
@@ -374,6 +387,21 @@ class TestCompiledGraphMaps:
     def test_arrays_match_scalar(self, name):
         for m in _construction_maps(name):
             _assert_arrays_same_as_scalar(m)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_et_matches_scalar(self, name):
+        for m in _construction_maps(name):
+            _assert_et_same_as_scalar(m)
+
+    def test_et_clamps_keep_signed_zero_and_nan(self):
+        # a path from -0.0: t = -0.0 keeps its sign through all three
+        # clamps, and NaN, which only an unchecked point can carry, passes
+        g = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 1.0),))
+        m = GraphMap(g, g, {"I": (MapPiece(0.0, 0.5, (PathSeg("I", -0.0, 1.0),)),
+                                  MapPiece(0.5, 1.0, (PathSeg("I", 1.0, 0.0),)))})
+        _assert_et_same_as_scalar(m)
+        assert _bits([eval_et(m, 0, -0.0)[1]]) == _bits([-0.0])
+        assert math.isnan(eval_et(m, 0, math.nan)[1])
 
     def test_pieces_must_tile_each_edge(self):
         g = MetricGraph(("v0", "v1", "v2"), (Edge("I", "v0", "v1", 2.0), Edge("J", "v1", "v2", 1.0)))
@@ -457,6 +485,15 @@ class TestRegistry:
         assert CONSTRUCTIONS[name](dict(declared)).system.id == CONSTRUCTIONS[name]({}).system.id
         with pytest.raises(WrongInput, match=re.escape(str(sorted(declared)))):
             CONSTRUCTIONS[name]({**declared, "alhpa": 0.3})
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_every_declared_param_is_in_the_id(self, name):
+        # provenance.json names the system by its id, so two builds under
+        # different params must not share one
+        default = CONSTRUCTIONS[name]({}).system.id
+        for key, value in DECLARED_PARAMS[name].items():
+            other = value + 1 if type(value) is int else value * 0.9
+            assert CONSTRUCTIONS[name]({key: other}).system.id != default, key
 
     @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
     def test_base_points_have_the_declared_type(self, name):

@@ -107,10 +107,14 @@ class SampledSet:
         return np.sort(cand[np.abs(self.base_offsets(self.base_embed[cand], e)) <= delta_base])
 
     def slice_arrays(self, b: BasePoint, delta_base: float) -> tuple[np.ndarray, np.ndarray]:
-        """The fibre slice over b as (edge index, t) arrays: the points
-        within delta_base of b in the base, in the chart of b.  Only the
-        points whose short base arc to b crosses the cut are glued."""
-        idx = self.slice_indices(b, delta_base)
+        """The fibre slice over b as (edge index, t) arrays: ``chart_arrays``
+        of the points within delta_base of b in the base."""
+        return self.chart_arrays(self.slice_indices(b, delta_base), b)
+
+    def chart_arrays(self, idx: np.ndarray, b: BasePoint) -> tuple[np.ndarray, np.ndarray]:
+        """The fibre points of the sample points idx as (edge index, t)
+        arrays in the chart of b.  Only the points whose short base arc to b
+        crosses the cut are glued."""
         ei, tt = self.edge_idx[idx], self.ts[idx]
         if self.bundle.is_monodromy:
             side = cut_sides(self.base_embed[idx], float(self.base.embedding(b)))
@@ -316,24 +320,19 @@ class DichotomyReport:
 
 
 ENDPOINT_BLOCK = 1 << 16  # entries per distance-matrix block (end-points, interior)
+ENDPOINT_MAX_POINTS = 1200  # endpoint_statistics checks every (n // this)-th of n points
 
 
-def endpoint_statistics(
-    g: MetricGraph,
-    sample: SampledSet,
-    r: float,
-    delta: float,
-    delta_base: float | None = None,
-    max_points: int = 1200,
-) -> DichotomyReport:
-    """Fraction of sample points that are end-points of their fibre slice,
-    combined with the interior detector into a dichotomy verdict."""
-    if delta_base is None:
-        delta_base = delta
+def endpoint_statistics(sample: SampledSet, delta: float, delta_base: float) -> DichotomyReport:
+    """Fraction of sample points that are end-points of their fibre slice
+    at scales (r = 3·delta, delta), combined with the interior detector
+    into a dichotomy verdict."""
+    g = sample.bundle.fibre
+    r = 3.0 * delta
     n = len(sample.bases)
     if n == 0:
         raise EmptyInput("empty sample")
-    step = max(1, n // max_points)
+    step = max(1, n // ENDPOINT_MAX_POINTS)
     # checked points grouped by quantized base coordinate, in first-seen
     # order; each group shares the slice over its first point
     groups: dict[int, list[int]] = {}
@@ -352,7 +351,7 @@ def endpoint_statistics(
                 endpoints += k < 2
     checked = len(range(0, n, step))
     fraction = endpoints / checked
-    interior = interior_detector(sample.bundle, sample, delta)
+    interior = interior_detector(sample, delta)
     if fraction == 0.0 and interior:
         verdict = "A2"
     elif fraction >= 0.5 and not interior:
@@ -382,7 +381,7 @@ def _fibre_window_probes(
     return ei[keep], tt[keep]
 
 
-def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
+def interior_detector(sample: SampledSet, delta: float) -> bool:
     """True when some product box (base ball x fibre graph ball) around a
     sample point is delta/2-covered by the sample, relative to the sampled
     base space.
@@ -393,7 +392,7 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
     Base probes are taken from the sample's own base coordinates, so a
     Cantor base does not count its embedding gaps against coverage.
     """
-    g = bundle.fibre
+    g = sample.bundle.fibre
     n = len(sample.bases)
     if n == 0:
         return False
@@ -401,7 +400,7 @@ def interior_detector(bundle: Bundle, sample: SampledSet, delta: float) -> bool:
         box = sample.slice_indices(sample.bases[x0], delta)
         if len(box) < 4:
             continue
-        ei, tt = sample.slice_arrays(sample.bases[x0], delta)
+        ei, tt = sample.chart_arrays(box, sample.bases[x0])
         be = sample.base_embed[box]
         # base probes: the boxed points farthest back, in the middle and
         # farthest on from x0 along the base
@@ -462,16 +461,10 @@ def _modal(keys: list) -> object:
 
 
 def typical_fibre_report(
-    s: SkewSystem,
-    sample: SampledSet,
-    base_probe: Sequence[BasePoint],
-    delta: float,
-    delta_base: float | None = None,
+    s: SkewSystem, sample: SampledSet, probes: Sequence[BasePoint], delta: float, delta_base: float
 ) -> TrichotomyReport:
     """Classify fibre slices over homeo-part probes and report the modal class."""
-    if delta_base is None:
-        delta_base = delta
-    homeo = [b for b in base_probe if _in_homeo_part(s.base, b)]
+    homeo = [b for b in probes if _in_homeo_part(s.base, b)]
     verdicts = _probe_verdicts(sample, homeo, delta_base, delta)
     if not verdicts:
         raise NoProbes("no usable probes after the homeo-part filter")
@@ -498,22 +491,18 @@ class CirclesReport:
     probes_used: int
 
 
+IMAGE_PROBES = 10  # most probes with the modal count whose images circles_report checks
+
+
 def circles_report(
-    s: SkewSystem,
-    sample: SampledSet,
-    delta: float,
-    base_probe: Sequence[BasePoint],
-    delta_base: float | None = None,
-    image_probes: int = 10,
+    s: SkewSystem, sample: SampledSet, probes: Sequence[BasePoint], delta: float, delta_base: float
 ) -> CirclesReport:
     """Modal circle count over probed fibres plus the image-disjointness check:
     each probed fibre's circle points must map delta-close onto pairwise
     disjoint circles of the image fibre."""
-    if delta_base is None:
-        delta_base = delta
     g = s.bundle.fibre
     all_circles = {c.edge_ids(): c for c, _, _ in _circle_grids(g, delta / 4.0)}
-    verdicts = _probe_verdicts(sample, base_probe, delta_base, delta)
+    verdicts = _probe_verdicts(sample, probes, delta_base, delta)
     if not verdicts:
         raise NoProbes("no nonempty fibre slices over the probes")
     non_circle = sum(1 for _, v in verdicts if v.kind != "circles")
@@ -527,7 +516,7 @@ def circles_report(
     ok = True
     tested = 0
     for b, v in verdicts:
-        if v.kind != "circles" or v.m != m or tested >= image_probes:
+        if v.kind != "circles" or v.m != m or tested >= IMAGE_PROBES:
             continue
         tested += 1
         images = eval_graph_map_arrays(s.fibre_family(b), v.edge_idx, v.ts)

@@ -45,8 +45,8 @@ class SkewSystem:
     the image base point: the fibre over b maps by ``image_family(base.apply(b))``,
     so an orbit that has already taken the base step need not take it again.
 
-    ``reference`` is a symbolic description of the claimed minimal set used
-    by oracle tests.
+    ``reference`` holds the named values of the construction that the
+    command line and the tests read (orbit seed, exceptional base point, ...).
     """
 
     base: BaseSystem

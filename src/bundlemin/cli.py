@@ -348,10 +348,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     out, name, result, sample = _load_sample(args)
     delta = sample.delta
     s = result.system
-    g = s.bundle.fibre
     delta_base = result.delta_base if result.delta_base is not None else delta
 
-    dich = endpoint_statistics(g, sample, r=3.0 * delta, delta=delta, delta_base=delta_base)
+    dich = endpoint_statistics(sample, delta, delta_base)
     atomic_write(
         out / "dichotomy.json",
         _jdump(
@@ -370,7 +369,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     exceptional = result.system.reference.get("exceptional_base")
 
     try:
-        tri = typical_fibre_report(s, sample, probes, delta, delta_base=delta_base)
+        tri = typical_fibre_report(s, sample, probes, delta, delta_base)
         tri_json = {
             "typical": str(tri.typical) if tri.typical else None,
             "N": tri.N,
@@ -386,7 +385,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if exceptional is not None:
         circ_probes.append(exceptional)
     try:
-        crep = circles_report(s, sample, delta, circ_probes, delta_base=delta_base)
+        crep = circles_report(s, sample, circ_probes, delta, delta_base)
         circ_json = {
             "m": crep.m,
             "exceptional_tags": list(crep.exceptional_tags),

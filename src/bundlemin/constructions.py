@@ -4,9 +4,10 @@ coding-system cylinder, products with a rotated circle retraction, cyclic
 circle permutations, and the two blown-up-odometer constructions whose
 exceptional fibre carries two circles (disjoint or intersecting).
 
-Each factory returns a ConstructionResult bundling the system (whose
-``reference`` describes its claimed minimal set for oracle-driven tests)
-with its orbit seed rule and its slice width.  ``CONSTRUCTIONS`` maps each
+Each factory returns a ConstructionResult bundling the system with its
+orbit seed rule and its slice width; its docstring states the minimal set
+it claims, and the system's ``reference`` holds only the values the
+command line and the tests read.  ``CONSTRUCTIONS`` maps each
 command-line name to a builder that reads the factory's keyword defaults
 as its parameter declaration.
 """
@@ -95,8 +96,10 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
     """Band over a rotation whose fibre interval flips on each base loop.
 
     Fibre coordinate y = 2t - 1 on the interval edge of length 2; the
-    centre section y = 0 is invariant, the boundary pair y = +-1 forms a
-    single circle double-covering the base.
+    centre section y = 0 (t = 0.5) is invariant, and the boundary pair
+    y = +-1 (t = 0 and 1) forms a single circle double-covering the base:
+    its fibres have two points and it turns with rotation number alpha/2.
+    These are the two minimal sets the construction exhibits.
     """
     _require_angle(alpha, "alpha")
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 2.0),))
@@ -108,13 +111,6 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
         base=base,
         bundle=bundle,
         image_family=lambda b: ident,
-        reference={
-            "minimal_sets": ["centre", "boundary"],
-            "centre_t": 0.5,
-            "boundary_ts": (0.0, 1.0),
-            "boundary_fibre_cardinality": 2,
-            "boundary_rotation_number": alpha / 2.0,
-        },
         id=f"mobius(alpha={alpha})",
     )
     return ConstructionResult(
@@ -159,8 +155,8 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
 
     The gluing is the central symmetry swapping the circles and reversing
     the interval; the fibre map rotates both circles by beta and carries
-    the interval across accordingly. The circle pair sweeps out the claimed
-    minimal set.
+    the interval across accordingly, fixing its midpoint t = 0.5. The
+    circle pair (edges A and B) sweeps out the claimed minimal set.
     """
     _require_angle(alpha, "alpha")
     _require_angle(beta, "beta")
@@ -200,12 +196,6 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
         base=base,
         bundle=bundle,
         image_family=lambda b: phi,
-        reference={
-            "minimal_set": "circle pair",
-            "circle_edges": ("A", "B"),
-            "circle_displacement": beta,
-            "interval_fixed_t": 0.5,
-        },
         id=f"torus-on-mobius(alpha={alpha},beta={beta})",
     )
     return ConstructionResult(system, "two circles joined by an interval, swap gluing")
@@ -222,10 +212,12 @@ def build_sturmian_cylinder(
 
     State points are (word, fibre point at the word's Cantor coordinate);
     the fibre family collapses the whole interval fibre to the coordinate
-    of the shifted word, so the graph of the embedding is invariant.
+    of the shifted word, so the graph of the embedding is invariant. A
+    generic fibre of it is one point; over the two codings of a boundary
+    angle it is two.
     """
     _require_angle(alpha, "alpha")
-    base, factor = sturmian(alpha, precision)
+    base, _ = sturmian(alpha, precision)
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 1.0),))
     bundle = product_bundle(base, fibre)
 
@@ -242,12 +234,6 @@ def build_sturmian_cylinder(
         base=base,
         bundle=bundle,
         image_family=image_family,
-        reference={
-            "factor": factor,
-            "fibre_cardinality_generic": 1,
-            "fibre_cardinality_boundary": 2,
-            "embed": word_embedding,
-        },
         id=f"sturmian-cylinder(alpha={alpha},K={precision})",
     )
 
@@ -278,7 +264,6 @@ def build_circle_minimal_product(
         base=base,
         bundle=bundle,
         image_family=lambda b: m,
-        reference={"circle": c, "angle": angle},
         id=f"circle-product({base.id},length={c.length},angle={angle})",
     )
     return ConstructionResult(system, "rotated retraction onto one circle")
@@ -366,7 +351,6 @@ def build_m_circles(
         base=base,
         bundle=bundle,
         image_family=lambda b: h,
-        reference={"circles": tuple(circles), "m": m, "angle": angle},
         id=f"m-circles({base.id},m={m},angle={angle})",
     )
     return ConstructionResult(system, "cyclic circle permutation with one rotated leg")
@@ -405,7 +389,8 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
     Fibre graph: circles s1 and s2 (length 2*pi each, antipodally offset
     charts) joined by a unit interval i. Points over the left part of the
     base ride s1, points over the right part ride s2; the interval maps
-    onto a half circle so the whole fibre map stays continuous.
+    onto a half circle so the whole fibre map stays continuous. A generic
+    fibre is one circle.
     """
     q, c_l, side = _quotient_with_sides(precision)
     rho = _case_rotation()
@@ -448,10 +433,7 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
         image_family=image_family,
         reference={
             "exceptional_base": c_l,
-            "exceptional_circles": 2,
-            "generic_circles": 1,
             "side_of": side,
-            "circle_for_side": {1: c1, 2: c2},
             "rotation": rho,
             "seed": BundlePoint(q.sampler(1)[0], GraphPoint("s1", 0.0)),
         },
@@ -502,7 +484,6 @@ class Case2Geometry:
     graph: MetricGraph
     outer: Circle
     inner: Circle
-    r: Callable[[float], float] = field(compare=False)
     theta_ranges: dict = field(compare=False)  # edge id -> (theta_a, theta_b)
     charts: dict = field(compare=False)  # edge id -> Chart (inner edges only)
     seam_thetas: tuple[float, ...] = ()
@@ -564,7 +545,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             graph=g,
             outer=Circle((("o", 1),), TWO_PI),
             inner=Circle((("n", 1),), chart.length),
-            r=r,
             theta_ranges={"o": (0.0, TWO_PI), "n": (0.0, TWO_PI)},
             charts={"n": chart},
             seam_thetas=(0.0,),
@@ -588,7 +568,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             graph=g,
             outer=Circle((("o1", 1), ("o2", 1)), TWO_PI),
             inner=Circle((("n1", 1), ("n2", 1)), ch1.length + ch2.length),
-            r=r,
             theta_ranges={
                 "o1": (0.0, math.pi),
                 "o2": (math.pi, TWO_PI),
@@ -618,7 +597,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             graph=g,
             outer=Circle((("o", 1), ("sh", 1)), TWO_PI),
             inner=Circle((("n", 1), ("sh", 1)), chart.length + theta0),
-            r=r,
             theta_ranges={"sh": (0.0, theta0), "o": (theta0, TWO_PI), "n": (theta0, TWO_PI)},
             charts={"n": chart},
             seam_thetas=(0.0, theta0),
@@ -666,9 +644,10 @@ def build_theorem_d_case2(
     it in one point, one arc, or two points.
 
     The fibre map rotates the common angle coordinate and pushes the result
-    onto the circle selected by the image base point's side; on the shared
-    radius-1 set the two pushes coincide, which is what makes the map well
-    defined across its defining branches.
+    onto the circle selected by the image base point's side (the outer one
+    on the left part, the inner one on the right); on the shared radius-1
+    set the two pushes coincide, which is what makes the map well defined
+    across its defining branches.
     """
     geo = _case2_geometry(pattern, theta0)
     params = f"K={precision}" + (f",theta0={theta0}" if pattern == "arc" else "")
@@ -693,7 +672,6 @@ def build_theorem_d_case2(
             "exceptional_base": c_l,
             "geometry": geo,
             "side_of": side,
-            "circle_for_side": {1: geo.outer, 2: geo.inner},
             "rotation": rho,
             "seed": BundlePoint(q.sampler(1)[0], geo.push_outer(seed_theta)),
         },

@@ -299,8 +299,9 @@ class Circle:
             e = g.edge_of(eid)
             seg_end_abs = base + cum[i + 1]
             stop = min(s1, seg_end_abs)
-            f0 = (sl - cum[i]) / e.length
-            f1 = (stop - base - cum[i]) / e.length
+            # past the first lap the ends can round an ulp outside the edge
+            f0 = min(max((sl - cum[i]) / e.length, 0.0), 1.0)
+            f1 = min(max((stop - base - cum[i]) / e.length, 0.0), 1.0)
             if d > 0:
                 segs.append(PathSeg(eid, f0, f1))
             else:
@@ -428,8 +429,8 @@ class GraphMap:
     The pieces of each domain edge must tile [0, 1]: the first ``lo`` is 0,
     each ``hi`` is the next ``lo``, the last ``hi`` is 1, and no piece is
     empty; building a map that breaks this raises ``InvalidPoint``.  The
-    build compiles ``_table``, which ``eval_et`` and ``eval_graph_map_arrays``
-    read: per domain edge index, the piece ``lo`` list and one row per piece,
+    build compiles ``_table``, which ``eval_et`` reads: per domain edge
+    index, the piece ``lo`` list and one row per piece,
     ``(lo, hi - lo, total, const edge index, const t, segs)``, where
     ``total`` is the path length, the const pair the image of a piece that
     collapses to a point (edge index -1 otherwise) and a seg is
@@ -466,53 +467,22 @@ class GraphMap:
         object.__setattr__(self, "_table", table)
 
 
-def _py_clamp(x: np.ndarray) -> np.ndarray:
-    """``min(max(x, 0.0), 1.0)`` elementwise, with Python's choice of
-    argument on ties (so -0.0 stays -0.0)."""
-    x = np.where(0.0 > x, 0.0, x)
-    return np.where(1.0 < x, 1.0, x)
-
-
 def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_graph_map`` of each point (ei, tt), bit for bit, as (codomain
-    edge index, t) arrays: the rows of the map's ``_table``, read as
-    arrays, with the same piece choice, clamps and float operations in the
-    same order, and ``InvalidPoint`` for a parameter outside [0, 1]."""
+    """``eval_et`` of each point (ei, tt), as (codomain edge index, t)
+    arrays, with ``InvalidPoint`` for a parameter outside [0, 1]."""
     outside = ~((tt >= 0.0) & (tt <= 1.0))
     if outside.any():
         j = int(np.flatnonzero(outside)[0])
         raise InvalidPoint(f"parameter {tt[j]} outside [0, 1] on edge {m.domain.edges[ei[j]].id!r}")
-    out_e = np.empty(len(ei), dtype=int)
-    out_t = np.empty(len(ei), dtype=float)
-    for k in np.unique(ei).tolist():
-        _, rows = m._table[k]
-        lo, width, total, const_e, const_t = np.array([r[:5] for r in rows]).T
-        # each path padded to the longest with copies of its last segment,
-        # which is never read past
-        n = max(len(r[5]) for r in rows)
-        segs = np.array([r[5] + r[5][-1:] * (n - len(r[5])) for r in rows])
-        at = np.flatnonzero(ei == k)
-        t = tt[at]
-        p = np.searchsorted(lo, t, side="right") - 1
-        fixed = const_e[p] >= 0
-        out_e[at[fixed]], out_t[at[fixed]] = const_e[p[fixed]], const_t[p[fixed]]
-        at, p, t = at[~fixed], p[~fixed], t[~fixed]
-        s = _py_clamp((t - lo[p]) / width[p]) * total[p]
-        for j in range(n):
-            t0, dt, sl, sl_tol, last, edge = segs[p, j].T
-            hit = (s <= sl_tol) | (last != 0)
-            sh, slh = s[hit], sl[hit]
-            frac = _py_clamp(np.where(slh > 0, sh / np.where(slh > 0, slh, 1.0), 0.0))
-            out_e[at[hit]] = edge[hit]
-            out_t[at[hit]] = _py_clamp(t0[hit] + dt[hit] * frac)
-            at, p, s = at[~hit], p[~hit], s[~hit] - sl[~hit]
-    return out_e, out_t
+    images = [eval_et(m, e, t) for e, t in zip(ei.tolist(), tt.tolist())]
+    return np.array([e for e, _ in images], dtype=int), np.array([t for _, t in images], dtype=float)
 
 
 def eval_et(m: GraphMap, e: int, t: float) -> tuple[int, float]:
     """The image of (domain edge index e, t) as (codomain edge index, t),
-    unchecked.  Each clamp is ``min(max(x, 0.0), 1.0)`` as comparisons with
-    Python's tie rule, as in ``_py_clamp``: -0.0 stays -0.0, NaN passes."""
+    unchecked; the one walk of a map's pieces.  Each clamp is
+    ``min(max(x, 0.0), 1.0)`` as comparisons with Python's tie rule: -0.0
+    stays -0.0, NaN passes."""
     lows, rows = m._table[e]
     lo, width, total, ce, ct, segs = rows[bisect_right(lows, t) - 1]
     if ce >= 0:
@@ -623,24 +593,13 @@ def rotate_along_circle(m: GraphMap, c: Circle, angle: float) -> GraphMap:
                 out.append(MapPiece(pc.lo, pc.hi, (PathSeg(p.edge, p.t, p.t),)))
                 continue
             # determine direction of the path along the circle
-            mid = _path_point_at(g2, pc.path, min(total / 2, total))
-            smid = c.coord_of(g2, mid)
+            ke, kt = eval_et(m, m.domain.edge_index(eid), (pc.lo + pc.hi) / 2.0)
+            smid = c.coord_of(g2, GraphPoint(g2.edges[ke].id, kt))
             fwd = (smid - s0) % c.length
             span = total if fwd <= c.length / 2 else -total
             out.append(MapPiece(pc.lo, pc.hi, c.signed_arc(g2, s0 + shift, span)))
         pieces[eid] = tuple(out)
     return GraphMap(m.domain, g2, pieces)
-
-
-def _path_point_at(g: MetricGraph, path: tuple[PathSeg, ...], s: float) -> GraphPoint:
-    for seg in path:
-        sl = seg.length(g)
-        if s <= sl or seg is path[-1]:
-            frac = s / sl if sl > 0 else 0.0
-            frac = min(max(frac, 0.0), 1.0)
-            return GraphPoint(seg.edge, seg.t0 + (seg.t1 - seg.t0) * frac)
-        s -= sl
-    raise AssertionError("unreachable")
 
 
 def circle_rotation_pieces(

@@ -215,7 +215,7 @@ class TestFlipBand:
     def test_boundary_fibres_are_two_points(self, mobius):
         res, sample = mobius
         probes = [sample.points[i].b for i in range(0, len(sample.points), 12)][:20]
-        rep = typical_fibre_report(res.system, sample, probes, DELTA)
+        rep = typical_fibre_report(res.system, sample, probes, DELTA, DELTA)
         assert str(rep.typical) == "FiniteN(2)"
         assert rep.N == 2
 
@@ -249,11 +249,8 @@ class TestCodingSystem:
 
 
 class TestDichotomyNeverViolated:
-    def _check(self, res, sample, delta_base=None):
-        rep = endpoint_statistics(
-            res.system.bundle.fibre, sample, r=3.0 * DELTA, delta=DELTA,
-            delta_base=delta_base,
-        )
+    def _check(self, res, sample, delta_base=DELTA):
+        rep = endpoint_statistics(sample, DELTA, delta_base)
         assert not (0.0 < rep.endpoint_fraction < 0.5 and rep.interior_detected)
         return rep
 
@@ -294,7 +291,7 @@ class TestCircleFibreImages:
         res, sample = m_circle_systems[m]
         rng = random.Random(11)
         probes = [sample.points[rng.randrange(len(sample.points))].b for _ in range(50)]
-        rep = circles_report(res.system, sample, DELTA, probes)
+        rep = circles_report(res.system, sample, probes, DELTA, DELTA)
         assert rep.probes_used == 50
         assert rep.m == m
         assert rep.exceptional_tags == ()

@@ -552,14 +552,14 @@ def _torus_sample(delta=0.02, n=100_000):
 class TestDichotomy:
     def test_mobius_boundary_is_all_endpoints(self):
         res, sample = _mobius_sample()
-        rep = endpoint_statistics(res.system.bundle.fibre, sample, r=0.06, delta=0.02)
+        rep = endpoint_statistics(sample, 0.02, 0.02)
         assert rep.endpoint_fraction == 1.0
         assert not rep.interior_detected
         assert rep.verdict == "A1"
 
     def test_torus_circles_have_no_endpoints(self):
         res, sample = _torus_sample()
-        rep = endpoint_statistics(res.system.bundle.fibre, sample, r=0.06, delta=0.02)
+        rep = endpoint_statistics(sample, 0.02, 0.02)
         assert rep.endpoint_fraction == 0.0
         assert rep.interior_detected
         assert rep.verdict == "A2"
@@ -569,7 +569,7 @@ class TestDichotomy:
         s = res.system
         sample = SampledSet.from_points(0.02, [], {}, s.base, s.bundle)
         with pytest.raises(EmptyInput):
-            endpoint_statistics(s.bundle.fibre, sample, 0.06, 0.02)
+            endpoint_statistics(sample, 0.02, 0.02)
 
 
 def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
@@ -596,9 +596,10 @@ class TestGroupedEndpointStatistics:
     @pytest.mark.parametrize("delta_base", [0.02, 0.08])
     def test_equals_per_point_loop(self, monkeypatch, block, delta_base):
         monkeypatch.setattr(analysis, "ENDPOINT_BLOCK", block)
+        monkeypatch.setattr(analysis, "ENDPOINT_MAX_POINTS", 300)
         for res, sample in (_torus_sample(n=10_000), _mobius_sample(n=5_000)):
             g = res.system.bundle.fibre
-            rep = endpoint_statistics(g, sample, 0.06, 0.02, delta_base, max_points=300)
+            rep = endpoint_statistics(sample, 0.02, delta_base)
             want = reference_endpoint_count(g, sample, 0.06, 0.02, delta_base, max_points=300)
             assert rep.endpoint_fraction == want / rep.points_checked
 
@@ -695,7 +696,7 @@ class TestInteriorDetector:
         want = reference_interior_detector(res.system.bundle, sample, delta)
         assert want is self.CASES[case]
         monkeypatch.setattr(analysis, "ENDPOINT_BLOCK", block)
-        assert interior_detector(res.system.bundle, sample, delta) is want
+        assert interior_detector(sample, delta) is want
 
     # (base angle, fibre points spread over the circle) groups, in sample
     # order; a one-point group leaves its base probe uncovered, unless it
@@ -720,7 +721,7 @@ class TestInteriorDetector:
         ]
         sample = SampledSet.from_points(0.05, points, {}, s.base, s.bundle)
         assert reference_interior_detector(s.bundle, sample, 0.05) is want
-        assert interior_detector(s.bundle, sample, 0.05) is want
+        assert interior_detector(sample, 0.05) is want
 
     def test_window_probes_equal_per_edge_grid(self):
         res, sample = _torus_sample(n=5_000)
@@ -732,18 +733,18 @@ class TestInteriorDetector:
 
     def test_torus_sample_has_interior(self):
         res, sample = _torus_sample()
-        assert interior_detector(res.system.bundle, sample, 0.02)
+        assert interior_detector(sample, 0.02)
 
     def test_mobius_boundary_has_none(self):
         res, sample = _mobius_sample()
-        assert not interior_detector(res.system.bundle, sample, 0.02)
+        assert not interior_detector(sample, 0.02)
 
 
 class TestTrichotomy:
     def test_mobius_boundary_is_finite_two(self):
         res, sample = _mobius_sample()
         probes = [sample.points[i].b for i in range(0, len(sample.points), 20)][:20]
-        rep = typical_fibre_report(res.system, sample, probes, 0.02)
+        rep = typical_fibre_report(res.system, sample, probes, 0.02, 0.02)
         assert str(rep.typical) == "FiniteN(2)"
         assert rep.N == 2
         assert rep.totally_disconnected_fraction == 1.0
@@ -751,7 +752,7 @@ class TestTrichotomy:
     def test_torus_is_circle_pair(self):
         res, sample = _torus_sample()
         probes = [sample.points[i].b for i in range(0, len(sample.points), 30)][:15]
-        rep = typical_fibre_report(res.system, sample, probes, 0.02)
+        rep = typical_fibre_report(res.system, sample, probes, 0.02, 0.02)
         assert str(rep.typical) == "Circles(2)"
 
     TIED = [FibreClass("finite", n=2), FibreClass("cantor", n=30), FibreClass("circles", m=2)]
@@ -764,13 +765,13 @@ class TestTrichotomy:
         classes = dict(zip(probes, [first, second, second, first]))
         system = SimpleNamespace(base=SimpleNamespace(preimages=None))
         sample = SimpleNamespace(probe_class=lambda b, delta_base, delta: classes[b])
-        rep = typical_fibre_report(system, sample, probes, 0.02)
+        rep = typical_fibre_report(system, sample, probes, 0.02, 0.02)
         assert rep.typical is None
         assert rep.exceptional_tags == (repr(probes[1]), repr(probes[2]))
 
 
 class TestCirclesReport:
-    def test_modal_tie_goes_to_first_probe_count(self):
+    def test_modal_tie_goes_to_first_probe_count(self, monkeypatch):
         # circle counts tie 2-2; the modal count is the one probed first,
         # as in the trichotomy, not the smaller one
         probes = [CircleAngle(x) for x in (0.1, 0.2, 0.3, 0.4)]
@@ -778,7 +779,8 @@ class TestCirclesReport:
         classes = dict(zip(probes, [two, one, one, two]))
         system = SimpleNamespace(bundle=SimpleNamespace(fibre=circle_graph(1.0)))
         sample = SimpleNamespace(probe_class=lambda b, delta_base, delta: classes[b])
-        rep = circles_report(system, sample, 0.02, probes, image_probes=0)
+        monkeypatch.setattr(analysis, "IMAGE_PROBES", 0)
+        rep = circles_report(system, sample, probes, 0.02, 0.02)
         assert rep.m == 2
         assert rep.exceptional_tags == ()
 
@@ -790,7 +792,7 @@ class TestCirclesReport:
         seed = BundlePoint(CircleAngle(0.1), GraphPoint("s1", 0.0))
         sample = approximate_minimal_set(res.system, seed, 100, 30_000, 0.02)
         probes = [sample.points[i].b for i in range(0, len(sample.points), 60)][:10]
-        rep = circles_report(res.system, sample, 0.02, probes)
+        rep = circles_report(res.system, sample, probes, 0.02, 0.02)
         assert rep.m == 2
         assert rep.exceptional_tags == ()
         assert rep.image_disjointness
@@ -803,10 +805,11 @@ class TestCirclesReport:
         monkeypatch.setattr(
             analysis, "classify_fibre", lambda *args: calls.append(args) or classify(*args)
         )
-        tri = typical_fibre_report(res.system, sample, probes, 0.02)
+        tri = typical_fibre_report(res.system, sample, probes, 0.02, 0.02)
         assert len(calls) == tri.probes_used == len(probes)
         calls.clear()
-        rep = circles_report(res.system, sample, 0.02, probes, image_probes=3)
+        monkeypatch.setattr(analysis, "IMAGE_PROBES", 3)
+        rep = circles_report(res.system, sample, probes, 0.02, 0.02)
         assert rep.m == 2 and rep.image_disjointness
         # only the three image fibres are classified; each maps the probe's
         # fibre slice, the points its verdict was computed from

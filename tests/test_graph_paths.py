@@ -391,6 +391,28 @@ class TestSignedArc:
         assert all(0.0 <= t <= 1.0 for sg in segs for t in (sg.t0, sg.t1))
         assert_is_path(g, segs, c.point_at(g, 0.5 * c.length), c.point_at(g, 0.5 * c.length))
 
+    def test_segment_ends_past_the_first_lap_stay_on_their_edge(self):
+        # from just below the start of the fifth lap, the first segment's
+        # end used to round to 1.0000000000000004
+        geo = _case2_geometry("two", math.pi / 2)
+        c = geo.inner
+        segs = c.signed_arc(geo.graph, math.nextafter(4 * c.length, 0.0), 2.977)
+        assert segs[0].edge == "n2" and segs[0].t1 == 1.0
+        assert all(0.0 <= t <= 1.0 for sg in segs for t in (sg.t0, sg.t1))
+
+    def test_segment_ends_stay_on_their_edge_in_a_seeded_sweep(self):
+        # 40,000 arcs starting anywhere in the first four laps of both
+        # circles of the two-point geometry
+        geo = _case2_geometry("two", math.pi / 2)
+        rng = random.Random(0)
+        outside = []
+        for c in (geo.outer, geo.inner):
+            for _ in range(20000):
+                s0, span = rng.uniform(0.0, 4.0 * c.length), rng.uniform(-c.length, c.length)
+                segs = c.signed_arc(geo.graph, s0, span)
+                outside += [(s0, span) for sg in segs for t in (sg.t0, sg.t1) if not 0.0 <= t <= 1.0]
+        assert outside == []
+
     def test_reverse_path(self):
         path = (PathSeg("a", 0.2, 1.0), PathSeg("b", 0.0, 0.5))
         assert reverse_path(path) == (PathSeg("b", 0.5, 0.0), PathSeg("a", 1.0, 0.2))

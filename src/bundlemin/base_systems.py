@@ -126,12 +126,16 @@ class BaseSystem:
     id: str
     point_type: type
     apply: Callable[[BasePoint], BasePoint]
-    metric: Callable[[BasePoint, BasePoint], float]
     sampler: Callable[[int], list[BasePoint]]
     embedding: Callable[[BasePoint], float]
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
+
+    def distance(self, x: BasePoint, y: BasePoint) -> float:
+        """The difference of the two embeddings, wrapped when ``circular``."""
+        ex, ey = self.embedding(x), self.embedding(y)
+        return circle_distance(ex, ey) if self.circular else abs(ex - ey)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +154,6 @@ def circle_rotation(alpha: float) -> BaseSystem:
     def apply(x: CircleAngle) -> CircleAngle:
         return CircleAngle((x.theta + alpha) % 1.0)
 
-    def metric(x: CircleAngle, y: CircleAngle) -> float:
-        return circle_distance(x.theta, y.theta)
-
     def sampler(n: int) -> list[CircleAngle]:
         return [CircleAngle((0.0123456789 + i * GOLDEN) % 1.0) for i in range(n)]
 
@@ -163,11 +164,9 @@ def circle_rotation(alpha: float) -> BaseSystem:
         id=f"rotation({alpha})",
         point_type=CircleAngle,
         apply=apply,
-        metric=metric,
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
         preimages=preimages,
-        params={"alpha": alpha},
         circular=True,
     )
 
@@ -185,9 +184,6 @@ def adding_machine(precision: int = 40) -> BaseSystem:
     def apply(x: TernaryCode) -> TernaryCode:
         return TernaryCode((x.bits + 1) % mod, K)
 
-    def metric(x: TernaryCode, y: TernaryCode) -> float:
-        return abs(embed_code(x) - embed_code(y))
-
     def sampler(n: int) -> list[TernaryCode]:
         return [TernaryCode(i % mod, K) for i in range(min(n, mod))]
 
@@ -195,11 +191,9 @@ def adding_machine(precision: int = 40) -> BaseSystem:
         id=f"odometer(K={K})",
         point_type=TernaryCode,
         apply=apply,
-        metric=metric,
         sampler=sampler,
         embedding=embed_code,
         preimages=lambda x: [TernaryCode((x.bits - 1) % mod, K)],
-        params={"K": K},
     )
 
 
@@ -230,7 +224,7 @@ def _is_endpoint_like(a: TernaryCode) -> bool:
 
 
 def _gap_widths(a: TernaryCode, horizon: int, mod: int) -> list[float]:
-    """Default inserted-gap lengths L_{-j} = 4^-j * nearest removed-interval width."""
+    """Inserted-gap lengths L_{-j} = 4^-j * nearest removed-interval width."""
     out = []
     for j in range(1, horizon + 1):
         aj = TernaryCode((a.bits - j) % mod, a.K)
@@ -260,11 +254,7 @@ def _nearest_gap_width(a: TernaryCode) -> float:
 DOUBLING_HORIZON = 12
 
 
-def doubled_cantor(
-    a: TernaryCode | None = None,
-    gaps: Sequence[float] | None = None,
-    precision: int = 40,
-) -> BaseSystem:
+def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSystem:
     """Adding machine with the backward orbit of ``a`` doubled.
 
     Backward-orbit points a_{-j} (j up to DOUBLING_HORIZON) are replaced by
@@ -287,12 +277,7 @@ def doubled_cantor(
         raise BadBlowupCenter("center has a constant tail at this precision")
     mod = 1 << K
     J = DOUBLING_HORIZON
-    if gaps is None:
-        L = _gap_widths(a, J, mod)
-    else:
-        L = [float(g) for g in gaps[:J]]
-        if len(L) < J or any(g <= 0 for g in L):
-            raise BadBlowupCenter(f"need {J} positive gap lengths")
+    L = _gap_widths(a, J, mod)
     back_codes = {((a.bits - j) % mod): j for j in range(1, J + 1)}
     back_embed = sorted(
         (embed_code(TernaryCode((a.bits - j) % mod, K)), j) for j in range(1, J + 1)
@@ -342,9 +327,6 @@ def doubled_cantor(
             return [DoubledCode(prev, x.side)]
         return [DoubledCode(prev, 0)]
 
-    def metric(x: DoubledCode, y: DoubledCode) -> float:
-        return abs(embedding(x) - embedding(y))
-
     def sampler(n: int) -> list[DoubledCode]:
         return [DoubledCode(TernaryCode(i % mod, K), 0) for i in range(min(n, mod))]
 
@@ -352,11 +334,10 @@ def doubled_cantor(
         id=f"doubled-cantor(K={K})",
         point_type=DoubledCode,
         apply=apply,
-        metric=metric,
         sampler=sampler,
         embedding=embedding,
         preimages=preimages,
-        params={"K": K, "a": a, "gaps": tuple(L), "horizon": J},
+        params={"K": K, "a": a, "gaps": tuple(L)},
     )
 
 
@@ -391,9 +372,6 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
         e = dc.embedding(canonical(x))
         return e - L1 if e >= e_r - 1e-15 else e
 
-    def metric(x: DoubledCode, y: DoubledCode) -> float:
-        return abs(embedding(x) - embedding(y))
-
     a: TernaryCode = dc.params["a"]
 
     def preimages(x: DoubledCode) -> list[DoubledCode]:
@@ -409,7 +387,6 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
         id=f"quotient({dc.id})",
         point_type=dc.point_type,
         apply=apply,
-        metric=metric,
         sampler=sampler,
         embedding=embedding,
         preimages=preimages,
@@ -530,13 +507,6 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
             arc = rotated
         return SymbolicWord(bits, K, arc)
 
-    def metric(x: SymbolicWord, y: SymbolicWord) -> float:
-        diff = x.bits ^ y.bits
-        if diff == 0:
-            return 0.0
-        m = (diff & -diff).bit_length() - 1
-        return 3.0 ** (-m)
-
     def sampler(n: int) -> list[SymbolicWord]:
         out: list[SymbolicWord] = []
         seen: set[int] = set()
@@ -553,10 +523,8 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         id=f"sturmian(alpha={alpha},K={K})",
         point_type=SymbolicWord,
         apply=apply,
-        metric=metric,
         sampler=sampler,
         embedding=word_embedding,
-        params={"alpha": alpha, "K": K},
     )
     return bs, factor
 
@@ -678,7 +646,7 @@ def recurrence_horizon(
     uncovered = list(range(len(refs)))
     x = x0
     for step in range(1, max_steps + 1):
-        still = [i for i in uncovered if bs.metric(refs[i], x) > delta]
+        still = [i for i in uncovered if bs.distance(refs[i], x) > delta]
         uncovered = still
         if not uncovered:
             return step

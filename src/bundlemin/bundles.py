@@ -60,10 +60,6 @@ class SkewSystem:
         return self.image_family(self.base.apply(b))
 
 
-def product_bundle(base: BaseSystem, fibre: MetricGraph) -> Bundle:
-    return Bundle(fibre=fibre)
-
-
 def _check_round_trip(fibre: MetricGraph, g: GraphMap, ginv: GraphMap, tol: float = 1e-9) -> None:
     for e in fibre.edges:
         for i in range(9):

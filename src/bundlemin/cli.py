@@ -52,6 +52,9 @@ EXIT_CAP = 4
 #: most orbit steps, and most transient steps, one run may take
 STEP_CAP = 10_000_000
 
+#: largest seed index: a seed rule builds all i + 1 base samples for index i
+MAX_SEED_INDEX = 999
+
 
 # ---------------------------------------------------------------------------
 # base-point tags for the CSV round trip
@@ -273,9 +276,8 @@ def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int,
         raise ConfigError(f"steps {steps} must be at least 1")
     if transient < 0:
         raise ConfigError(f"transient {transient} is negative")
-    # a seed rule builds all i + 1 base samples for seed index i
-    if not 0 <= args.seed <= 999:
-        raise ConfigError(f"seed index {args.seed} outside [0, 999]")
+    if not 0 <= args.seed <= MAX_SEED_INDEX:
+        raise ConfigError(f"seed index {args.seed} outside [0, {MAX_SEED_INDEX}]")
     return delta, steps, transient, args.seed
 
 
@@ -308,6 +310,22 @@ def _read_out_file(path: Path) -> str:
         raise SchemaError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
+def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None:
+    """A provenance that does not name the loaded system, counts fewer
+    steps than the sample has rows, holds a separation other than delta / 4
+    or a seed index outside [0, MAX_SEED_INDEX] is a SchemaError."""
+    steps, sep, delta, seed = (prov.get(k) for k in ("steps", "separation", "delta", "seed_index"))
+    for ok, what in (
+        (prov.get("system") == system_id, f"names system {prov.get('system')!r}, not {system_id!r}"),
+        (type(steps) is int and steps >= rows, f"counts steps {steps!r}, not at least the sample's {rows} rows"),
+        (type(sep) is type(delta) is float and sep == delta / 4.0,
+         f"separation {sep!r} is not delta {delta!r} / 4"),
+        (type(seed) is int and 0 <= seed <= MAX_SEED_INDEX, f"seed_index {seed!r} outside [0, {MAX_SEED_INDEX}]"),
+    ):
+        if not ok:
+            raise SchemaError(f"{path} {what}")
+
+
 def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResult, SampledSet]:
     """The system and the orbit sample saved in --out."""
     cfg = load_config(args.config)
@@ -323,13 +341,12 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
         raise SchemaError(f"{csv_path} holds no points")
     prov_path = out / "provenance.json"
     try:
-        prov = json.loads(_read_out_file(prov_path)) if prov_path.exists() else {}
+        prov = json.loads(_read_out_file(prov_path))
     except ValueError as exc:
         raise SchemaError(f"malformed {prov_path}: {exc}") from exc
     if not isinstance(prov, dict):
         raise SchemaError(f"{prov_path} must hold a JSON object, not {type(prov).__name__}")
-    if prov_path.exists() and prov.get("system") != s.id:
-        raise SchemaError(f"{prov_path} names system {prov.get('system')!r}, not {s.id!r}")
+    _check_provenance(prov, prov_path, s.id, len(bases))
     try:
         sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
     except InvalidPoint as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,8 @@ from .base_systems import (
     weyl_minimal_rotation,
     word_embedding,
 )
-from .bundles import BundlePoint, SkewSystem, monodromy_bundle, product_bundle
-from .errors import BadPattern, CirclesIntersect, NotACircle, OutOfRange, WrongInput
+from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle
+from .errors import BadPattern, CirclesIntersect, OutOfRange, WrongInput
 from .graphs import (
     Circle,
     Edge,
@@ -83,11 +83,6 @@ def _sampled_seed(s: SkewSystem, i: int) -> BundlePoint:
     return BundlePoint(s.base.sampler(i + 1)[-1], GraphPoint(s.bundle.fibre.edges[0].id, 0.37))
 
 
-def _require_angle(a: float, name: str = "angle") -> None:
-    if not 0.0 < a < 1.0:
-        raise OutOfRange(f"{name} {a} outside (0, 1)")
-
-
 # ---------------------------------------------------------------------------
 # interval-fibre band with orientation-reversing gluing
 
@@ -101,7 +96,6 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
     its fibres have two points and it turns with rotation number alpha/2.
     These are the two minimal sets the construction exhibits.
     """
-    _require_angle(alpha, "alpha")
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 2.0),))
     flip = GraphMap(fibre, fibre, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", 1.0, 0.0),)),)})
     base = circle_rotation(alpha)
@@ -158,8 +152,8 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
     the interval across accordingly, fixing its midpoint t = 0.5. The
     circle pair (edges A and B) sweeps out the claimed minimal set.
     """
-    _require_angle(alpha, "alpha")
-    _require_angle(beta, "beta")
+    if not 0.0 < beta < 1.0:
+        raise OutOfRange(f"beta {beta} outside (0, 1)")
     fibre = MetricGraph(
         ("u", "w"),
         (Edge("A", "u", "u", 1.0), Edge("I", "u", "w", 1.0), Edge("B", "w", "w", 1.0)),
@@ -216,10 +210,8 @@ def build_sturmian_cylinder(
     generic fibre of it is one point; over the two codings of a boundary
     angle it is two.
     """
-    _require_angle(alpha, "alpha")
     base, _ = sturmian(alpha, precision)
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 1.0),))
-    bundle = product_bundle(base, fibre)
 
     @lru_cache(maxsize=1024)
     def constant_map(t2: float) -> GraphMap:
@@ -232,7 +224,7 @@ def build_sturmian_cylinder(
 
     system = SkewSystem(
         base=base,
-        bundle=bundle,
+        bundle=Bundle(fibre),
         image_family=image_family,
         id=f"sturmian-cylinder(alpha={alpha},K={precision})",
     )
@@ -255,14 +247,11 @@ def build_circle_minimal_product(
     base: BaseSystem, fibre: MetricGraph, c: Circle, angle: float = SQRT2_FRAC
 ) -> ConstructionResult:
     """Product system whose fibre map retracts onto c and rotates along it."""
-    if not c.edge_ids() <= {e.id for e in fibre.edges}:
-        raise NotACircle("circle does not belong to the fibre graph")
     r = build_retraction(fibre, c)
     m = rotate_along_circle(r, c, angle)
-    bundle = product_bundle(base, fibre)
     system = SkewSystem(
         base=base,
-        bundle=bundle,
+        bundle=Bundle(fibre),
         image_family=lambda b: m,
         id=f"circle-product({base.id},length={c.length},angle={angle})",
     )
@@ -346,10 +335,9 @@ def build_m_circles(
         pieces[e.id] = (MapPiece(0.0, 1.0, segs),)
 
     h = GraphMap(fibre, fibre, pieces)
-    bundle = product_bundle(base, fibre)
     system = SkewSystem(
         base=base,
-        bundle=bundle,
+        bundle=Bundle(fibre),
         image_family=lambda b: h,
         id=f"m-circles({base.id},m={m},angle={angle})",
     )
@@ -357,25 +345,43 @@ def build_m_circles(
 
 
 # ---------------------------------------------------------------------------
-# blown-up odometer bases: shared plumbing
+# blown-up odometer bases: the one assembly of both theorem-d systems
 
 
-def _quotient_with_sides(precision: int):
-    dc = doubled_cantor(precision=precision)
-    q = quotient_base(dc)
-    c_l, c_r = q.params["c_l"], q.params["c_r"]
+def _blown_up_odometer(
+    precision: int,
+    fibre: MetricGraph,
+    part_maps: Callable[[float], tuple[GraphMap, GraphMap]],
+    seed_y: GraphPoint,
+    system_id: str,
+    note: str,
+    geometry: Optional[Case2Geometry] = None,
+) -> ConstructionResult:
+    """Product system over the quotiented blown-up odometer: the fibre map
+    is the first of ``part_maps(rho)`` over the left part of the base (at
+    or left of the identified point c_l) and the second over the right
+    part, for the rotation rho equidistributed along the odometer's return
+    times.  Seed index 0 is ``seed_y`` over the first base sample."""
+    q = quotient_base(doubled_cantor(precision=precision))
+    c_l = q.params["c_l"]
     e_l = q.embedding(c_l)
 
     def side(x: DoubledCode) -> int:
-        # 1 = left part (at or left of the identified point), 2 = right part
+        # 1 = left part, 2 = right part
         return 1 if q.embedding(x) <= e_l + 1e-15 else 2
 
-    return q, c_l, side
-
-
-def _case_rotation() -> float:
-    """Rotation angle equidistributed along the odometer's return times."""
-    return float(weyl_minimal_rotation([2 ** k for k in range(1, 201)], 200, 0.05))
+    rho = float(weyl_minimal_rotation([2 ** k for k in range(1, 201)], 200, 0.05))
+    maps = dict(zip((1, 2), part_maps(rho)))
+    reference = {"exceptional_base": c_l, "side_of": side, "rotation": rho,
+                 "seed": BundlePoint(q.sampler(1)[0], seed_y)}
+    if geometry is not None:
+        reference["geometry"] = geometry
+    system = SkewSystem(base=q, bundle=Bundle(fibre), image_family=lambda b2: maps[side(b2)],
+                        reference=reference, id=system_id)
+    return ConstructionResult(
+        system, note,
+        seed_rule=lambda i: reference["seed"] if i == 0 else _sampled_seed(system, i),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +398,6 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
     onto a half circle so the whole fibre map stays continuous. A generic
     fibre is one circle.
     """
-    q, c_l, side = _quotient_with_sides(precision)
-    rho = _case_rotation()
     g = MetricGraph(
         ("v1", "v2"),
         (
@@ -402,12 +406,9 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
             Edge("s2", "v2", "v2", TWO_PI),
         ),
     )
-    c1, c2 = _loop_circle(g, "s1"), _loop_circle(g, "s2")
 
-    def target_map(i_target: int) -> GraphMap:
+    def target_map(rho: float, circ: Circle, off: float) -> GraphMap:
         # chart offset: loop parameter 0 of s2 sits opposite parameter 0 of s1
-        off = 0.0 if i_target == 1 else 0.5
-        circ = c1 if i_target == 1 else c2
         start_s1 = ((rho - off) % 1.0) * TWO_PI
         start_s2 = ((0.5 + rho - off) % 1.0) * TWO_PI
         return GraphMap(
@@ -421,27 +422,10 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
             },
         )
 
-    maps = {1: target_map(1), 2: target_map(2)}
-
-    def image_family(b2: DoubledCode) -> GraphMap:
-        return maps[side(b2)]
-
-    bundle = product_bundle(q, g)
-    system = SkewSystem(
-        base=q,
-        bundle=bundle,
-        image_family=image_family,
-        reference={
-            "exceptional_base": c_l,
-            "side_of": side,
-            "rotation": rho,
-            "seed": BundlePoint(q.sampler(1)[0], GraphPoint("s1", 0.0)),
-        },
-        id=f"theorem-d-1(K={precision})",
-    )
-    return ConstructionResult(
-        system, "two disjoint circles over a blown-up odometer",
-        seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
+    c1, c2 = _loop_circle(g, "s1"), _loop_circle(g, "s2")
+    return _blown_up_odometer(
+        precision, g, lambda rho: (target_map(rho, c1, 0.0), target_map(rho, c2, 0.5)),
+        GraphPoint("s1", 0.0), f"theorem-d-1(K={precision})", "two disjoint circles over a blown-up odometer",
     )
 
 
@@ -480,7 +464,6 @@ class Case2Geometry:
     """Angle bookkeeping for a fibre made of an outer unit circle and an
     inner radial curve sharing the radius-1 set."""
 
-    pattern: str
     graph: MetricGraph
     outer: Circle
     inner: Circle
@@ -541,7 +524,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             (Edge("o", "P", "P", TWO_PI), Edge("n", "P", "P", chart.length)),
         )
         return Case2Geometry(
-            pattern=pattern,
             graph=g,
             outer=Circle((("o", 1),), TWO_PI),
             inner=Circle((("n", 1),), chart.length),
@@ -564,7 +546,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             ),
         )
         return Case2Geometry(
-            pattern=pattern,
             graph=g,
             outer=Circle((("o1", 1), ("o2", 1)), TWO_PI),
             inner=Circle((("n1", 1), ("n2", 1)), ch1.length + ch2.length),
@@ -593,7 +574,6 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             ),
         )
         return Case2Geometry(
-            pattern=pattern,
             graph=g,
             outer=Circle((("o", 1), ("sh", 1)), TWO_PI),
             inner=Circle((("n", 1), ("sh", 1)), chart.length + theta0),
@@ -651,35 +631,17 @@ def build_theorem_d_case2(
     """
     geo = _case2_geometry(pattern, theta0)
     params = f"K={precision}" + (f",theta0={theta0}" if pattern == "arc" else "")
-    q, c_l, side = _quotient_with_sides(precision)
-    rho = _case_rotation()
-    delta = (rho % 1.0) * TWO_PI
-    maps = {
-        1: _case2_fibre_map(geo, target_inner=False, delta_theta=delta),
-        2: _case2_fibre_map(geo, target_inner=True, delta_theta=delta),
-    }
 
-    def image_family(b2: DoubledCode) -> GraphMap:
-        return maps[side(b2)]
+    def part_maps(rho: float) -> tuple[GraphMap, GraphMap]:
+        delta = (rho % 1.0) * TWO_PI
+        return (_case2_fibre_map(geo, target_inner=False, delta_theta=delta),
+                _case2_fibre_map(geo, target_inner=True, delta_theta=delta))
 
-    bundle = product_bundle(q, geo.graph)
     seed_theta = geo.theta_ranges[geo.outer_edges[0]][0] + 0.37
-    system = SkewSystem(
-        base=q,
-        bundle=bundle,
-        image_family=image_family,
-        reference={
-            "exceptional_base": c_l,
-            "geometry": geo,
-            "side_of": side,
-            "rotation": rho,
-            "seed": BundlePoint(q.sampler(1)[0], geo.push_outer(seed_theta)),
-        },
-        id=f"theorem-d-2:{pattern}({params})",
-    )
-    return ConstructionResult(
-        system, "two intersecting circles over a blown-up odometer",
-        seed_rule=lambda i: system.reference["seed"] if i == 0 else _sampled_seed(system, i),
+    return _blown_up_odometer(
+        precision, geo.graph, part_maps, geo.push_outer(seed_theta),
+        f"theorem-d-2:{pattern}({params})", "two intersecting circles over a blown-up odometer",
+        geometry=geo,
     )
 
 
@@ -731,6 +693,19 @@ def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> 
     return build_m_circles(circle_rotation(alpha), g, circles, angle)
 
 
+#: smallest base precision K the theorem-d constructions accept: one run
+#: visits at most 2 * 10^7 orbit points (the transient and the steps, each
+#: capped at the command line's STEP_CAP), fewer than the 2^25 codes of the
+#: base, so its orbit cannot close within a run; at K = 24 it can
+MIN_THEOREM_D_PRECISION = 25
+
+
+def _run_precision(precision: int) -> int:
+    if precision < MIN_THEOREM_D_PRECISION:
+        raise OutOfRange(f"precision {precision} below {MIN_THEOREM_D_PRECISION}: the base orbit can close")
+    return precision
+
+
 def coerce_setting(key: str, value: Any, default: Any) -> Any:
     """value as its default's type; a boolean is refused, and so is a
     fraction where the default is an int."""
@@ -761,9 +736,15 @@ CONSTRUCTIONS: dict[str, Callable[[dict], ConstructionResult]] = {
     "sturmian-cylinder": _from_params(build_sturmian_cylinder),
     "circle-product": _from_params(_circle_product),
     "m-circles": _from_params(_m_circles),
-    "theorem-d-1": _from_params(build_theorem_d_case1),
+    "theorem-d-1": _from_params(lambda precision=40: build_theorem_d_case1(_run_precision(precision))),
     # only the arc pattern reads the plateau end theta0
-    "theorem-d-2:point": _from_params(lambda precision=40: build_theorem_d_case2("point", precision)),
-    "theorem-d-2:arc": _from_params(partial(build_theorem_d_case2, "arc")),
-    "theorem-d-2:two": _from_params(lambda precision=40: build_theorem_d_case2("two", precision)),
+    "theorem-d-2:point": _from_params(
+        lambda precision=40: build_theorem_d_case2("point", _run_precision(precision))
+    ),
+    "theorem-d-2:arc": _from_params(
+        lambda precision=40, theta0=math.pi / 2: build_theorem_d_case2("arc", _run_precision(precision), theta0)
+    ),
+    "theorem-d-2:two": _from_params(
+        lambda precision=40: build_theorem_d_case2("two", _run_precision(precision))
+    ),
 }

@@ -142,7 +142,7 @@ class TestTwoDisjointCircles:
         probes = []
         while len(probes) < 50:
             b = sample.points[rng.randrange(len(sample.points))].b
-            if s.base.metric(b, c_l) > 0.05:
+            if s.base.distance(b, c_l) > 0.05:
                 probes.append(b)
         for b in probes:
             ys = sample.fibre_slice(b, DELTA)

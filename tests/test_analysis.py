@@ -23,26 +23,36 @@ from bundlemin.analysis import (
     interior_detector,
     typical_fibre_report,
 )
-from bundlemin.base_systems import GOLDEN, BaseSystem, CircleAngle, circle_rotation, word_embedding
+from bundlemin.base_systems import (
+    GOLDEN,
+    BaseSystem,
+    CircleAngle,
+    DoubledCode,
+    circle_rotation,
+    doubled_cantor,
+    word_embedding,
+)
 from bundlemin.bundles import (
+    Bundle,
     BundlePoint,
     SkewSystem,
     monodromy_bundle,
     orbit,
     orbit_blocks,
-    product_bundle,
 )
 from bundlemin.cli import csv_to_points, sample_to_csv
 from bundlemin.constructions import (
     CONSTRUCTIONS,
+    build_circle_minimal_product,
     build_m_circles,
     build_mobius,
     build_sturmian_cylinder,
     build_torus_on_mobius,
     chained_loops_graph,
 )
-from bundlemin.errors import EmptyInput, InvalidPoint, WrongInput
+from bundlemin.errors import EmptyInput, InvalidPoint, NoProbes, WrongInput
 from bundlemin.graphs import (
+    Circle,
     Edge,
     GraphMap,
     GraphPoint,
@@ -73,7 +83,7 @@ class TestApproximateMinimalSet:
         for i in range(0, len(pts), 7):
             for j in range(i + 1, len(pts), 13):
                 d = max(
-                    s.base.metric(pts[i].b, pts[j].b),
+                    s.base.distance(pts[i].b, pts[j].b),
                     g.path_distance(pts[i].y, pts[j].y),
                 )
                 assert d > 0.05 / 4 - 1e-12
@@ -147,7 +157,7 @@ class TestApproximateMinimalSet:
         g = interval_graph(1.0)
         bad = GraphMap(g, g, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", t, t),)),)})
         base = circle_rotation(GOLDEN)
-        s = SkewSystem(base, product_bundle(base, g), lambda b: bad)
+        s = SkewSystem(base, Bundle(g), lambda b: bad)
         seed = BundlePoint(CircleAngle(0.1), GraphPoint("I", 0.5))
         n = 2 if last else 3_000
         with pytest.raises(InvalidPoint, match=rf"parameter {t} outside \[0, 1\] on edge 'I'"):
@@ -433,8 +443,7 @@ def _angle_base(circular):
     sit exactly at 1 (an interval base when not circular)."""
     return BaseSystem(
         id=f"identity(circular={circular})", point_type=CircleAngle, apply=lambda x: x,
-        metric=lambda x, y: abs(x.theta - y.theta), sampler=lambda n: [],
-        embedding=lambda x: x.theta, circular=circular,
+        sampler=lambda n: [], embedding=lambda x: x.theta, circular=circular,
     )
 
 
@@ -463,7 +472,7 @@ class TestSortedSliceIndices:
         n = len(embeds)
         sample = SampledSet(
             0.02, [CircleAngle(x) for x in embeds], np.zeros(n, dtype=int), np.zeros(n), {},
-            base, product_bundle(base, interval_graph(1.0)),
+            base, Bundle(interval_graph(1.0)),
         )
         for b in [CircleAngle(e)] + sample.bases[:12]:
             got = sample.slice_indices(b, width)
@@ -769,6 +778,24 @@ class TestTrichotomy:
         assert rep.typical is None
         assert rep.exceptional_tags == (repr(probes[1]), repr(probes[2]))
 
+    def test_probe_with_two_preimages_is_dropped(self):
+        # over the doubled Cantor set the blow-up point a has two preimages
+        # (the doubled pair), and so has a backward orbit step of its image
+        g = circle_graph(1.0)
+        res = build_circle_minimal_product(doubled_cantor(), g, enumerate_circles(g)[0])
+        s = res.system
+        sample = approximate_minimal_set(s, res.seed(0), 100, 5_000, 0.02)
+        a = DoubledCode(s.base.params["a"], 0)
+        assert len(s.base.preimages(a)) == 2
+        dropped = [a, s.base.apply(a)]
+        # their fibre slices are not empty: only the filter drops them
+        assert all(sample.probe_class(b, 0.02, 0.02) is not None for b in dropped)
+        kept = sample.bases[:: len(sample.bases) // 4][:4]
+        rep = typical_fibre_report(s, sample, dropped + kept, 0.02, 0.02)
+        assert rep.probes_used == len(kept)
+        with pytest.raises(NoProbes):
+            typical_fibre_report(s, sample, dropped, 0.02, 0.02)
+
 
 class TestCirclesReport:
     def test_modal_tie_goes_to_first_probe_count(self, monkeypatch):
@@ -816,4 +843,20 @@ class TestCirclesReport:
         assert len(calls) == 3
         slices = [sample.probe_class(b, 0.02, 0.02).ts for b in probes[:3]]
         assert [len(args[1]) for args in calls] == [len(ts) for ts in slices]
+
+    def test_folding_two_circles_onto_one_fails_the_image_check(self):
+        # the fibre map sends both circles A and B onto A (and the interval
+        # joining them to A's vertex), so each image fibre is one circle
+        res, sample = _torus_sample(n=20_000)
+        g = res.system.bundle.fibre
+        a = Circle((("A", 1),), 1.0)
+        fold = GraphMap(g, g, {
+            "A": circle_rotation_pieces(g, "A", a, 0.0, 1.0),
+            "B": circle_rotation_pieces(g, "B", a, 0.0, 1.0),
+            "I": (MapPiece(0.0, 1.0, (PathSeg("A", 0.0, 0.0),)),),
+        })
+        folded = SkewSystem(res.system.base, res.system.bundle, lambda b: fold)
+        probes = [sample.points[i].b for i in range(0, len(sample.points), 300)][:8]
+        rep = circles_report(folded, sample, probes, 0.02, 0.02)
+        assert rep.m == 2 and not rep.image_disjointness
 

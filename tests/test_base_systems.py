@@ -40,30 +40,30 @@ class TestCircleRotation:
 
     def test_metric_wraps(self):
         bs = circle_rotation(GOLDEN)
-        assert bs.metric(CircleAngle(0.05), CircleAngle(0.95)) == pytest.approx(0.1)
+        assert bs.distance(CircleAngle(0.05), CircleAngle(0.95)) == pytest.approx(0.1)
 
     def test_preimages_invert(self):
         bs = circle_rotation(GOLDEN)
         x = CircleAngle(0.3)
         (y,) = bs.preimages(x)
-        assert bs.metric(bs.apply(y), x) < 1e-12
+        assert bs.distance(bs.apply(y), x) < 1e-12
         assert len(bs.preimages(x)) == 1
 
     def test_sampler_is_orbit(self):
         bs = circle_rotation(GOLDEN)
         xs = bs.sampler(5)
         for a, b in zip(xs, xs[1:]):
-            assert bs.metric(bs.apply(a), b) < 1e-12
+            assert bs.distance(bs.apply(a), b) < 1e-12
 
     @given(t=st.floats(0.0, 1.0), n=st.integers(1, 20))
     @settings(max_examples=50, deadline=None)
     def test_rotation_is_isometry(self, t, n):
         bs = circle_rotation(GOLDEN)
         x, y = CircleAngle(t), CircleAngle((t + 0.3) % 1.0)
-        d0 = bs.metric(x, y)
+        d0 = bs.distance(x, y)
         for _ in range(n):
             x, y = bs.apply(x), bs.apply(y)
-        assert bs.metric(x, y) == pytest.approx(d0, abs=1e-9)
+        assert bs.distance(x, y) == pytest.approx(d0, abs=1e-9)
 
 
 class TestAddingMachine:
@@ -95,8 +95,8 @@ class TestAddingMachine:
         x = code_from_digits([0, 2, 0, 2] + [0] * 8)
         y = code_from_digits([0, 2, 0, 0] + [0] * 8)
         # single digit difference of 2 at index 3 -> metric 2 * 3^-4
-        assert bs.metric(x, y) == pytest.approx(2.0 * 3.0**-4)
-        assert abs(bs.embedding(x) - bs.embedding(y)) == pytest.approx(bs.metric(x, y))
+        assert bs.distance(x, y) == pytest.approx(2.0 * 3.0**-4)
+        assert abs(bs.embedding(x) - bs.embedding(y)) == pytest.approx(bs.distance(x, y))
 
     def test_embed_code_is_ternary_sum(self):
         c = code_from_digits([2, 0, 2])
@@ -192,7 +192,7 @@ class TestDoubledCantor:
         pts = bs.sampler(64)
         order = sorted(pts, key=bs.embedding)
         for a, b in zip(order, order[1:]):
-            assert bs.metric(a, b) > 0.0
+            assert bs.distance(a, b) > 0.0
 
 
 class TestQuotient:
@@ -201,7 +201,7 @@ class TestQuotient:
         q = quotient_base(dc)
         lo, hi = q.params["c_l"], q.params["c_r"]
         assert q.embedding(lo) == pytest.approx(q.embedding(hi), abs=1e-12)
-        assert q.metric(lo, hi) == 0.0
+        assert q.distance(lo, hi) == 0.0
 
     def test_preimage_count_is_one_everywhere(self):
         dc = doubled_cantor()
@@ -214,7 +214,7 @@ class TestQuotient:
         q = quotient_base(dc)
         for x in q.sampler(16):
             (y,) = q.preimages(x)
-            assert q.metric(q.apply(y), x) == 0.0
+            assert q.distance(q.apply(y), x) == 0.0
 
 
 class TestSturmian:

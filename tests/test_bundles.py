@@ -14,7 +14,6 @@ from bundlemin.bundles import (
     apply_skew,
     monodromy_bundle,
     orbit,
-    product_bundle,
     transport_to,
 )
 from bundlemin.errors import NotHomeomorphism, WrongInput
@@ -35,7 +34,7 @@ def flip_map(g) -> GraphMap:
 
 class TestBundleConstruction:
     def test_product_is_not_monodromy(self):
-        b = product_bundle(circle_rotation(GOLDEN), interval_graph(1.0))
+        b = Bundle(interval_graph(1.0))
         assert not b.is_monodromy
 
     def test_monodromy_roundtrip_checked(self):
@@ -59,7 +58,7 @@ class TestBundleConstruction:
 def _product_system(alpha=GOLDEN):
     base = circle_rotation(alpha)
     g = interval_graph(1.0)
-    bundle = product_bundle(base, g)
+    bundle = Bundle(g)
     ident = identity_map(g)
     return SkewSystem(base, bundle, lambda b: ident, id="test-product")
 
@@ -81,7 +80,7 @@ class TestSkewOrbit:
         direct = x
         for _ in range(5):
             direct = apply_skew(s, direct)
-        assert s.base.metric(xs[0].b, direct.b) < 1e-12
+        assert s.base.distance(xs[0].b, direct.b) < 1e-12
 
     def test_monodromy_glues_on_wrap(self):
         base = circle_rotation(0.75)
@@ -107,7 +106,7 @@ class TestTransport:
     def test_product_transport_is_identity(self):
         base = circle_rotation(GOLDEN)
         g = interval_graph(1.0)
-        bundle = product_bundle(base, g)
+        bundle = Bundle(g)
         y = transport_to(bundle, base, CircleAngle(0.1), CircleAngle(0.9), GraphPoint("I", 0.3))
         assert y.t == 0.3
 
@@ -127,7 +126,7 @@ class TestFibreSlice:
     def test_slice_selects_nearby_bases(self):
         base = circle_rotation(GOLDEN)
         g = interval_graph(1.0)
-        bundle = product_bundle(base, g)
+        bundle = Bundle(g)
         pts = [
             BundlePoint(CircleAngle(0.10), GraphPoint("I", 0.1)),
             BundlePoint(CircleAngle(0.11), GraphPoint("I", 0.2)),

@@ -30,6 +30,7 @@ from bundlemin.cli import (
     encode_base_point,
     main,
 )
+from bundlemin.constructions import MIN_THEOREM_D_PRECISION
 from bundlemin.errors import SchemaError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -138,7 +139,15 @@ class TestConfigBoundary:
         "m-too-large": {"construction": "m-circles", "params": {"m": 1500}},
         "doubling-precision-too-small": {"construction": "theorem-d-1", "params": {"precision": 3}},
         "theta0-on-two-points": {"construction": "theorem-d-2:two", "params": {"theta0": -5}},
+        "theorem-d-1-orbit-can-close": {"construction": "theorem-d-1", "params": {"precision": 24}},
+        "theorem-d-2-orbit-can-close": {"construction": "theorem-d-2:arc", "params": {"precision": 24}},
     }
+
+    def test_theorem_d_precision_floor(self):
+        # the smallest K whose 2^K base codes outnumber the orbit points of
+        # one run (transient and steps, each at most STEP_CAP)
+        K = MIN_THEOREM_D_PRECISION
+        assert 2 ** K > 2 * cli.STEP_CAP >= 2 ** (K - 1)
 
     @staticmethod
     def assert_one_config_error(capsys):
@@ -230,9 +239,9 @@ def _swap_rows(path, a, b):
     path.write_text("".join(lines))
 
 
-def _replace_provenance_system(out, system):
+def _replace_provenance(out, key, value):
     prov = json.loads((out / "provenance.json").read_text())
-    prov["system"] = system
+    prov[key] = value
     (out / "provenance.json").write_text(json.dumps(prov))
 
 
@@ -265,7 +274,11 @@ class TestDamagedOut:
         "sample-is-a-directory": lambda out: _replace_with_directory(out / "sample.csv"),
         "provenance-is-a-directory": lambda out: _replace_with_directory(out / "provenance.json"),
         "provenance-not-an-object": lambda out: (out / "provenance.json").write_text("[1, 2]"),
-        "provenance-other-system": lambda out: _replace_provenance_system(out, "mobius(alpha=0.5)"),
+        "provenance-other-system": lambda out: _replace_provenance(out, "system", "mobius(alpha=0.5)"),
+        "provenance-missing": lambda out: (out / "provenance.json").unlink(),
+        "provenance-steps-below-rows": lambda out: _replace_provenance(out, "steps", 5),
+        "provenance-separation-not-quarter-delta": lambda out: _replace_provenance(out, "separation", 0.01),
+        "provenance-seed-index-out-of-range": lambda out: _replace_provenance(out, "seed_index", 1000),
     }
 
     @pytest.fixture(scope="class")

@@ -210,7 +210,7 @@ class FibreClass:
     n: int | None = None
     m: int | None = None
     scale: float = 0.0
-    circles: tuple[frozenset, ...] = ()
+    circles: tuple[Circle, ...] = ()
     #: the fibre slice the verdict was computed from, as (edge index, t) arrays
     edge_idx: np.ndarray | None = field(default=None, compare=False, repr=False)
     ts: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -296,7 +296,7 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
         union = FibreIndex(g, np.concatenate(grid_e), np.concatenate(grid_t))
         if (union.nearest(edge_idx, ts) <= delta / 2.0 + delta / 8.0).all():
             return verdict(
-                "circles", m=len(covered), circles=tuple(c.edge_ids() for c, _, _ in covered)
+                "circles", m=len(covered), circles=tuple(c for c, _, _ in covered)
             )
     if n >= CANTOR_MIN_COMPONENTS and diam < cap:
         finer = len(index.components(delta / 2.0)[0])
@@ -435,11 +435,12 @@ class TrichotomyReport:
     probes_used: int
 
 
-def _in_homeo_part(base: BaseSystem, b: BasePoint, window: int = 10) -> bool:
+def _in_homeo_part(base: BaseSystem, b: BasePoint) -> bool:
+    """Each of b, f^-1(b), ..., f^-9(b) has exactly one preimage."""
     if base.preimages is None:
         return True
     x = b
-    for _ in range(window):
+    for _ in range(10):
         pres = base.preimages(x)
         if len(pres) != 1:
             return False
@@ -501,7 +502,6 @@ def circles_report(
     each probed fibre's circle points must map delta-close onto pairwise
     disjoint circles of the image fibre."""
     g = s.bundle.fibre
-    all_circles = {c.edge_ids(): c for c, _, _ in _circle_grids(g, delta / 4.0)}
     verdicts = _probe_verdicts(sample, probes, delta_base, delta)
     if not verdicts:
         raise NoProbes("no nonempty fibre slices over the probes")
@@ -524,8 +524,7 @@ def circles_report(
         if img_class.kind != "circles" or img_class.m != m:
             ok = False
             continue
-        img_circles = [all_circles[key] for key in img_class.circles]
-        if not circles_disjoint(g, img_circles):
+        if not circles_disjoint(g, img_class.circles):
             ok = False
     return CirclesReport(m, exceptional, ok and tested > 0, len(verdicts))
 

@@ -67,7 +67,6 @@ def code_from_digits(digits: Sequence[int], K: int | None = None) -> TernaryCode
     return TernaryCode(bits, K)
 
 
-@lru_cache(maxsize=65536)
 def _embed_code(bits: int, K: int) -> float:
     e = 0.0
     w = 1.0
@@ -294,6 +293,8 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
         return s
 
     def embedding(x: DoubledCode) -> float:
+        if x.code.K != K:
+            raise InvalidPoint(f"code of precision {x.code.K}, not {K}")
         e = shifted_embed(embed_code(x.code))
         if x.side > 0:
             j = back_codes.get(x.code.bits)
@@ -457,14 +458,15 @@ def _word_arc(bits: int, K: int, alpha: float, hint: float | None = None) -> tup
     return arc
 
 
-def word_embedding(w: SymbolicWord) -> float:
-    """Cantor-style coordinate of a coding word, read from its first 35 digits.
+#: ``_embed_code`` memoised for ``word_embedding``: the words of one
+#: Sturmian subshift have only n + 1 distinct prefixes of length n
+_embed_prefix = lru_cache(maxsize=256)(_embed_code)
 
-    Memoised on those digits alone: the words of a Sturmian subshift have
-    only n + 1 distinct prefixes of length n.
-    """
+
+def word_embedding(w: SymbolicWord) -> float:
+    """Cantor-style coordinate of a coding word, read from its first 35 digits."""
     m = min(w.K, 35)
-    return _embed_code(w.bits & ((1 << m) - 1), m)
+    return _embed_prefix(w.bits & ((1 << m) - 1), m)
 
 
 def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
@@ -519,12 +521,17 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
             i += 1
         return out
 
+    def embedding(w: SymbolicWord) -> float:
+        if w.K != K:
+            raise InvalidPoint(f"word of precision {w.K}, not {K}")
+        return word_embedding(w)
+
     bs = BaseSystem(
         id=f"sturmian(alpha={alpha},K={K})",
         point_type=SymbolicWord,
         apply=apply,
         sampler=sampler,
-        embedding=word_embedding,
+        embedding=embedding,
     )
     return bs, factor
 

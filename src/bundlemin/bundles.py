@@ -42,8 +42,9 @@ class BundlePoint:
 @dataclass(frozen=True)
 class SkewSystem:
     """Skew product: base system, bundle, and a fibre-map family indexed by
-    the image base point: the fibre over b maps by ``image_family(base.apply(b))``,
-    so an orbit that has already taken the base step need not take it again.
+    the base embedding of the image: the fibre over b maps by
+    ``image_family(base.embedding(base.apply(b)))``, so an orbit that has
+    already taken and embedded the base step need not do either again.
 
     ``reference`` holds the named values of the construction that the
     command line and the tests read (orbit seed, exceptional base point, ...).
@@ -51,21 +52,21 @@ class SkewSystem:
 
     base: BaseSystem
     bundle: Bundle
-    image_family: Callable[[BasePoint], GraphMap]
+    image_family: Callable[[float], GraphMap]
     reference: dict = field(default_factory=dict, compare=False)
     id: str = "skew"
 
     def fibre_family(self, b: BasePoint) -> GraphMap:
         """The fibre map over b."""
-        return self.image_family(self.base.apply(b))
+        return self.image_family(float(self.base.embedding(self.base.apply(b))))
 
 
-def _check_round_trip(fibre: MetricGraph, g: GraphMap, ginv: GraphMap, tol: float = 1e-9) -> None:
+def _check_round_trip(fibre: MetricGraph, g: GraphMap, ginv: GraphMap) -> None:
     for e in fibre.edges:
         for i in range(9):
             p = GraphPoint(e.id, i / 8.0)
             q = eval_graph_map(ginv, eval_graph_map(g, p))
-            if fibre.path_distance(p, q) > tol:
+            if fibre.path_distance(p, q) > 1e-9:
                 raise NotHomeomorphism(
                     f"gluing round trip off by {fibre.path_distance(p, q):.2e} at {p}"
                 )
@@ -84,14 +85,11 @@ def monodromy_bundle(
 def apply_skew(s: SkewSystem, x: BundlePoint) -> BundlePoint:
     """One step of the skew product, with chart transition on base wrap."""
     b2 = s.base.apply(x.b)
-    m = s.fibre_family(x.b)
-    y2 = eval_graph_map(m, x.y)
-    if s.bundle.is_monodromy:
-        # wrap detection: the rotation decreased the angle value
-        t1 = float(s.base.embedding(x.b))
-        t2 = float(s.base.embedding(b2))
-        if t2 < t1:
-            y2 = eval_graph_map(s.bundle.gluing, y2)
+    e2 = float(s.base.embedding(b2))
+    y2 = eval_graph_map(s.image_family(e2), x.y)
+    # wrap detection: the rotation decreased the angle value
+    if s.bundle.is_monodromy and e2 < float(s.base.embedding(x.b)):
+        y2 = eval_graph_map(s.bundle.gluing, y2)
     return BundlePoint(b2, y2)
 
 
@@ -102,8 +100,8 @@ def orbit_blocks(
     of at most ``size``, each four lists: base points, base embeddings,
     fibre edge indices and fibre ``t``.  Same points as ``apply_skew``
     iterated, stepped with ``eval_et`` on plain numbers; each base point is
-    embedded once, for the cut-crossing test and the caller.  Only the seed
-    is validated: the caller checks the rest."""
+    embedded once, for the fibre-map family, the cut-crossing test and the
+    caller.  Only the seed is validated: the caller checks the rest."""
     apply, embedding, family = s.base.apply, s.base.embedding, s.image_family
     gluing, fibre = s.bundle.gluing, s.bundle.fibre
     fibre.validate_point(x.y)
@@ -120,8 +118,8 @@ def orbit_blocks(
             if i == last:
                 break
             b2 = apply(b)
-            k, t = eval_et(family(b2), k, t)
             e2 = float(embedding(b2))
+            k, t = eval_et(family(e2), k, t)
             if gluing is not None and e2 < e:
                 k, t = eval_et(gluing, k, t)
             b, e = b2, e2

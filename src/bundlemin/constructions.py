@@ -26,14 +26,11 @@ from .base_systems import (
     GOLDEN,
     BaseSystem,
     CircleAngle,
-    DoubledCode,
-    SymbolicWord,
     circle_rotation,
     doubled_cantor,
     quotient_base,
     sturmian,
     weyl_minimal_rotation,
-    word_embedding,
 )
 from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle
 from .errors import BadPattern, CirclesIntersect, OutOfRange, WrongInput
@@ -104,7 +101,7 @@ def build_mobius(alpha: float = GOLDEN) -> ConstructionResult:
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        image_family=lambda b: ident,
+        image_family=lambda e: ident,
         id=f"mobius(alpha={alpha})",
     )
     return ConstructionResult(
@@ -189,7 +186,7 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
     system = SkewSystem(
         base=base,
         bundle=bundle,
-        image_family=lambda b: phi,
+        image_family=lambda e: phi,
         id=f"torus-on-mobius(alpha={alpha},beta={beta})",
     )
     return ConstructionResult(system, "two circles joined by an interval, swap gluing")
@@ -219,19 +216,16 @@ def build_sturmian_cylinder(
             fibre, fibre, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", t2, t2),)),)}
         )
 
-    def image_family(b2: SymbolicWord) -> GraphMap:
-        return constant_map(word_embedding(b2))
-
     system = SkewSystem(
         base=base,
         bundle=Bundle(fibre),
-        image_family=image_family,
+        image_family=constant_map,
         id=f"sturmian-cylinder(alpha={alpha},K={precision})",
     )
 
     def seed_rule(i: int) -> BundlePoint:
         w = base.sampler(i + 1)[-1]
-        return BundlePoint(w, GraphPoint("I", word_embedding(w)))
+        return BundlePoint(w, GraphPoint("I", base.embedding(w)))
 
     return ConstructionResult(
         system, "coding cylinder on its minimal set",
@@ -252,7 +246,7 @@ def build_circle_minimal_product(
     system = SkewSystem(
         base=base,
         bundle=Bundle(fibre),
-        image_family=lambda b: m,
+        image_family=lambda e: m,
         id=f"circle-product({base.id},length={c.length},angle={angle})",
     )
     return ConstructionResult(system, "rotated retraction onto one circle")
@@ -338,7 +332,7 @@ def build_m_circles(
     system = SkewSystem(
         base=base,
         bundle=Bundle(fibre),
-        image_family=lambda b: h,
+        image_family=lambda e: h,
         id=f"m-circles({base.id},m={m},angle={angle})",
     )
     return ConstructionResult(system, "cyclic circle permutation with one rotated leg")
@@ -366,17 +360,17 @@ def _blown_up_odometer(
     c_l = q.params["c_l"]
     e_l = q.embedding(c_l)
 
-    def side(x: DoubledCode) -> int:
-        # 1 = left part, 2 = right part
-        return 1 if q.embedding(x) <= e_l + 1e-15 else 2
+    def part(e: float) -> int:
+        """The part of the base point embedded at e: 1 = left, 2 = right."""
+        return 1 if e <= e_l + 1e-15 else 2
 
     rho = float(weyl_minimal_rotation([2 ** k for k in range(1, 201)], 200, 0.05))
     maps = dict(zip((1, 2), part_maps(rho)))
-    reference = {"exceptional_base": c_l, "side_of": side, "rotation": rho,
+    reference = {"exceptional_base": c_l, "part_of": part, "rotation": rho,
                  "seed": BundlePoint(q.sampler(1)[0], seed_y)}
     if geometry is not None:
         reference["geometry"] = geometry
-    system = SkewSystem(base=q, bundle=Bundle(fibre), image_family=lambda b2: maps[side(b2)],
+    system = SkewSystem(base=q, bundle=Bundle(fibre), image_family=lambda e: maps[part(e)],
                         reference=reference, id=system_id)
     return ConstructionResult(
         system, note,
@@ -452,8 +446,8 @@ class Chart:
 
 
 def _make_chart(r: Callable[[float], float], dr: Callable[[float], float],
-                th_a: float, th_b: float, n: int = 720) -> Chart:
-    th = np.linspace(th_a, th_b, n + 1)
+                th_a: float, th_b: float) -> Chart:
+    th = np.linspace(th_a, th_b, 721)  # 720 trapezoids
     integrand = np.sqrt(np.array([r(t) for t in th]) ** 2 + np.array([dr(t) for t in th]) ** 2)
     arcs = np.concatenate(([0.0], np.cumsum((integrand[:-1] + integrand[1:]) / 2.0 * np.diff(th))))
     return Chart(th, arcs)
@@ -585,9 +579,9 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
     raise BadPattern(f"unknown pattern {pattern!r}; expected point | arc | two")
 
 
-def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float,
-                     knots_per_edge: int = 256) -> GraphMap:
-    """GraphMap realizing y -> push_target(theta(y) + delta_theta)."""
+def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float) -> GraphMap:
+    """GraphMap realizing y -> push_target(theta(y) + delta_theta), affine
+    between 257 knots per edge."""
     g = geo.graph
     circ = geo.inner if target_inner else geo.outer
     push = geo.push_inner if target_inner else geo.push_outer
@@ -597,10 +591,10 @@ def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float,
 
     pieces: dict[str, tuple[MapPiece, ...]] = {}
     for e in g.edges:
-        ts = np.linspace(0.0, 1.0, knots_per_edge + 1)
+        ts = np.linspace(0.0, 1.0, 257)
         out: list[MapPiece] = []
         s_prev = None
-        for j in range(knots_per_edge):
+        for j in range(256):
             t0, t1 = float(ts[j]), float(ts[j + 1])
             th0 = geo.theta_of(GraphPoint(e.id, t0)) + delta_theta
             th1 = geo.theta_of(GraphPoint(e.id, t1)) + delta_theta

@@ -752,8 +752,8 @@ def rotation_number(m: GraphMap, c: Circle, iterations: int) -> float:
 # small constructors used throughout
 
 
-def circle_graph(length: float = 1.0, edge_id: str = "c", vertex: str = "v") -> MetricGraph:
-    return MetricGraph((vertex,), (Edge(edge_id, vertex, vertex, length),))
+def circle_graph(length: float = 1.0) -> MetricGraph:
+    return MetricGraph(("v",), (Edge("c", "v", "v", length),))
 
 
 def star_graph(n: int, branch_length: float = 1.0) -> MetricGraph:

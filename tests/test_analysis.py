@@ -157,7 +157,7 @@ class TestApproximateMinimalSet:
         g = interval_graph(1.0)
         bad = GraphMap(g, g, {"I": (MapPiece(0.0, 1.0, (PathSeg("I", t, t),)),)})
         base = circle_rotation(GOLDEN)
-        s = SkewSystem(base, Bundle(g), lambda b: bad)
+        s = SkewSystem(base, Bundle(g), lambda e: bad)
         seed = BundlePoint(CircleAngle(0.1), GraphPoint("I", 0.5))
         n = 2 if last else 3_000
         with pytest.raises(InvalidPoint, match=rf"parameter {t} outside \[0, 1\] on edge 'I'"):
@@ -178,10 +178,12 @@ class TestApproximateMinimalSet:
 class TestOrbitBlocks:
     """``orbit_blocks`` against ``orbit`` (iterated ``apply_skew``) on each
     side of the block boundaries: over a gluing on every wrap
-    (torus-on-mobius) and over constant fibre maps (sturmian-cylinder)."""
+    (torus-on-mobius), over constant fibre maps (sturmian-cylinder) and
+    over fibre maps chosen by the part of the image base point
+    (theorem-d-1, theorem-d-2:two)."""
 
     @pytest.mark.parametrize("transient", [0, 100])
-    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder"])
+    @pytest.mark.parametrize("name", ["torus-on-mobius", "sturmian-cylinder", "theorem-d-1", "theorem-d-2:two"])
     def test_equals_orbit(self, name, transient):
         s, seed = _orbit_system(name)
         size = thinning.THIN_BLOCK
@@ -205,6 +207,9 @@ def _assert_blocks_are_orbit(s, blocks, pts):
 
 
 def _orbit_system(name):
+    if name.startswith("theorem-d"):
+        res = CONSTRUCTIONS[name]({})
+        return res.system, res.seed(0)
     if name == "sturmian-cylinder":
         s = build_sturmian_cylinder(GOLDEN).system
         w = s.base.sampler(1)[0]
@@ -855,7 +860,7 @@ class TestCirclesReport:
             "B": circle_rotation_pieces(g, "B", a, 0.0, 1.0),
             "I": (MapPiece(0.0, 1.0, (PathSeg("A", 0.0, 0.0),)),),
         })
-        folded = SkewSystem(res.system.base, res.system.bundle, lambda b: fold)
+        folded = SkewSystem(res.system.base, res.system.bundle, lambda e: fold)
         probes = [sample.points[i].b for i in range(0, len(sample.points), 300)][:8]
         rep = circles_report(folded, sample, probes, 0.02, 0.02)
         assert rep.m == 2 and not rep.image_disjointness

@@ -60,7 +60,7 @@ def _product_system(alpha=GOLDEN):
     g = interval_graph(1.0)
     bundle = Bundle(g)
     ident = identity_map(g)
-    return SkewSystem(base, bundle, lambda b: ident, id="test-product")
+    return SkewSystem(base, bundle, lambda e: ident, id="test-product")
 
 
 class TestSkewOrbit:
@@ -87,7 +87,7 @@ class TestSkewOrbit:
         g = interval_graph(1.0)
         bundle = monodromy_bundle(base, g, flip_map(g), flip_map(g))
         ident = identity_map(g)
-        s = SkewSystem(base, bundle, lambda b: ident, id="test-monodromy")
+        s = SkewSystem(base, bundle, lambda e: ident, id="test-monodromy")
         x = BundlePoint(CircleAngle(0.5), GraphPoint("I", 0.2))
         y = apply_skew(s, x)  # 0.5 -> 0.25 wraps past the cut
         assert y.y.t == pytest.approx(0.8)
@@ -97,7 +97,7 @@ class TestSkewOrbit:
         g = interval_graph(1.0)
         bundle = monodromy_bundle(base, g, flip_map(g), flip_map(g))
         ident = identity_map(g)
-        s = SkewSystem(base, bundle, lambda b: ident, id="test-monodromy")
+        s = SkewSystem(base, bundle, lambda e: ident, id="test-monodromy")
         y = apply_skew(s, BundlePoint(CircleAngle(0.1), GraphPoint("I", 0.2)))
         assert y.y.t == pytest.approx(0.2)
 

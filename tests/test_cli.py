@@ -342,6 +342,25 @@ class TestDamagedOut:
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    @pytest.mark.parametrize("construction, steps, retag", [
+        # the same code read at precision 39, not the base's 40: it embeds
+        # to the same float, so the base cell still agrees with the tag
+        ("theorem-d-1", 500, lambda tag: tag.replace(":40:", ":39:")),
+        # the word cut to the 35 digits its embedding reads
+        ("sturmian-cylinder", 2000, lambda tag: f"word:{int(tag.split(':')[1], 16) & (1 << 35) - 1:x}:35"),
+    ], ids=["dcode", "word"])
+    def test_tag_of_another_precision(self, tmp_path, capsys, construction, steps, retag, command):
+        out = tmp_path / "out"
+        assert main(["build", construction, "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", str(steps)]) == EXIT_OK
+        tag = (out / "sample.csv").read_text().splitlines()[2].split(",")[2]
+        _replace_row(out / "sample.csv", 2, 2, retag(tag))
+        capsys.readouterr()
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
 
 class TestPipeline:
     def test_mobius_end_to_end(self, tmp_path, capsys):

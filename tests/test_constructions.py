@@ -190,10 +190,10 @@ class TestMCircles:
 class TestCase1:
     def test_sides_partition_base(self):
         res = build_theorem_d_case1(precision=30)
-        side = res.system.reference["side_of"]
+        part = res.system.reference["part_of"]
         q = res.system.base
-        sides = {side(x) for x in q.sampler(64)}
-        assert sides == {1, 2}
+        parts = {part(q.embedding(x)) for x in q.sampler(64)}
+        assert parts == {1, 2}
 
     def test_fibre_maps_continuous(self):
         res = build_theorem_d_case1(precision=30)
@@ -210,9 +210,9 @@ class TestCase1:
         res = build_theorem_d_case1(precision=30)
         s = res.system
         xs = orbit(s, res.system.reference["seed"], 200, transient=2)
-        side = res.system.reference["side_of"]
+        part = res.system.reference["part_of"]
         for x in xs:
-            assert x.y.edge == ("s1" if side(x.b) == 1 else "s2")
+            assert x.y.edge == ("s1" if part(s.base.embedding(x.b)) == 1 else "s2")
 
 
 class TestCase2:
@@ -257,10 +257,10 @@ class TestCase2:
         res = build_theorem_d_case2("point", precision=20)
         geo = res.system.reference["geometry"]
         rho = res.system.reference["rotation"]
-        # side-2 map pushes onto the inner curve; compare against the formula
-        side = res.system.reference["side_of"]
+        # part-2 map pushes onto the inner curve; compare against the formula
+        part = res.system.reference["part_of"]
         q = res.system.base
-        b = next(x for x in q.sampler(16) if side(q.apply(x)) == 2)
+        b = next(x for x in q.sampler(16) if part(q.embedding(q.apply(x))) == 2)
         m = res.system.fibre_family(b)
         for k in range(1, 20):
             th = k * math.tau / 20.0

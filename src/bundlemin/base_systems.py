@@ -4,7 +4,9 @@ quotient base identifying the doubled pair, Sturmian codings, and a rotation
 angle searched for by its exact star discrepancy along a return-time sequence.
 
 Coded points carry a finite precision K; all comparisons happen at that
-precision.
+precision. Each point writes its own ``sample.csv`` tag (``tag()``), and
+each base decodes and fully checks its own tags (``BaseSystem.decode``), so
+the orbit path checks nothing only a file can get wrong.
 """
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ class CircleAngle:
 
     def __float__(self) -> float:
         return self.theta % 1.0
+
+    def tag(self) -> str:
+        return f"angle:{self.theta!r}"
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,9 @@ class DoubledCode:
     code: TernaryCode
     side: int = 0  # -1 | 0 | +1
 
+    def tag(self) -> str:
+        return f"dcode:{self.code.bits:x}:{self.code.K}:{self.side}"
+
 
 @dataclass(frozen=True)
 class SymbolicWord:
@@ -104,8 +112,31 @@ class SymbolicWord:
     def digit(self, n: int) -> int:
         return (self.bits >> n) & 1
 
+    def tag(self) -> str:
+        return f"word:{self.bits:x}:{self.K}"
+
 
 BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord
+
+
+def _tag_fields(tag: str, kind: str, n: int) -> list[str]:
+    """The n fields of a ``kind:`` tag; another kind or count is refused."""
+    head, _, rest = tag.partition(":")
+    fields = rest.split(":")
+    if head != kind or len(fields) != n:
+        raise InvalidPoint(f"not a {kind}: tag with {n} field(s)")
+    return fields
+
+
+def _code_bits(digits: str, k: str, K: int) -> int:
+    """The code of a tag's hex digit block and precision k, which must be
+    the base's K; a sign or more than K digits is refused."""
+    if int(k) != K:
+        raise InvalidPoint(f"precision {k}, not {K}")
+    bits = int(digits, 16)
+    if bits < 0 or bits.bit_length() > K:
+        raise InvalidPoint(f"digits {digits} are not a {K}-digit code")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +147,19 @@ BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord
 class BaseSystem:
     """A minimal base system packaged as pure callables.
 
-    ``point_type`` is the one point class the callables take.
+    ``decode`` reads a point back from its ``tag()``, refusing (with
+    ``InvalidPoint`` or ``ValueError``) any tag that is not a point of this
+    base; it is None only for a base no construction samples.
     ``preimages`` is optional backward dynamics used by the homeo-part
     filter in the analysis layer.  ``circular`` marks an embedding that is
     an angle mod 1, in [0, 1], so base distances wrap around.
     """
 
     id: str
-    point_type: type
     apply: Callable[[BasePoint], BasePoint]
     sampler: Callable[[int], list[BasePoint]]
     embedding: Callable[[BasePoint], float]
+    decode: Optional[Callable[[str], BasePoint]] = None
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
@@ -161,10 +194,10 @@ def circle_rotation(alpha: float) -> BaseSystem:
 
     return BaseSystem(
         id=f"rotation({alpha})",
-        point_type=CircleAngle,
         apply=apply,
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
+        decode=lambda tag: CircleAngle(float(_tag_fields(tag, "angle", 1)[0])),
         preimages=preimages,
         circular=True,
     )
@@ -188,7 +221,6 @@ def adding_machine(precision: int = 40) -> BaseSystem:
 
     return BaseSystem(
         id=f"odometer(K={K})",
-        point_type=TernaryCode,
         apply=apply,
         sampler=sampler,
         embedding=embed_code,
@@ -293,14 +325,9 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
         return s
 
     def embedding(x: DoubledCode) -> float:
-        if x.code.K != K:
-            raise InvalidPoint(f"code of precision {x.code.K}, not {K}")
         e = shifted_embed(embed_code(x.code))
         if x.side > 0:
-            j = back_codes.get(x.code.bits)
-            if j is None:
-                raise InvalidPoint("side tag off the doubled backward orbit")
-            e += L[j - 1]
+            e += L[back_codes[x.code.bits] - 1]
         return e
 
     def validate(x: DoubledCode) -> int | None:
@@ -308,6 +335,14 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
         if x.side != 0 and j is None:
             raise InvalidPoint("side tag off the doubled backward orbit")
         return j
+
+    def decode(tag: str) -> DoubledCode:
+        digits, k, side = _tag_fields(tag, "dcode", 3)
+        x = DoubledCode(TernaryCode(_code_bits(digits, k, K), K), int(side))
+        if x.side not in (-1, 0, 1):
+            raise InvalidPoint(f"side {side} outside {{-1, 0, 1}}")
+        validate(x)
+        return x
 
     def apply(x: DoubledCode) -> DoubledCode:
         j = validate(x)
@@ -333,10 +368,10 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
 
     return BaseSystem(
         id=f"doubled-cantor(K={K})",
-        point_type=DoubledCode,
         apply=apply,
         sampler=sampler,
         embedding=embedding,
+        decode=decode,
         preimages=preimages,
         params={"K": K, "a": a, "gaps": tuple(L)},
     )
@@ -386,10 +421,10 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
 
     return BaseSystem(
         id=f"quotient({dc.id})",
-        point_type=dc.point_type,
         apply=apply,
         sampler=sampler,
         embedding=embedding,
+        decode=dc.decode,
         preimages=preimages,
         params={**dc.params, "c_l": c_l, "c_r": c_r},
     )
@@ -521,17 +556,12 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
             i += 1
         return out
 
-    def embedding(w: SymbolicWord) -> float:
-        if w.K != K:
-            raise InvalidPoint(f"word of precision {w.K}, not {K}")
-        return word_embedding(w)
-
     bs = BaseSystem(
         id=f"sturmian(alpha={alpha},K={K})",
-        point_type=SymbolicWord,
         apply=apply,
         sampler=sampler,
-        embedding=embedding,
+        embedding=word_embedding,
+        decode=lambda tag: SymbolicWord(_code_bits(*_tag_fields(tag, "word", 2), K), K),
     )
     return bs, factor
 

@@ -22,20 +22,12 @@ from .analysis import (
     endpoint_statistics,
     typical_fibre_report,
 )
-from .base_systems import (
-    BasePoint,
-    BaseSystem,
-    CircleAngle,
-    DoubledCode,
-    SymbolicWord,
-    TernaryCode,
-)
+from .base_systems import BasePoint, BaseSystem
 from .constructions import CONSTRUCTIONS, ConstructionResult, coerce_setting
 from .errors import (
     BundleMinError,
     CapExceeded,
     ConfigError,
-    InvalidPoint,
     NotCircleCase,
     NoProbes,
     SchemaError,
@@ -57,49 +49,7 @@ MAX_SEED_INDEX = 999
 
 
 # ---------------------------------------------------------------------------
-# base-point tags for the CSV round trip
-
-
-def encode_base_point(b: BasePoint) -> str:
-    if isinstance(b, CircleAngle):
-        return f"angle:{b.theta!r}"
-    if isinstance(b, DoubledCode):
-        return f"dcode:{b.code.bits:x}:{b.code.K}:{b.side}"
-    if isinstance(b, SymbolicWord):
-        return f"word:{b.bits:x}:{b.K}"
-    raise SchemaError(f"unknown base point type {type(b).__name__}")
-
-
-def decode_base_point(tag: str) -> BasePoint:
-    """The base point of a tag; a code that is not K digits for a
-    precision K >= 1, or a side outside {-1, 0, 1}, is refused like a
-    malformed tag."""
-    kind, _, rest = tag.partition(":")
-    try:
-        if kind == "angle":
-            return CircleAngle(float(rest))
-        if kind == "dcode":
-            bits, K, side = rest.split(":")
-            if int(side) not in (-1, 0, 1):
-                raise SchemaError(f"side {side} outside {{-1, 0, 1}}")
-            return DoubledCode(TernaryCode(*_code_fields(bits, K)), int(side))
-        if kind == "word":
-            bits, K = rest.split(":")
-            return SymbolicWord(*_code_fields(bits, K))
-    except ValueError as exc:
-        raise SchemaError(f"malformed base tag {tag!r}") from exc
-    raise SchemaError(f"unknown base tag kind {kind!r}")
-
-
-def _code_fields(bits: str, K: str) -> tuple[int, int]:
-    """A tag's hex digit block and precision K, which must be at least 1;
-    the block must be a K-digit code, without a sign."""
-    code, k = int(bits, 16), int(K)
-    if k < 1:
-        raise SchemaError(f"precision {k} below 1")
-    if code < 0 or code.bit_length() > k:
-        raise SchemaError(f"digits {bits} are not a {k}-digit code")
-    return code, k
+# the sample CSV round trip; each base writes and decodes its own tags
 
 
 SAMPLE_HEADER = ["step", "base", "tag", "edge", "parameter"]
@@ -112,7 +62,7 @@ def sample_to_csv(sample: SampledSet) -> str:
     edges = [e.id for e in sample.bundle.fibre.edges]
     columns = zip(sample.bases, sample.base_embed.tolist(), sample.edge_idx.tolist(), sample.ts.tolist())
     w.writerows(
-        (i, repr(e), encode_base_point(b), edges[k], repr(t)) for i, (b, e, k, t) in enumerate(columns)
+        (i, repr(e), b.tag(), edges[k], repr(t)) for i, (b, e, k, t) in enumerate(columns)
     )
     return buf.getvalue()
 
@@ -140,7 +90,7 @@ def csv_to_points(
     """The sample in a CSV as columns: base points, fibre edge indices,
     parameters and the ``base`` cells.  Every row is checked for five
     fields, its row number as ``step`` (so reordered or spliced rows are
-    refused), a tag of the base's point type, a numeric ``base``, an edge
+    refused), a tag the base decodes, a numeric ``base``, an edge
     of the fibre and a parameter in [0, 1]."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != SAMPLE_HEADER:
@@ -153,14 +103,7 @@ def csv_to_points(
     i = _first_false([cell == str(k) for k, cell in enumerate(step_cells)])
     if i is not None:
         raise SchemaError(f"sample CSV line {i + 2}: step {step_cells[i]!r}, expected {i}")
-
-    def decode(tag: str) -> BasePoint:
-        b = decode_base_point(tag)
-        if not isinstance(b, base.point_type):
-            raise SchemaError(f"not a {base.point_type.__name__}, the point type of base {base.id}")
-        return b
-
-    bases = _read_column(tags, decode, "tag")
+    bases = _read_column(tags, base.decode, "tag")
     written = np.array(_read_column(base_cells, float, "base"), dtype=float)
     fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
     edge_idx = list(map(fibre_edges.get, edge_cells))
@@ -291,7 +234,12 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
         raise CapExceeded(f"steps {steps} exceed cap {STEP_CAP}")
     if transient > STEP_CAP:
         raise CapExceeded(f"transient {transient} exceeds cap {STEP_CAP}")
-    sample = approximate_minimal_set(result.system, result.seed(seed_index), transient, steps, delta)
+    seed = result.seed(seed_index)
+    try:
+        sample = approximate_minimal_set(result.system, seed, transient, steps, delta)
+    except WrongInput as exc:
+        # the delta / 4 thinning grid cannot index the fibre or the base
+        raise ConfigError(f"{name} at delta {delta}: {exc}") from exc
     atomic_write(out / "sample.csv", sample_to_csv(sample))
     prov = dict(sample.provenance)
     prov.update({"construction": name, "delta": delta, "seed_index": seed_index})
@@ -347,11 +295,7 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     if not isinstance(prov, dict):
         raise SchemaError(f"{prov_path} must hold a JSON object, not {type(prov).__name__}")
     _check_provenance(prov, prov_path, s.id, len(bases))
-    try:
-        sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
-    except InvalidPoint as exc:
-        # a tag of the right type that the base does not embed
-        raise SchemaError(f"{csv_path}: {exc}") from exc
+    sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
     i = _first_false(written == sample.base_embed)
     if i is not None:
         raise SchemaError(

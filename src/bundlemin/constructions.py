@@ -693,20 +693,38 @@ def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> 
 #: base, so its orbit cannot close within a run; at K = 24 it can
 MIN_THEOREM_D_PRECISION = 25
 
+#: largest theorem-d precision: a K-digit code still fits one uint64, and
+#: K = 63 reads the verdicts of the default K = 40; build time grows with K
+MAX_THEOREM_D_PRECISION = 63
+
+#: largest Sturmian word length K: provenance.json holds the seed's repr,
+#: and a K-bit word's decimal repr fits Python's 4,300-digit int-to-str
+#: limit only up to K = 14,284; each orbit step also costs O(K)
+MAX_STURMIAN_PRECISION = 10_000
+
+
+def _precision_at_most(ceiling: int, precision: int) -> int:
+    if precision > ceiling:
+        raise OutOfRange(f"precision {precision} above {ceiling}")
+    return precision
+
 
 def _run_precision(precision: int) -> int:
     if precision < MIN_THEOREM_D_PRECISION:
         raise OutOfRange(f"precision {precision} below {MIN_THEOREM_D_PRECISION}: the base orbit can close")
-    return precision
+    return _precision_at_most(MAX_THEOREM_D_PRECISION, precision)
 
 
 def coerce_setting(key: str, value: Any, default: Any) -> Any:
     """value as its default's type; a boolean is refused, and so is a
-    fraction where the default is an int."""
+    fraction where the default is an int, and a value that is not finite."""
     whole = type(default) is int
     if isinstance(value, bool) or whole and isinstance(value, float) and not value.is_integer():
         raise WrongInput(f"{key} must be a {'whole ' if whole else ''}number, not {value!r}")
-    return type(default)(value)
+    out = type(default)(value)
+    if not whole and not math.isfinite(out):
+        raise WrongInput(f"{key} must be finite, not {value!r}")
+    return out
 
 
 def _from_params(factory: Callable[..., ConstructionResult]) -> Callable[[dict], ConstructionResult]:
@@ -727,7 +745,11 @@ def _from_params(factory: Callable[..., ConstructionResult]) -> Callable[[dict],
 CONSTRUCTIONS: dict[str, Callable[[dict], ConstructionResult]] = {
     "mobius": _from_params(build_mobius),
     "torus-on-mobius": _from_params(build_torus_on_mobius),
-    "sturmian-cylinder": _from_params(build_sturmian_cylinder),
+    "sturmian-cylinder": _from_params(
+        lambda alpha=GOLDEN, precision=DEFAULT_STURMIAN_K: build_sturmian_cylinder(
+            alpha, _precision_at_most(MAX_STURMIAN_PRECISION, precision)
+        )
+    ),
     "circle-product": _from_params(_circle_product),
     "m-circles": _from_params(_m_circles),
     "theorem-d-1": _from_params(lambda precision=40: build_theorem_d_case1(_run_precision(precision))),

@@ -447,7 +447,7 @@ def _angle_base(circular):
     """A base whose embedding is the angle itself, unreduced, so a probe can
     sit exactly at 1 (an interval base when not circular)."""
     return BaseSystem(
-        id=f"identity(circular={circular})", point_type=CircleAngle, apply=lambda x: x,
+        id=f"identity(circular={circular})", apply=lambda x: x,
         sampler=lambda n: [], embedding=lambda x: x.theta, circular=circular,
     )
 

@@ -18,53 +18,71 @@ from bundlemin.base_systems import (
     DoubledCode,
     SymbolicWord,
     TernaryCode,
+    circle_rotation,
     coding_word,
-    default_blowup_center,
+    doubled_cantor,
+    sturmian,
 )
 from bundlemin.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     csv_to_points,
-    decode_base_point,
-    encode_base_point,
     main,
 )
-from bundlemin.constructions import MIN_THEOREM_D_PRECISION
-from bundlemin.errors import SchemaError
+from bundlemin.constructions import (
+    MAX_STURMIAN_PRECISION,
+    MAX_THEOREM_D_PRECISION,
+    MIN_THEOREM_D_PRECISION,
+)
+from bundlemin.errors import InvalidPoint
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _tag_bases():
+    """One base per tag kind: a rotation, a K = 40 doubled odometer and a
+    K = 8 Sturmian base."""
+    return [circle_rotation(GOLDEN), doubled_cantor(precision=40), sturmian(GOLDEN, 8)[0]]
+
+
 class TestBasePointTags:
     @pytest.mark.parametrize(
-        "pt",
+        "base, pt",
         [
-            CircleAngle(0.123456789),
-            CircleAngle(GOLDEN),
-            DoubledCode(TernaryCode(1234567, 40), 1),
-            DoubledCode(TernaryCode(98765, 40), -1),
-            DoubledCode(TernaryCode(98765, 40), 0),
-            SymbolicWord((1 << 300) - 7, 400),
+            (circle_rotation(GOLDEN), CircleAngle(0.123456789)),
+            (circle_rotation(GOLDEN), CircleAngle(GOLDEN)),
+            # the doubled pair over the code 1234567, centred just above it
+            (doubled_cantor(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), 1)),
+            (doubled_cantor(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), -1)),
+            (doubled_cantor(precision=40), DoubledCode(TernaryCode(98765, 40), 0)),
+            (sturmian(GOLDEN, 400)[0], SymbolicWord((1 << 300) - 7, 400)),
         ],
+        ids=[f"pt{i}" for i in range(6)],
     )
-    def test_roundtrip_exact(self, pt):
-        assert decode_base_point(encode_base_point(pt)) == pt
+    def test_roundtrip_exact(self, base, pt):
+        assert base.decode(pt.tag()) == pt
 
     def test_bad_tag_rejected(self):
-        with pytest.raises(SchemaError):
-            decode_base_point("martian:1:2")
-        with pytest.raises(SchemaError):
-            decode_base_point("dcode:zz")
+        for base in _tag_bases():
+            with pytest.raises((InvalidPoint, ValueError)):
+                base.decode("martian:1:2")
+            with pytest.raises((InvalidPoint, ValueError)):
+                base.decode("dcode:zz")
 
     @pytest.mark.parametrize(
         "tag",
         ["word:ff:-3", "word:ff:0", "word:1ff:8", "dcode:ff:0:0", "dcode:-ff:40:0", "dcode:ff:40:2",
-         "tern:ff:40", "per:1:2"],
+         "tern:ff:40", "per:1:2",
+         # sides off the K = 40 base's doubled backward orbit
+         "dcode:181cd:40:-1", "dcode:12d687:40:1"],
     )
     def test_out_of_range_or_removed_kind_rejected(self, tag):
-        with pytest.raises(SchemaError):
-            decode_base_point(tag)
+        # no base decodes it, the base of its own kind included
+        for base in _tag_bases():
+            with pytest.raises((InvalidPoint, ValueError)):
+                base.decode(tag)
 
 
 class TestExitCodes:
@@ -141,6 +159,14 @@ class TestConfigBoundary:
         "theta0-on-two-points": {"construction": "theorem-d-2:two", "params": {"theta0": -5}},
         "theorem-d-1-orbit-can-close": {"construction": "theorem-d-1", "params": {"precision": 24}},
         "theorem-d-2-orbit-can-close": {"construction": "theorem-d-2:arc", "params": {"precision": 24}},
+        "angle-nan": {"construction": "circle-product", "params": {"angle": math.nan}},
+        "angle-infinite": {"construction": "m-circles", "params": {"angle": math.inf}},
+        "length-infinite": {"construction": "circle-product", "params": {"length": math.inf}},
+        "angle-nan-string": {"construction": "circle-product", "params": {"angle": "nan"}},
+        "sturmian-precision-above-ceiling": {
+            "construction": "sturmian-cylinder", "params": {"precision": MAX_STURMIAN_PRECISION + 1}},
+        "theorem-d-precision-above-ceiling": {
+            "construction": "theorem-d-1", "params": {"precision": MAX_THEOREM_D_PRECISION + 1}},
     }
 
     def test_theorem_d_precision_floor(self):
@@ -169,6 +195,47 @@ class TestConfigBoundary:
         (tmp_path / "system.json").write_text(json.dumps(cfg))
         assert main([command, "--out", str(tmp_path), "--steps", "100"]) == EXIT_CONFIG
         self.assert_one_config_error(capsys)
+
+    def test_fibre_too_long_for_the_thinning_grid(self, tmp_path, capsys):
+        # the fibre builds, but the delta / 4 grid cannot index its edge
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "circle-product", "params": {"length": 1e300}}))
+        out = str(tmp_path / "out")
+        assert main(["build", "--config", str(cfg), "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["minimal-set", "--out", out, "--steps", "200"]) == EXIT_CONFIG
+        self.assert_one_config_error(capsys)
+
+
+class TestParamBoundaryGrid:
+    """Each float param of each construction, at the edges of the float
+    line, runs build -> minimal-set -> classify to exit 0, 2 or 3, with one
+    stderr line on an exit 2; no exception escapes main."""
+
+    # every declared param that is not a whole number (m and precision
+    # have their own entries in TestConfigBoundary.BAD)
+    FLOAT_PARAMS = [
+        ("mobius", "alpha"), ("torus-on-mobius", "alpha"), ("torus-on-mobius", "beta"),
+        ("sturmian-cylinder", "alpha"), ("circle-product", "alpha"), ("circle-product", "length"),
+        ("circle-product", "angle"), ("m-circles", "alpha"), ("m-circles", "angle"),
+        ("theorem-d-2:arc", "theta0"),
+    ]
+    VALUES = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 0, -1, 1, "0.3"]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("construction, key", FLOAT_PARAMS, ids=lambda v: v)
+    def test_exits_cleanly(self, tmp_path, capsys, construction, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": construction, "params": {key: value}}))
+        out = str(tmp_path / "out")
+        for command in (["build", "--config", str(cfg)], ["minimal-set", "--steps", "200"], ["classify"]):
+            capsys.readouterr()
+            rc = main([*command, "--out", out])
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_INCONCLUSIVE), (command, rc)
+            if rc == EXIT_CONFIG:
+                err = capsys.readouterr().err
+                assert err.startswith(("config error: ", "schema error: ")) and err.count("\n") == 1, err
+                return
 
 
 class TestRunSettings:
@@ -349,7 +416,9 @@ class TestDamagedOut:
         ("theorem-d-1", 500, lambda tag: tag.replace(":40:", ":39:")),
         # the word cut to the 35 digits its embedding reads
         ("sturmian-cylinder", 2000, lambda tag: f"word:{int(tag.split(':')[1], 16) & (1 << 35) - 1:x}:35"),
-    ], ids=["dcode", "word"])
+        # side -1 off the doubled backward orbit embeds like side 0
+        ("theorem-d-1", 500, lambda tag: tag.rpartition(":")[0] + ":-1"),
+    ], ids=["dcode", "word", "dcode-side"])
     def test_tag_of_another_precision(self, tmp_path, capsys, construction, steps, retag, command):
         out = tmp_path / "out"
         assert main(["build", construction, "--out", str(out)]) == EXIT_OK
@@ -447,5 +516,4 @@ class TestPipeline:
     def test_word_tag_survives_pipeline(self, tmp_path):
         # symbolic-word bases rely on exact big-integer tags in the CSV
         w = coding_word(0.2, GOLDEN, 500)
-        tag = encode_base_point(w)
-        assert decode_base_point(tag) == w
+        assert sturmian(GOLDEN, 500)[0].decode(w.tag()) == w

@@ -503,4 +503,5 @@ class TestRegistry:
         points += [base.apply(b) for b in points]
         if "exceptional_base" in result.system.reference:
             points.append(result.system.reference["exceptional_base"])
-        assert all(isinstance(b, base.point_type) for b in points)
+        # a decoded tag equals its point, so it is of the base's own type
+        assert [base.decode(b.tag()) for b in points] == points

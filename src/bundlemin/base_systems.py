@@ -179,9 +179,18 @@ def circle_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def circle_rotation(alpha: float) -> BaseSystem:
+def _check_rotation_angle(alpha: float) -> None:
+    """Refuse an angle outside (0, 1), or nearer 0 or 1 than one ulp of
+    1.0 (2^-52): there (theta + alpha) % 1.0 == theta for some theta in
+    [0, 1), and a float orbit through it never moves."""
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"rotation angle {alpha} outside (0, 1)")
+    if min(alpha, 1.0 - alpha) < math.ulp(1.0):
+        raise OutOfRange(f"rotation angle {alpha} is within 2^-52 of 0 or 1, too near to move every float angle")
+
+
+def circle_rotation(alpha: float) -> BaseSystem:
+    _check_rotation_angle(alpha)
 
     def apply(x: CircleAngle) -> CircleAngle:
         return CircleAngle((x.theta + alpha) % 1.0)
@@ -510,8 +519,7 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
     Returns (BaseSystem, factor) where factor(word) is the CircleAngle the
     word codes, recovered as the midpoint of the word's admissible arc.
     """
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"rotation angle {alpha} outside (0, 1)")
+    _check_rotation_angle(alpha)
     if precision < 1:
         raise OutOfRange("precision must be >= 1")
     K = precision

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -54,78 +54,101 @@ MAX_SEED_INDEX = 999
 
 SAMPLE_HEADER = ["step", "base", "tag", "edge", "parameter"]
 
+#: the checks on a sample CSV, in the order their failures are reported
+SAMPLE_CHECKS = ("header", "fields", "step", "tag", "base", "edge", "parameter", "range")
 
-def sample_to_csv(sample: SampledSet) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+
+def sample_to_csv(sample: SampledSet, f: TextIO) -> None:
+    """Write the sample to f as CSV, one row at a time."""
+    w = csv.writer(f, lineterminator="\n")
     w.writerow(SAMPLE_HEADER)
     edges = [e.id for e in sample.bundle.fibre.edges]
     columns = zip(sample.bases, sample.base_embed.tolist(), sample.edge_idx.tolist(), sample.ts.tolist())
     w.writerows(
         (i, repr(e), b.tag(), edges[k], repr(t)) for i, (b, e, k, t) in enumerate(columns)
     )
-    return buf.getvalue()
-
-
-def _read_column(cells: Sequence, read: Callable, what: str) -> list:
-    """read(cell) for each cell of a sample CSV column; a cell it refuses
-    is a SchemaError naming the cell's line."""
-    out: list = []
-    try:
-        for cell in cells:
-            out.append(read(cell))
-    except (ValueError, BundleMinError) as exc:
-        raise SchemaError(f"sample CSV line {len(out) + 2}: {what} {cell!r}: {exc}") from exc
-    return out
-
-
-def _first_false(ok: np.ndarray | list[bool]) -> int | None:
-    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
-    return int(bad[0]) if len(bad) else None
 
 
 def csv_to_points(
-    text: str, base: BaseSystem, fibre: MetricGraph
+    lines: Iterable[str], base: BaseSystem, fibre: MetricGraph
 ) -> tuple[list[BasePoint], np.ndarray, np.ndarray, np.ndarray]:
-    """The sample in a CSV as columns: base points, fibre edge indices,
-    parameters and the ``base`` cells.  Every row is checked for five
-    fields, its row number as ``step`` (so reordered or spliced rows are
-    refused), a tag the base decodes, a numeric ``base``, an edge
-    of the fibre and a parameter in [0, 1]."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != SAMPLE_HEADER:
-        raise SchemaError("sample CSV header mismatch")
-    body = rows[1:]
-    i = _first_false([len(row) == 5 for row in body])
-    if i is not None:
-        raise SchemaError(f"sample CSV line {i + 2}: {len(body[i])} fields, expected 5")
-    step_cells, base_cells, tags, edge_cells, t_cells = zip(*body) if body else ((),) * 5
-    i = _first_false([cell == str(k) for k, cell in enumerate(step_cells)])
-    if i is not None:
-        raise SchemaError(f"sample CSV line {i + 2}: step {step_cells[i]!r}, expected {i}")
-    bases = _read_column(tags, base.decode, "tag")
-    written = np.array(_read_column(base_cells, float, "base"), dtype=float)
+    """The sample in CSV lines as columns: base points, fibre edge indices,
+    parameters and the ``base`` cells, decoded in one pass.  Every row is
+    checked for five fields, its row number as ``step`` (so reordered or
+    spliced rows are refused), a tag the base decodes, a numeric ``base``,
+    an edge of the fibre and a parameter in [0, 1].  Each check keeps its
+    first failing line; after the last row the failure of the earliest
+    check in ``SAMPLE_CHECKS`` is raised, so a bad step on a late line is
+    reported before a bad tag on an early one.  Only a record the csv
+    module cannot parse is refused at once."""
     fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
-    edge_idx = list(map(fibre_edges.get, edge_cells))
-    i = _first_false([k is not None for k in edge_idx])
-    if i is not None:
-        raise SchemaError(f"sample CSV line {i + 2}: unknown fibre edge {edge_cells[i]!r}")
-    ts = np.array(_read_column(t_cells, float, "parameter"), dtype=float)
-    # the negated test also catches NaN
-    i = _first_false((ts >= 0.0) & (ts <= 1.0))
-    if i is not None:
-        raise SchemaError(f"sample CSV line {i + 2}: parameter {float(ts[i])!r} outside [0, 1]")
-    return bases, np.array(edge_idx, dtype=int), ts, written
+    bases: list[BasePoint] = []
+    written: list[float] = []
+    edge_idx: list[int] = []
+    ts: list[float] = []
+    failures: dict[str, str] = {}
+
+    def read(check: str, cell: str, decode: Callable) -> Any:
+        try:
+            return decode(cell)
+        except (ValueError, BundleMinError) as exc:
+            failures.setdefault(check, f"sample CSV line {line}: {check} {cell!r}: {exc}")
+            return None
+
+    records = csv.reader(lines)
+    line = 0  # lines read: the header is line 1 and row i is line i + 2
+    try:
+        if next(records, None) != SAMPLE_HEADER:
+            failures["header"] = "sample CSV header mismatch"
+        line = 1
+        for i, row in enumerate(records):
+            line = i + 2
+            if len(row) != 5:
+                failures.setdefault("fields", f"sample CSV line {line}: {len(row)} fields, expected 5")
+                continue
+            step, base_cell, tag, edge, t_cell = row
+            if step != str(i):
+                failures.setdefault("step", f"sample CSV line {line}: step {step!r}, expected {i}")
+            # a failed cell appends a placeholder: any failure discards the columns
+            bases.append(read("tag", tag, base.decode))
+            written.append(read("base", base_cell, float) or 0.0)
+            k = fibre_edges.get(edge)
+            if k is None:
+                failures.setdefault("edge", f"sample CSV line {line}: unknown fibre edge {edge!r}")
+            edge_idx.append(k or 0)
+            t = read("parameter", t_cell, float)
+            # the negated test also catches NaN
+            if t is not None and not 0.0 <= t <= 1.0:
+                failures.setdefault("range", f"sample CSV line {line}: parameter {t!r} outside [0, 1]")
+            ts.append(t or 0.0)
+    except csv.Error as exc:
+        raise SchemaError(f"sample CSV line {line + 1}: {exc}") from exc
+    if failures:
+        raise SchemaError(failures[min(failures, key=SAMPLE_CHECKS.index)])
+    return bases, np.array(edge_idx, dtype=int), np.array(ts, dtype=float), np.array(written, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # file plumbing
 
 
-def atomic_write(path: Path, data: str) -> None:
+@contextmanager
+def atomic_open(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces path once the with-block completes; if the
+    block raises, path is left as it was and the partial file is removed."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def atomic_write(path: Path, data: str) -> None:
+    with atomic_open(path) as f:
+        f.write(data)
 
 
 def load_config(path: str | None) -> dict:
@@ -240,7 +263,8 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     except WrongInput as exc:
         # the delta / 4 thinning grid cannot index the fibre or the base
         raise ConfigError(f"{name} at delta {delta}: {exc}") from exc
-    atomic_write(out / "sample.csv", sample_to_csv(sample))
+    with atomic_open(out / "sample.csv") as f:
+        sample_to_csv(sample, f)
     prov = dict(sample.provenance)
     prov.update({"construction": name, "delta": delta, "seed_index": seed_index})
     atomic_write(out / "provenance.json", _jdump(prov))
@@ -248,14 +272,29 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_out_file(path: Path) -> str:
-    """The text of a file in --out; one that cannot be read is a SchemaError."""
+def _read_out_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file in --out, one at a time, with newlines
+    translated as ``Path.read_text`` does; a file that cannot be read, or
+    is not UTF-8, is a SchemaError (naming the offset in the file of the
+    first byte that does not decode)."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            offset = 0
+            for raw in f:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(
+                        f"{path} is not UTF-8 text: {exc.reason} at byte {offset + exc.start}"
+                    ) from exc
+                offset += len(raw)
+                if "\r" in text:
+                    *ended, text = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+                    yield from (part + "\n" for part in ended)
+                if text:
+                    yield text
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None:
@@ -284,20 +323,22 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     if not csv_path.exists():
         raise ConfigError(f"sample not found: {csv_path}")
     s = result.system
-    bases, edge_idx, ts, written = csv_to_points(_read_out_file(csv_path), s.base, s.bundle.fibre)
+    with closing(_read_out_lines(csv_path)) as lines:
+        bases, edge_idx, ts, written = csv_to_points(lines, s.base, s.bundle.fibre)
     if not bases:
         raise SchemaError(f"{csv_path} holds no points")
     prov_path = out / "provenance.json"
     try:
-        prov = json.loads(_read_out_file(prov_path))
+        prov = json.loads("".join(_read_out_lines(prov_path)))
     except ValueError as exc:
         raise SchemaError(f"malformed {prov_path}: {exc}") from exc
     if not isinstance(prov, dict):
         raise SchemaError(f"{prov_path} must hold a JSON object, not {type(prov).__name__}")
     _check_provenance(prov, prov_path, s.id, len(bases))
     sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
-    i = _first_false(written == sample.base_embed)
-    if i is not None:
+    bad = np.flatnonzero(written != sample.base_embed)
+    if len(bad):
+        i = int(bad[0])
         raise SchemaError(
             f"{csv_path} line {i + 2}: base {float(written[i])!r} is not "
             f"{float(sample.base_embed[i])!r}, the embedding of its tag"

@@ -1,6 +1,7 @@
 """Sampling, fibre classification, dichotomy / trichotomy / circle reports."""
 from __future__ import annotations
 
+import io
 import math
 import tracemalloc
 from itertools import permutations
@@ -167,7 +168,10 @@ class TestApproximateMinimalSet:
     def test_cached_embeddings_are_the_base_embedding(self, name):
         s, seed = _orbit_system(name)
         streamed = approximate_minimal_set(s, seed, 100, 5_000, 0.02)
-        bases, edge_idx, ts, _ = csv_to_points(sample_to_csv(streamed), s.base, s.bundle.fibre)
+        buf = io.StringIO()
+        sample_to_csv(streamed, buf)
+        buf.seek(0)
+        bases, edge_idx, ts, _ = csv_to_points(buf, s.base, s.bundle.fibre)
         loaded = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
         for sample in (streamed, loaded):
             assert len(sample.base_embed) == len(sample.points)

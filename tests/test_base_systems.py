@@ -29,7 +29,7 @@ from bundlemin.base_systems import (
     sturmian_fibre_codings,
     weyl_minimal_rotation,
 )
-from bundlemin.errors import BadBlowupCenter, SearchExhausted
+from bundlemin.errors import BadBlowupCenter, OutOfRange, SearchExhausted
 
 
 class TestCircleRotation:
@@ -37,6 +37,22 @@ class TestCircleRotation:
         bs = circle_rotation(0.25)
         x = CircleAngle(0.9)
         assert float(bs.apply(x)) == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("alpha", [2.0**-52, 1.0 - 2.0**-52], ids=["2^-52", "1-2^-52"])
+    def test_angle_one_ulp_from_the_ends_moves_every_theta(self, alpha, theta):
+        assert circle_rotation(alpha).apply(CircleAngle(theta)).theta != theta
+        sturmian(alpha, 8)
+
+    @pytest.mark.parametrize("make", [circle_rotation, lambda a: sturmian(a, 8)], ids=["rotation", "sturmian"])
+    @pytest.mark.parametrize("alpha", [1e-300, 2.0**-53, 1.0 - 2.0**-53], ids=["1e-300", "2^-53", "1-2^-53"])
+    def test_angle_nearer_the_ends_refused(self, make, alpha):
+        with pytest.raises(OutOfRange, match=r"within 2\^-52 of 0 or 1"):
+            make(alpha)
+
+    def test_angle_below_one_ulp_can_stand_still(self):
+        # why the floor is 2^-52: a smaller step is lost in rounding
+        assert (0.5 + 2.0**-54) % 1.0 == 0.5
 
     def test_metric_wraps(self):
         bs = circle_rotation(GOLDEN)

@@ -1,18 +1,26 @@
 """Command line interface: exit codes, file outputs, determinism, CSV round trip."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from contextlib import closing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bundlemin
 from bundlemin import cli
+from bundlemin.analysis import approximate_minimal_set
 from bundlemin.base_systems import (
     CircleAngle,
     DoubledCode,
@@ -36,7 +44,7 @@ from bundlemin.constructions import (
     MAX_THEOREM_D_PRECISION,
     MIN_THEOREM_D_PRECISION,
 )
-from bundlemin.errors import InvalidPoint
+from bundlemin.errors import BundleMinError, InvalidPoint, SchemaError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -167,6 +175,12 @@ class TestConfigBoundary:
             "construction": "sturmian-cylinder", "params": {"precision": MAX_STURMIAN_PRECISION + 1}},
         "theorem-d-precision-above-ceiling": {
             "construction": "theorem-d-1", "params": {"precision": MAX_THEOREM_D_PRECISION + 1}},
+        # a rotation angle within 2^-52 of 0 or 1 leaves some float angle fixed
+        **{
+            f"alpha-{label}-{name}": {"construction": name, "params": {"alpha": alpha}}
+            for name in ("mobius", "torus-on-mobius", "circle-product", "sturmian-cylinder")
+            for label, alpha in (("1e-300", 1e-300), ("1-2^-53", 1.0 - 2.0**-53))
+        },
     }
 
     def test_theorem_d_precision_floor(self):
@@ -195,6 +209,12 @@ class TestConfigBoundary:
         (tmp_path / "system.json").write_text(json.dumps(cfg))
         assert main([command, "--out", str(tmp_path), "--steps", "100"]) == EXIT_CONFIG
         self.assert_one_config_error(capsys)
+
+    @pytest.mark.parametrize("name", ["mobius", "torus-on-mobius", "circle-product", "sturmian-cylinder"])
+    def test_alpha_of_one_ulp_builds(self, tmp_path, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": name, "params": {"alpha": 2.0**-52}}))
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_fibre_too_long_for_the_thinning_grid(self, tmp_path, capsys):
         # the fibre builds, but the delta / 4 grid cannot index its edge
@@ -300,6 +320,12 @@ def _replace_row(path, row, field, value):
     path.write_text("".join(lines))
 
 
+def _append_to_row(path, row, text):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row] = lines[row].rstrip("\n") + text + "\n"
+    path.write_text("".join(lines))
+
+
 def _swap_rows(path, a, b):
     lines = path.read_text().splitlines(keepends=True)
     lines[a], lines[b] = lines[b], lines[a]
@@ -338,6 +364,8 @@ class TestDamagedOut:
         "base-disagrees-with-tag": lambda out: _replace_row(out / "sample.csv", 2, 1, "0.5"),
         "step-not-an-integer": lambda out: _replace_row(out / "sample.csv", 3, 0, "x"),
         "rows-swapped": lambda out: _swap_rows(out / "sample.csv", 2, 3),
+        # longer than the csv module's field limit of 131,072 characters
+        "field-over-the-csv-limit": lambda out: _append_to_row(out / "sample.csv", 3, "x" * 200_000),
         "sample-is-a-directory": lambda out: _replace_with_directory(out / "sample.csv"),
         "provenance-is-a-directory": lambda out: _replace_with_directory(out / "provenance.json"),
         "provenance-not-an-object": lambda out: (out / "provenance.json").write_text("[1, 2]"),
@@ -431,6 +459,234 @@ class TestDamagedOut:
         assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
 
+def _reference_csv_to_points(text, base, fibre):
+    """The column-at-a-time sample reader that ``cli.csv_to_points``
+    replaced: the whole text parsed into rows, then each check run over
+    every row before the next; it raises the same SchemaError texts."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != cli.SAMPLE_HEADER:
+        raise SchemaError("sample CSV header mismatch")
+    body = rows[1:]
+
+    def first_false(ok):
+        bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+        return int(bad[0]) if len(bad) else None
+
+    def read_column(cells, read, what):
+        out = []
+        try:
+            for cell in cells:
+                out.append(read(cell))
+        except (ValueError, BundleMinError) as exc:
+            raise SchemaError(f"sample CSV line {len(out) + 2}: {what} {cell!r}: {exc}") from exc
+        return out
+
+    i = first_false([len(row) == 5 for row in body])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: {len(body[i])} fields, expected 5")
+    step_cells, base_cells, tags, edge_cells, t_cells = zip(*body) if body else ((),) * 5
+    i = first_false([cell == str(k) for k, cell in enumerate(step_cells)])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: step {step_cells[i]!r}, expected {i}")
+    bases = read_column(tags, base.decode, "tag")
+    written = np.array(read_column(base_cells, float, "base"), dtype=float)
+    fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
+    edge_idx = list(map(fibre_edges.get, edge_cells))
+    i = first_false([k is not None for k in edge_idx])
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: unknown fibre edge {edge_cells[i]!r}")
+    ts = np.array(read_column(t_cells, float, "parameter"), dtype=float)
+    i = first_false((ts >= 0.0) & (ts <= 1.0))
+    if i is not None:
+        raise SchemaError(f"sample CSV line {i + 2}: parameter {float(ts[i])!r} outside [0, 1]")
+    return bases, np.array(edge_idx, dtype=int), ts, written
+
+
+def _set_cell(field, value):
+    """A damage that sets (or, for None, deletes) one field of a line."""
+
+    def damage(lines, row, rng):
+        cells = lines[row].split(",")
+        if field < len(cells):
+            if value is None:
+                del cells[field]
+            else:
+                cells[field] = value
+        lines[row] = ",".join(cells)
+
+    return damage
+
+
+def _swap_with_next(lines, row, rng):
+    lines[row], lines[row + 1] = lines[row + 1], lines[row]
+
+
+def _carriage_return(lines, row, rng):
+    # a lone CR ends a line under universal newlines
+    at = rng.randrange(len(lines[row]) + 1)
+    lines[row] = lines[row][:at] + "\r" + lines[row][at:]
+
+
+def _quoted_over_two_lines(lines, row, rng):
+    cells = lines[row].split(",")
+    field = rng.randrange(len(cells))
+    cell = cells[field]
+    at = rng.randrange(len(cell) + 1)
+    cells[field] = '"' + cell[:at] + "\n" + cell[at:] + '"'
+    lines[row] = ",".join(cells)
+
+
+class TestSampleStream:
+    """``csv_to_points`` reads the sample in one pass, ``sample_to_csv``
+    writes it one row at a time, and neither holds a copy of the file."""
+
+    # TestDamagedOut's row damages, less the over-long field the reference
+    # reader cannot parse, plus line breaks inside a row
+    ROW_DAMAGES = {
+        "four-fields": _set_cell(4, None),
+        "parameter-not-a-number": _set_cell(4, "abc"),
+        "unknown-edge": _set_cell(3, "ZZ"),
+        "parameter-too-large": _set_cell(4, "1.5"),
+        "parameter-negative": _set_cell(4, "-0.25"),
+        "parameter-nan": _set_cell(4, "nan"),
+        "tag-wrong-kind": _set_cell(2, "dcode:ff:40:0"),
+        "tag-malformed": _set_cell(2, "angle:xyz"),
+        "base-not-a-number": _set_cell(1, "abc"),
+        "base-disagrees-with-tag": _set_cell(1, "0.5"),
+        "step-not-an-integer": _set_cell(0, "x"),
+        "rows-swapped": _swap_with_next,
+        "carriage-return-in-a-field": _carriage_return,
+        "quoted-field-over-two-lines": _quoted_over_two_lines,
+    }
+
+    # the check each SchemaError text comes from
+    CHECK_OF = [
+        ("header", r"header mismatch$"),
+        ("fields", r"line \d+: \d+ fields, expected 5$"),
+        ("step", r"line \d+: step "),
+        ("tag", r"line \d+: tag "),
+        ("base", r"line \d+: base "),
+        ("edge", r"line \d+: unknown fibre edge "),
+        ("range", r"line \d+: parameter \S+ outside \[0, 1\]$"),
+        ("parameter", r"line \d+: parameter "),
+    ]
+
+    @pytest.fixture(scope="class")
+    def mobius_sample(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("mobius")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        return (out / "sample.csv").read_text()
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            return "columns", read()
+        except SchemaError as exc:
+            return "error", str(exc)
+
+    def test_damaged_copies_read_as_the_reference_reads_them(self, mobius_sample, tmp_path):
+        s = cli.CONSTRUCTIONS["mobius"]({}).system
+        damages = list(self.ROW_DAMAGES.values())
+        rng = random.Random(20261019)
+        path = tmp_path / "sample.csv"
+        errors = set()
+        columns = 0
+        for _ in range(240):
+            lines = mobius_sample.split("\n")
+            # the last line is the empty one after the final newline
+            for damage in rng.choices(damages, k=rng.randint(1, 3)):
+                damage(lines, rng.randrange(len(lines) - 2), rng)
+            path.write_bytes("\n".join(lines).encode())
+            ref = self._outcome(lambda: _reference_csv_to_points(
+                path.read_text(encoding="utf-8"), s.base, s.bundle.fibre))
+            with closing(cli._read_out_lines(path)) as stream:
+                got = self._outcome(lambda: csv_to_points(stream, s.base, s.bundle.fibre))
+            assert got[0] == ref[0], (got, ref)
+            if ref[0] == "error":
+                assert got[1] == ref[1]
+                errors.add(next(check for check, pattern in self.CHECK_OF if re.search(pattern, ref[1])))
+            else:
+                columns += 1
+                assert got[1][0] == ref[1][0]
+                for a, b in zip(got[1][1:], ref[1][1:]):
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        # every check on the rows was reached, and some copies still load
+        assert errors >= set(cli.SAMPLE_CHECKS) - {"header"}, errors
+        assert columns > 0
+
+    @pytest.mark.parametrize("data", [
+        b"step\n\xff\n",
+        b"a,b\r\nc\xe2\x28\xa1,d\n",
+        b"abc\n\xe2\x82",
+        b"x,y\n" * 5000 + b"z\xc3\n",
+    ], ids=["invalid-start", "invalid-continuation", "truncated-at-end", "past-the-first-block"])
+    def test_not_utf8_names_the_offset_in_the_file(self, tmp_path, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        exc = whole.value
+        with pytest.raises(SchemaError) as streamed:
+            "".join(cli._read_out_lines(path))
+        assert str(streamed.value) == f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+
+    @pytest.mark.parametrize("data", [
+        b"", b"a", b"a\n", b"a\r", b"a\r\n", b"a\rb\r\nc\n\rd", b"\r\r\n\n\r", b"x\x0by\x0cz\n",
+        "\u2028\u00e9\r".encode(),
+    ])
+    def test_lines_are_read_text_with_universal_newlines(self, tmp_path, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        lines = list(cli._read_out_lines(path))
+        assert "".join(lines) == path.read_text(encoding="utf-8")
+        assert all(line.count("\n") == line.endswith("\n") for line in lines), lines
+
+    @pytest.fixture(scope="class")
+    def torus_sample(self):
+        res = cli.CONSTRUCTIONS["torus-on-mobius"]({})
+        s = res.system
+        return s, approximate_minimal_set(s, res.seed(0), 100, 20_000, 0.02)
+
+    def test_memory_per_row(self, torus_sample, tmp_path):
+        # the whole-file reader held a UCS-4 copy of the text and one list
+        # per row, about 740 B a row; the writer held the text three times,
+        # about 290 B a row
+        s, sample = torus_sample
+        path = tmp_path / "sample.csv"
+        tracemalloc.start()
+        try:
+            with cli.atomic_open(path) as f:
+                cli.sample_to_csv(sample, f)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with closing(cli._read_out_lines(path)) as lines:
+                loaded = csv_to_points(lines, s.base, s.bundle.fibre)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(sample.bases)
+        assert len(loaded[0]) == rows
+        assert write_peak / rows < 150, (write_peak, rows)
+        assert load_peak / rows < 300, (load_peak, rows)
+
+    def test_failed_write_leaves_the_sample_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        before = (out / "sample.csv").read_bytes()
+
+        def half_written(sample, f):
+            f.write("step,base")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "sample_to_csv", half_written)
+        with pytest.raises(OSError, match="No space left"):
+            main(["minimal-set", "--out", str(out), "--steps", "3000"])
+        assert (out / "sample.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["provenance.json", "sample.csv", "summary.txt", "system.json"]
+
+
 class TestPipeline:
     def test_mobius_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -466,11 +722,13 @@ class TestPipeline:
 
         res = build_mobius(GOLDEN)
         s = res.system
-        bases, edge_idx, ts, written = csv_to_points(text, s.base, s.bundle.fibre)
+        bases, edge_idx, ts, written = csv_to_points(io.StringIO(text), s.base, s.bundle.fibre)
         assert len(bases) > 10
         sample = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
         assert written.tolist() == sample.base_embed.tolist()
-        assert sample_to_csv(sample) == text
+        buf = io.StringIO()
+        sample_to_csv(sample, buf)
+        assert buf.getvalue() == text
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -405,27 +405,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
         f"trichotomy: {tri_json.get('typical', tri_json)}",
         f"circles: {circ_json}",
     ]
-    atomic_write(out / "verdict.txt", "\n".join(verdict_lines) + "\n")
-    print((out / "verdict.txt").read_text(), end="")
+    verdict = "\n".join(verdict_lines) + "\n"
+    atomic_write(out / "verdict.txt", verdict)
+    print(verdict, end="")
     return EXIT_INCONCLUSIVE if dich.verdict == "Inconclusive" else EXIT_OK
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     out, name, result, sample = _load_sample(args)
-    edges = [e.id for e in sample.bundle.fibre.edges]
-    rows = list(zip(sample.base_embed.tolist(), [edges[k] for k in sample.edge_idx.tolist()], sample.ts.tolist()))
     highlight = []
     exceptional = result.system.reference.get("exceptional_base")
     if exceptional is not None:
         highlight.append(float(result.system.base.embedding(exceptional)))
-    svg = render_sample_svg(
-        result.system.bundle.fibre,
-        rows,
-        highlight_bases=highlight,
-        cut_marker=result.system.bundle.is_monodromy,
-        title=name,
-    )
-    atomic_write(out / "sample.svg", svg)
+    with atomic_open(out / "sample.svg") as f:
+        render_sample_svg(
+            f,
+            result.system.bundle.fibre,
+            sample.base_embed,
+            sample.edge_idx,
+            sample.ts,
+            highlight_bases=highlight,
+            cut_marker=result.system.bundle.is_monodromy,
+            title=name,
+        )
     print(f"wrote {out / 'sample.svg'}")
     return EXIT_OK
 

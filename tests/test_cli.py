@@ -538,7 +538,8 @@ def _quoted_over_two_lines(lines, row, rng):
 
 class TestSampleStream:
     """``csv_to_points`` reads the sample in one pass, ``sample_to_csv``
-    writes it one row at a time, and neither holds a copy of the file."""
+    writes it one row at a time, ``plot`` writes ``sample.svg`` one element
+    at a time, and none of them holds a copy of the file."""
 
     # TestDamagedOut's row damages, less the over-long field the reference
     # reader cannot parse, plus line breaks inside a row
@@ -669,6 +670,33 @@ class TestSampleStream:
         assert len(loaded[0]) == rows
         assert write_peak / rows < 150, (write_peak, rows)
         assert load_peak / rows < 300, (load_peak, rows)
+
+    def test_plot_memory_per_row(self, tmp_path, monkeypatch):
+        # what plot allocates beyond the sample it loaded; rendering the
+        # whole document held a (base, edge, t) tuple per row and the SVG
+        # text, about 355 B a row
+        out = str(tmp_path)
+        assert main(["build", "torus-on-mobius", "--out", out]) == EXIT_OK
+        assert main(["minimal-set", "--out", out, "--steps", "20000"]) == EXIT_OK
+        load = cli._load_sample
+        loaded = {}
+
+        def load_then_reset_peak(args):
+            result = load(args)
+            loaded["rows"] = len(result[3].bases)
+            loaded["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(cli, "_load_sample", load_then_reset_peak)
+        tracemalloc.start()
+        try:
+            assert main(["plot", "--out", out]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_row = (peak - loaded["held"]) / loaded["rows"]
+        assert per_row < 40, (peak, loaded)
 
     def test_failed_write_leaves_the_sample_as_it_was(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .base_systems import BasePoint, BaseSystem
 from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_blocks
-from .errors import EmptyInput, NoProbes, NotCircleCase, WrongInput
+from .errors import NoProbes, NotCircleCase, WrongInput
 from .fibre_index import FibreIndex
 from .graphs import (
     Circle,
@@ -209,7 +209,6 @@ class FibreClass:
     kind: str  # "finite" | "cantor" | "circles" | "unknown"
     n: int | None = None
     m: int | None = None
-    scale: float = 0.0
     circles: tuple[Circle, ...] = ()
     #: the fibre slice the verdict was computed from, as (edge index, t) arrays
     edge_idx: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -271,9 +270,9 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
     O(n log n)), and it is kept on the verdict as ``edge_idx`` and ``ts``.
     """
     if not fibre_sample:
-        raise EmptyInput("empty fibre sample")
+        raise WrongInput("empty fibre sample")
     edge_idx, ts = g.point_arrays(fibre_sample)
-    verdict = partial(FibreClass, scale=delta, edge_idx=edge_idx, ts=ts)
+    verdict = partial(FibreClass, edge_idx=edge_idx, ts=ts)
     index = FibreIndex(g, edge_idx, ts)
     comps, gap = index.components(delta)
     n = len(comps)
@@ -331,7 +330,7 @@ def endpoint_statistics(sample: SampledSet, delta: float, delta_base: float) -> 
     r = 3.0 * delta
     n = len(sample.bases)
     if n == 0:
-        raise EmptyInput("empty sample")
+        raise WrongInput("empty sample")
     step = max(1, n // ENDPOINT_MAX_POINTS)
     # checked points grouped by quantized base coordinate, in first-seen
     # order; each group shares the slice over its first point

@@ -17,13 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    BadBlowupCenter,
-    InvalidPoint,
-    OutOfRange,
-    SearchExhausted,
-    WrongInput,
-)
+from .errors import InvalidPoint, WrongInput
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fractional part of the golden ratio
 
@@ -184,9 +178,9 @@ def _check_rotation_angle(alpha: float) -> None:
     1.0 (2^-52): there (theta + alpha) % 1.0 == theta for some theta in
     [0, 1), and a float orbit through it never moves."""
     if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"rotation angle {alpha} outside (0, 1)")
+        raise WrongInput(f"rotation angle {alpha} outside (0, 1)")
     if min(alpha, 1.0 - alpha) < math.ulp(1.0):
-        raise OutOfRange(f"rotation angle {alpha} is within 2^-52 of 0 or 1, too near to move every float angle")
+        raise WrongInput(f"rotation angle {alpha} is within 2^-52 of 0 or 1, too near to move every float angle")
 
 
 def circle_rotation(alpha: float) -> BaseSystem:
@@ -218,7 +212,7 @@ def circle_rotation(alpha: float) -> BaseSystem:
 
 def adding_machine(precision: int = 40) -> BaseSystem:
     if precision < 1:
-        raise OutOfRange("precision must be >= 1")
+        raise WrongInput("precision must be >= 1")
     K = precision
     mod = 1 << K
 
@@ -306,15 +300,15 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
     """
     K = precision
     if K < 1 or 1 << K <= DOUBLING_HORIZON:
-        raise BadBlowupCenter(
+        raise WrongInput(
             f"precision {K} has too few codes for {DOUBLING_HORIZON} distinct doubled backward points"
         )
     if a is None:
         a = default_blowup_center(K)
     if a.K != K:
-        raise BadBlowupCenter("center precision does not match system precision")
+        raise WrongInput("center precision does not match system precision")
     if _is_endpoint_like(a):
-        raise BadBlowupCenter("center has a constant tail at this precision")
+        raise WrongInput("center has a constant tail at this precision")
     mod = 1 << K
     J = DOUBLING_HORIZON
     L = _gap_widths(a, J, mod)
@@ -521,7 +515,7 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
     """
     _check_rotation_angle(alpha)
     if precision < 1:
-        raise OutOfRange("precision must be >= 1")
+        raise WrongInput("precision must be >= 1")
     K = precision
     k_alpha = K * alpha
     # the coding cell of each new digit, shifted back to the word's start
@@ -637,9 +631,9 @@ def weyl_minimal_rotation(
     """
     n_seq = list(n_seq)
     if any(b >= c for b, c in zip(n_seq, n_seq[1:])):
-        raise OutOfRange("sequence must be strictly increasing")
+        raise WrongInput("sequence must be strictly increasing")
     if K > len(n_seq):
-        raise OutOfRange("K exceeds the sequence length")
+        raise WrongInput("K exceeds the sequence length")
     ns = n_seq[:K]
     B = max(x.bit_length() for x in ns) + 80
     den = 1 << B
@@ -667,9 +661,7 @@ def weyl_minimal_rotation(
         numerators = [(A * n) % den for n in ns]
         if _discrepancy_exact(numerators, den) < tol_f:
             return Fraction(A, den)
-    raise SearchExhausted(
-        f"no candidate of {budget} reached discrepancy {tol} at K={K}"
-    )
+    raise WrongInput(f"no candidate of {budget} reached discrepancy {tol} at K={K}")
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +678,7 @@ def recurrence_horizon(
     """Smallest N with the first N orbit points a delta-net of a reference
     sample, or None when max_steps is not enough."""
     if delta <= 0:
-        raise OutOfRange("delta must be positive")
+        raise WrongInput("delta must be positive")
     refs = bs.sampler(ref_size)
     uncovered = list(range(len(refs)))
     x = x0

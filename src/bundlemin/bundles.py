@@ -11,7 +11,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .base_systems import BasePoint, BaseSystem
-from .errors import NotHomeomorphism, WrongInput
+from .errors import WrongInput
 from .graphs import GraphMap, GraphPoint, MetricGraph, eval_et, eval_graph_map
 
 
@@ -67,9 +67,7 @@ def _check_round_trip(fibre: MetricGraph, g: GraphMap, ginv: GraphMap) -> None:
             p = GraphPoint(e.id, i / 8.0)
             q = eval_graph_map(ginv, eval_graph_map(g, p))
             if fibre.path_distance(p, q) > 1e-9:
-                raise NotHomeomorphism(
-                    f"gluing round trip off by {fibre.path_distance(p, q):.2e} at {p}"
-                )
+                raise WrongInput(f"gluing round trip off by {fibre.path_distance(p, q):.2e} at {p}")
 
 
 def monodromy_bundle(

@@ -11,7 +11,7 @@ import os
 import sys
 from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -135,20 +135,34 @@ def csv_to_points(
 @contextmanager
 def atomic_open(path: Path) -> Iterator[TextIO]:
     """A text file that replaces path once the with-block completes; if the
-    block raises, path is left as it was and the partial file is removed."""
+    block raises, path is left as it was and the partial file is removed.
+    A file that cannot be written is a ConfigError."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             yield f
-    except BaseException:
+        os.replace(tmp, path)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         raise
-    os.replace(tmp, path)
 
 
 def atomic_write(path: Path, data: str) -> None:
     with atomic_open(path) as f:
         f.write(data)
+
+
+def _make_out(path: str) -> Path:
+    """--out as a directory, made if missing; one that cannot be made is a
+    ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {out}: {exc.strerror}") from exc
+    return out
 
 
 def load_config(path: str | None) -> dict:
@@ -202,8 +216,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     name, params = _resolve_construction(cfg, args.name)
     result = _construct(name, params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     atomic_write(out / "system.json", _jdump({"construction": name, "params": params}))
     lines = [f"construction: {name}", f"system: {result.system.id}", f"note: {result.note}"]
     if "exceptional_base" in result.system.reference:
@@ -250,8 +263,7 @@ def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int,
 def cmd_minimal_set(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     delta, steps, transient, seed_index = _run_settings(args, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     name, result = _load_system(out, cfg, args.name)
     if steps > STEP_CAP:
         raise CapExceeded(f"steps {steps} exceed cap {STEP_CAP}")
@@ -299,14 +311,16 @@ def _read_out_lines(path: Path) -> Iterator[str]:
 
 def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None:
     """A provenance that does not name the loaded system, counts fewer
-    steps than the sample has rows, holds a separation other than delta / 4
-    or a seed index outside [0, MAX_SEED_INDEX] is a SchemaError."""
+    steps than the sample has rows, holds a separation other than delta / 4,
+    a delta outside [1e-4, 1e-1] or a seed index outside [0, MAX_SEED_INDEX]
+    is a SchemaError."""
     steps, sep, delta, seed = (prov.get(k) for k in ("steps", "separation", "delta", "seed_index"))
     for ok, what in (
         (prov.get("system") == system_id, f"names system {prov.get('system')!r}, not {system_id!r}"),
         (type(steps) is int and steps >= rows, f"counts steps {steps!r}, not at least the sample's {rows} rows"),
         (type(sep) is type(delta) is float and sep == delta / 4.0,
          f"separation {sep!r} is not delta {delta!r} / 4"),
+        (type(delta) is float and 1e-4 <= delta <= 1e-1, f"delta {delta!r} outside [1e-4, 1e-1]"),
         (type(seed) is int and 0 <= seed <= MAX_SEED_INDEX, f"seed_index {seed!r} outside [0, {MAX_SEED_INDEX}]"),
     ):
         if not ok:
@@ -314,7 +328,9 @@ def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None
 
 
 def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResult, SampledSet]:
-    """The system and the orbit sample saved in --out."""
+    """The system and the orbit sample saved in --out, at the delta its
+    provenance says it was thinned at; a --delta flag or config delta that
+    differs is a ConfigError."""
     cfg = load_config(args.config)
     delta = _run_settings(args, cfg)[0]
     out = Path(args.out)
@@ -335,7 +351,9 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     if not isinstance(prov, dict):
         raise SchemaError(f"{prov_path} must hold a JSON object, not {type(prov).__name__}")
     _check_provenance(prov, prov_path, s.id, len(bases))
-    sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle)
+    if (args.delta is not None or "delta" in cfg) and delta != prov["delta"]:
+        raise ConfigError(f"delta {delta} is not {prov['delta']}, the delta of the sample in {out}")
+    sample = SampledSet(prov["delta"], bases, edge_idx, ts, prov, s.base, s.bundle)
     bad = np.flatnonzero(written != sample.base_embed)
     if len(bad):
         i = int(bad[0])
@@ -436,8 +454,15 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a ConfigError: one stderr line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bundlemin",
         description="Construct fibre-preserving graph-bundle systems, sample "
         "their minimal sets, and classify fibre topology.",
@@ -461,8 +486,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .base_systems import (
     weyl_minimal_rotation,
 )
 from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle
-from .errors import BadPattern, CirclesIntersect, OutOfRange, WrongInput
+from .errors import WrongInput
 from .graphs import (
     Circle,
     Edge,
@@ -150,7 +150,7 @@ def build_torus_on_mobius(alpha: float = GOLDEN, beta: float = SQRT2_FRAC) -> Co
     circle pair (edges A and B) sweeps out the claimed minimal set.
     """
     if not 0.0 < beta < 1.0:
-        raise OutOfRange(f"beta {beta} outside (0, 1)")
+        raise WrongInput(f"beta {beta} outside (0, 1)")
     fibre = MetricGraph(
         ("u", "w"),
         (Edge("A", "u", "u", 1.0), Edge("I", "u", "w", 1.0), Edge("B", "w", "w", 1.0)),
@@ -280,9 +280,9 @@ def build_m_circles(
     circles = list(circles)
     m = len(circles)
     if m < 1:
-        raise OutOfRange("need at least one circle to permute")
+        raise WrongInput("need at least one circle to permute")
     if not circles_disjoint(fibre, circles):
-        raise CirclesIntersect("two of the circles share points")
+        raise WrongInput("two of the circles share points")
     vsets = [c.vertices(fibre) for c in circles]
 
     def sigma(i: int, s: float) -> tuple[int, float]:
@@ -484,7 +484,7 @@ class Case2Geometry:
                 else:
                     t = chart.arc_of_theta(theta) / chart.length
                 return GraphPoint(eid, min(max(t, 0.0), 1.0))
-        raise BadPattern(f"angle {theta} not covered by edges {edges}")
+        raise WrongInput(f"angle {theta} not covered by edges {edges}")
 
     def push_outer(self, theta: float) -> GraphPoint:
         return self._point_on(self.outer_edges, theta)
@@ -554,7 +554,7 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
         )
     if pattern == "arc":
         if not 0.0 < theta0 < TWO_PI:
-            raise BadPattern(f"plateau end {theta0} outside (0, 2*pi)")
+            raise WrongInput(f"plateau end {theta0} outside (0, 2*pi)")
         scale = TWO_PI / (TWO_PI - theta0)
         r = lambda th: 1.0 if th <= theta0 else (3.0 + math.cos((th - theta0) * scale)) / 4.0
         dr = lambda th: 0.0 if th <= theta0 else -math.sin((th - theta0) * scale) * scale / 4.0
@@ -576,7 +576,7 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
             seam_thetas=(0.0, theta0),
             seam_arc=(0.0, theta0),
         )
-    raise BadPattern(f"unknown pattern {pattern!r}; expected point | arc | two")
+    raise WrongInput(f"unknown pattern {pattern!r}; expected point | arc | two")
 
 
 def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float) -> GraphMap:
@@ -681,7 +681,7 @@ MAX_M_CIRCLES = 100
 
 def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> ConstructionResult:
     if m > MAX_M_CIRCLES:
-        raise OutOfRange(f"m {m} above {MAX_M_CIRCLES}")
+        raise WrongInput(f"m {m} above {MAX_M_CIRCLES}")
     g = chained_loops_graph(m)
     circles = [c for c in enumerate_circles(g) if len(c.steps) == 1]
     return build_m_circles(circle_rotation(alpha), g, circles, angle)
@@ -705,13 +705,13 @@ MAX_STURMIAN_PRECISION = 10_000
 
 def _precision_at_most(ceiling: int, precision: int) -> int:
     if precision > ceiling:
-        raise OutOfRange(f"precision {precision} above {ceiling}")
+        raise WrongInput(f"precision {precision} above {ceiling}")
     return precision
 
 
 def _run_precision(precision: int) -> int:
     if precision < MIN_THEOREM_D_PRECISION:
-        raise OutOfRange(f"precision {precision} below {MIN_THEOREM_D_PRECISION}: the base orbit can close")
+        raise WrongInput(f"precision {precision} below {MIN_THEOREM_D_PRECISION}: the base orbit can close")
     return _precision_at_most(MAX_THEOREM_D_PRECISION, precision)
 
 

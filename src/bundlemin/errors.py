@@ -1,63 +1,18 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per case a
+handler tells apart."""
 
 
 class BundleMinError(Exception):
     """Base class for all library errors."""
 
 
-# graph construction / queries
-class NonPositiveLength(BundleMinError):
-    pass
-
-
 class InvalidPoint(BundleMinError):
-    pass
-
-
-class NotACircle(BundleMinError):
-    pass
-
-
-class Disconnected(BundleMinError):
-    pass
-
-
-class ScaleError(BundleMinError):
-    pass
-
-
-class NotCircleSelfMap(BundleMinError):
-    pass
-
-
-# base systems
-class OutOfRange(BundleMinError):
-    pass
-
-
-class BadBlowupCenter(BundleMinError):
-    pass
+    """A point off its graph or base: a program fault, never a refused
+    argument, so ``except WrongInput`` does not turn it into a config error."""
 
 
 class WrongInput(BundleMinError):
-    pass
-
-
-class SearchExhausted(BundleMinError):
-    pass
-
-
-# bundles / constructions
-class NotHomeomorphism(BundleMinError):
-    pass
-
-
-class CirclesIntersect(BundleMinError):
-    pass
-
-
-class BadPattern(BundleMinError):
-    pass
+    """An argument the library refuses."""
 
 
 # analysis
@@ -66,10 +21,6 @@ class NoProbes(BundleMinError):
 
 
 class NotCircleCase(BundleMinError):
-    pass
-
-
-class EmptyInput(BundleMinError):
     pass
 
 

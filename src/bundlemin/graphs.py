@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    Disconnected,
-    InvalidPoint,
-    NonPositiveLength,
-    NotACircle,
-    NotCircleSelfMap,
-    ScaleError,
-)
+from .errors import InvalidPoint, WrongInput
 
 #: tolerance for point identity, measured in path distance
 POINT_TOL = 1e-9
@@ -54,7 +47,7 @@ class MetricGraph:
         self.edges: tuple[Edge, ...] = tuple(edges)
         for e in self.edges:
             if not e.length > 0.0:
-                raise NonPositiveLength(f"edge {e.id!r} has length {e.length}")
+                raise WrongInput(f"edge {e.id!r} has length {e.length}")
         self._edge_by_id = {e.id: e for e in self.edges}
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
         self._eidx = {e.id: i for i, e in enumerate(self.edges)}
@@ -262,7 +255,7 @@ class Circle:
                 start = e.u if d > 0 else e.v
                 if v == start:
                     return cum[i] % self.length
-        raise NotACircle(f"point {p} does not lie on this circle")
+        raise WrongInput(f"point {p} does not lie on this circle")
 
     def point_at(self, g: MetricGraph, s: float) -> GraphPoint:
         s = s % self.length
@@ -351,7 +344,7 @@ def _circle_from_edge_set(g: MetricGraph, edge_ids: frozenset[str]) -> Circle:
                 continue
             break
         if nxt is None:
-            raise NotACircle("edge set is not a single cycle")
+            raise WrongInput("edge set is not a single cycle")
         steps.append(nxt)
         remaining.discard(nxt[0])
         cur = cur2
@@ -540,10 +533,10 @@ def build_retraction(g: MetricGraph, c: Circle) -> GraphMap:
     in the positive circle direction on exact ties.
     """
     if not g.is_connected():
-        raise Disconnected("retraction needs a connected graph")
+        raise WrongInput("retraction needs a connected graph")
     circle_edges = c.edge_ids()
     if not circle_edges <= {e.id for e in g.edges}:
-        raise NotACircle("circle does not belong to this graph")
+        raise WrongInput("circle does not belong to this graph")
     on_circle = c.vertices(g)
     anchor: dict[str, str] = {v: v for v in on_circle}
     frontier = sorted(on_circle)
@@ -626,7 +619,7 @@ def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tupl
     each vertex it leaves along the first germ, in sorted order, that
     minimises edge length plus the table distance left to the end vertex.
     Each step must strictly lower that distance, so an unreachable q raises
-    ``Disconnected``.
+    ``WrongInput``.
     """
     ep, eq = g.edge_of(p.edge), g.edge_of(q.edge)
     # (length, then the vertex and t where the path leaves p's edge and
@@ -650,7 +643,7 @@ def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tupl
         )
         w = g.far_end(eid, end)
         if not g.vertex_distance(w, b) < g.vertex_distance(x, b):
-            raise Disconnected(f"no path from {a!r} to {b!r}")
+            raise WrongInput(f"no path from {a!r} to {b!r}")
         segs.append(PathSeg(eid, 0.0, 1.0) if end == 0 else PathSeg(eid, 1.0, 0.0))
         x = w
     if abs(q.t - tb) > 0:
@@ -680,7 +673,7 @@ def star_branch_count(
     strictly shorter.
     """
     if delta >= r:
-        raise ScaleError(f"need delta < r, got delta={delta}, r={r}")
+        raise WrongInput(f"need delta < r, got delta={delta}, r={r}")
     sel = (dist > delta) & (dist <= r) & (dist <= 2.0 * delta)
     if not sel.any():
         return 0
@@ -742,7 +735,7 @@ def rotation_number(m: GraphMap, c: Circle, iterations: int) -> float:
         p = c.point_at(g, u * c.length)
         q = eval_graph_map(m, p)
         if not c.contains_point(g, q):
-            raise NotCircleSelfMap("map image leaves the circle")
+            raise WrongInput("map image leaves the circle")
         return c.coord_of(g, q) / c.length
 
     return rotation_number_of_circle_map(fn, 0.12345, iterations)

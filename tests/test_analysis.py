@@ -51,7 +51,7 @@ from bundlemin.constructions import (
     build_torus_on_mobius,
     chained_loops_graph,
 )
-from bundlemin.errors import EmptyInput, InvalidPoint, NoProbes, WrongInput
+from bundlemin.errors import InvalidPoint, NoProbes, WrongInput
 from bundlemin.graphs import (
     Circle,
     Edge,
@@ -542,7 +542,7 @@ class TestClassifyFibre:
         assert c.kind == "cantor"
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(WrongInput, match="^empty fibre sample$"):
             classify_fibre(interval_graph(1.0), [], 0.05)
 
     def test_verdict_keeps_the_slice_as_given(self):
@@ -586,7 +586,7 @@ class TestDichotomy:
         res = build_mobius(GOLDEN)
         s = res.system
         sample = SampledSet.from_points(0.02, [], {}, s.base, s.bundle)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(WrongInput, match="^empty sample$"):
             endpoint_statistics(sample, 0.02, 0.02)
 
 

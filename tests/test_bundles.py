@@ -16,7 +16,7 @@ from bundlemin.bundles import (
     orbit,
     transport_to,
 )
-from bundlemin.errors import NotHomeomorphism, WrongInput
+from bundlemin.errors import WrongInput
 from bundlemin.graphs import (
     GraphMap,
     GraphPoint,
@@ -44,7 +44,7 @@ class TestBundleConstruction:
 
     def test_bad_inverse_rejected(self):
         g = interval_graph(1.0)
-        with pytest.raises(NotHomeomorphism):
+        with pytest.raises(WrongInput, match="^gluing round trip off by "):
             monodromy_bundle(circle_rotation(GOLDEN), g, flip_map(g), identity_map(g))
 
     def test_non_circle_base_rejected(self):

@@ -146,6 +146,47 @@ class TestExitCodes:
         assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
         assert main(["classify", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args, err", [
+        (["minimal-set", "--steps", "abc"], "config error: argument --steps: invalid int value: 'abc'\n"),
+        (["classify", "--bogus"], "config error: unrecognized arguments: --bogus\n"),
+        (["nosuch"], None),
+        ([], None),
+    ], ids=["steps-not-an-int", "unknown-flag", "unknown-command", "no-command"])
+    def test_malformed_command_line(self, capsys, args, err):
+        # argparse's usage block is not printed: the error is one line
+        assert main(args) == EXIT_CONFIG
+        printed = capsys.readouterr().err
+        assert printed.startswith("config error: ") and printed.count("\n") == 1, printed
+        assert err is None or printed == err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bundlemin classify")
+
+    def test_build_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot create --out directory {out}: File exists\n"
+
+    def test_minimal_set_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["minimal-set", "mobius", "--out", str(out), "--steps", "100"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot create --out directory {out}: Not a directory\n"
+
+    @pytest.mark.parametrize("command, output", [("classify", "dichotomy.json"), ("plot", "sample.svg")])
+    def test_output_that_cannot_be_written(self, tmp_path, capsys, command, output):
+        assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(tmp_path), "--steps", "500"]) == EXIT_OK
+        (tmp_path / output).mkdir()
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {tmp_path / output}: Is a directory\n"
+        assert not (tmp_path / (output + ".tmp")).exists()
+
 
 class TestConfigBoundary:
     """A config the construction rejects exits 2 with one line, whether it
@@ -309,6 +350,41 @@ class TestRunSettings:
         assert (sampled / "sample.csv").read_bytes() == before
 
 
+class TestSampleDelta:
+    """classify and plot read the sample at the delta it was thinned at,
+    from provenance.json; a flag or config delta that differs exits 2."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sampled")
+        assert main(["build", "torus-on-mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "20000", "--delta", "0.1"]) == EXIT_OK
+        return out
+
+    def test_classify_without_a_flag_reads_the_sample_delta(self, sampled, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(sampled, out)
+        # read at delta 0.02, this sample gave a confident wrong A1 (exit 0)
+        assert main(["classify", "--out", str(out)]) == EXIT_INCONCLUSIVE
+        assert json.loads((out / "dichotomy.json").read_text())["scales"]["delta"] == 0.1
+        unflagged = (out / "verdict.txt").read_bytes()
+        assert main(["classify", "--out", str(out), "--delta", "0.1"]) == EXIT_INCONCLUSIVE
+        assert (out / "verdict.txt").read_bytes() == unflagged
+
+    @pytest.mark.parametrize("command", ["classify", "plot"])
+    def test_other_flag_delta_refused(self, sampled, capsys, command):
+        capsys.readouterr()
+        assert main([command, "--out", str(sampled), "--delta", "0.02"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: delta 0.02 is not 0.1, the delta of the sample in {sampled}\n"
+
+    def test_other_config_delta_refused(self, sampled, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.05}))
+        capsys.readouterr()
+        assert main(["classify", "--config", str(cfg), "--out", str(sampled)]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys)
+
+
 def _replace_row(path, row, field, value):
     lines = path.read_text().splitlines(keepends=True)
     cells = lines[row].rstrip("\n").split(",")
@@ -374,6 +450,9 @@ class TestDamagedOut:
         "provenance-steps-below-rows": lambda out: _replace_provenance(out, "steps", 5),
         "provenance-separation-not-quarter-delta": lambda out: _replace_provenance(out, "separation", 0.01),
         "provenance-seed-index-out-of-range": lambda out: _replace_provenance(out, "seed_index", 1000),
+        # separation is delta / 4, so only the range check refuses it
+        "provenance-delta-out-of-range": lambda out: (
+            _replace_provenance(out, "delta", 0.5), _replace_provenance(out, "separation", 0.125)),
     }
 
     @pytest.fixture(scope="class")
@@ -698,7 +777,7 @@ class TestSampleStream:
         per_row = (peak - loaded["held"]) / loaded["rows"]
         assert per_row < 40, (peak, loaded)
 
-    def test_failed_write_leaves_the_sample_as_it_was(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_the_sample_as_it_was(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
         assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
@@ -709,8 +788,9 @@ class TestSampleStream:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli, "sample_to_csv", half_written)
-        with pytest.raises(OSError, match="No space left"):
-            main(["minimal-set", "--out", str(out), "--steps", "3000"])
+        capsys.readouterr()
+        assert main(["minimal-set", "--out", str(out), "--steps", "3000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {out / 'sample.csv'}: No space left on device\n"
         assert (out / "sample.csv").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["provenance.json", "sample.csv", "summary.txt", "system.json"]
 

@@ -24,7 +24,7 @@ from bundlemin.constructions import (
 )
 from bundlemin import constructions
 from bundlemin.cli import CONSTRUCTIONS
-from bundlemin.errors import BadPattern, CirclesIntersect, InvalidPoint, OutOfRange, WrongInput
+from bundlemin.errors import InvalidPoint, WrongInput
 from bundlemin.graphs import (
     Edge,
     GraphMap,
@@ -45,7 +45,7 @@ SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
 class TestMobius:
     def test_rejects_rational_hostile_angle(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(WrongInput, match=r"^rotation angle 0\.0 outside \(0, 1\)$"):
             build_mobius(0.0)
 
     def test_centre_section_invariant(self):
@@ -157,7 +157,7 @@ class TestMCircles:
     def test_intersecting_circles_rejected(self):
         g = MetricGraph(["p", "q"], [Edge(e, "p", "q", L) for e, L in (("a", 1.0), ("b", 1.0), ("c", 2.0))])
         c1, c2 = enumerate_circles(g)[:2]
-        with pytest.raises(CirclesIntersect):
+        with pytest.raises(WrongInput, match="^two of the circles share points$"):
             build_m_circles(circle_rotation(GOLDEN), g, [c1, c2], angle=SQRT2_FRAC)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -217,9 +217,9 @@ class TestCase1:
 
 class TestCase2:
     def test_bad_pattern_rejected(self):
-        with pytest.raises(BadPattern):
+        with pytest.raises(WrongInput, match=r"^unknown pattern 'spiral'; expected point \| arc \| two$"):
             build_theorem_d_case2("spiral")
-        with pytest.raises(BadPattern):
+        with pytest.raises(WrongInput, match=r"^plateau end 0\.0 outside \(0, 2\*pi\)$"):
             build_theorem_d_case2("arc", theta0=0.0)
 
     @pytest.mark.parametrize("pattern", ["point", "arc", "two"])

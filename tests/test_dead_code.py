@@ -1,6 +1,7 @@
 """No dead library surface: every top-level function and class in
 ``src/bundlemin`` is named somewhere else in ``src/``, and every method of
-such a class is read there as an attribute, unless it is allowed below."""
+such a class is read there as an attribute, unless it is allowed below; and
+every exception class is one some handler in ``src/`` tells apart."""
 from __future__ import annotations
 
 import ast
@@ -33,6 +34,14 @@ ORACLES = {
 #: the kept orbit as ``len(sample.points)``
 TRACER_READ = {
     "analysis.SampledSet.points",
+}
+
+
+#: methods nothing in src/ calls by name, kept because a standard-library
+#: base class calls them: argparse reports a malformed command line through
+#: ``ArgumentParser.error``
+OVERRIDES = {
+    "cli._Parser.error",
 }
 
 
@@ -87,4 +96,27 @@ def test_every_uncalled_definition_is_pinned_or_an_oracle():
     pinned = tracer_pinned()
     names = {qual: qual.rpartition(".")[2] for qual in uncalled_definitions()}
     dunder = {qual for qual, name in names.items() if name.startswith("__") and name.endswith("__")}
-    assert {qual for qual, name in names.items() if name not in pinned} - dunder == ORACLES | TRACER_READ
+    assert {qual for qual, name in names.items() if name not in pinned} - dunder == ORACLES | TRACER_READ | OVERRIDES
+
+
+#: exception classes besides ``BundleMinError`` that no ``except`` clause in
+#: src/ names: ``InvalidPoint``, a point off its graph or base, is kept apart
+#: from ``WrongInput`` so that ``except WrongInput`` never turns that program
+#: fault into a config error
+UNCAUGHT_ERRORS = {"InvalidPoint"}
+
+
+def caught_names() -> set[str]:
+    """The names each ``except`` clause in src/ catches."""
+    out = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                out.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+    return out
+
+
+def test_every_exception_class_is_caught_somewhere():
+    tree = ast.parse((SRC / "bundlemin" / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes - caught_names() - {"BundleMinError"} == UNCAUGHT_ERRORS

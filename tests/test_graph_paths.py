@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlemin.constructions import _case2_geometry, chained_loops_graph
-from bundlemin.errors import Disconnected
+from bundlemin.errors import WrongInput
 from bundlemin.graphs import (
     Circle,
     Edge,
@@ -57,7 +57,7 @@ def _vertex_route(g: MetricGraph, a: str, b: str) -> list[str]:
                 prev[w] = u
                 heapq.heappush(heap, (nd, w))
     if b not in dist:
-        raise Disconnected(f"no path from {a!r} to {b!r}")
+        raise WrongInput(f"no path from {a!r} to {b!r}")
     route = [b]
     while route[-1] != a:
         route.append(prev[route[-1]])
@@ -77,7 +77,7 @@ def _edge_between(g: MetricGraph, a: str, b: str) -> tuple[str, int]:
         if best is None or cand < best:
             best = cand
     if best is None:
-        raise Disconnected(f"vertices {a!r}, {b!r} not adjacent")
+        raise WrongInput(f"vertices {a!r}, {b!r} not adjacent")
     return best[1], best[2]
 
 
@@ -286,7 +286,7 @@ class TestRouteWalk:
             (GraphPoint("l", 0.5), GraphPoint("y", 1.0)),
             (GraphPoint("y", 0.0), GraphPoint("x", 0.0)),
         ):
-            with time_limit(1.0), pytest.raises(Disconnected):
+            with time_limit(1.0), pytest.raises(WrongInput, match="^no path from "):
                 shortest_path_segments(g, p, q)
 
     @settings(max_examples=100, deadline=None)
@@ -301,7 +301,7 @@ class TestRouteWalk:
         )
         p = random_point(rng, g1)
         q = random_point(rng, g2)
-        with time_limit(1.0), pytest.raises(Disconnected):
+        with time_limit(1.0), pytest.raises(WrongInput, match="^no path from "):
             shortest_path_segments(g, GraphPoint(f"1{p.edge}", p.t), GraphPoint(f"2{q.edge}", q.t))
 
 

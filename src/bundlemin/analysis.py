@@ -235,28 +235,18 @@ def _cluster_diameter(
     return float(g.distance_matrix(ei, tt, ei, tt).max())
 
 
-def _circle_grid(g: MetricGraph, c: Circle, spacing: float) -> list[GraphPoint]:
-    k = max(8, int(math.ceil(c.length / spacing)))
-    return [c.point_at(g, c.length * i / k) for i in range(k)]
-
-
 @lru_cache(maxsize=8)
-def _circle_grids(g: MetricGraph, spacing: float) -> tuple[tuple[Circle, np.ndarray, np.ndarray], ...]:
-    """Each circle of g with its probe grid as (edge index, t) arrays;
-    computed once per graph and spacing, and shared, so read-only."""
-    return tuple((c, *g.point_arrays(_circle_grid(g, c, spacing))) for c in enumerate_circles(g))
+def _circles(g: MetricGraph) -> tuple[tuple[Circle, np.ndarray], ...]:
+    """Each circle of g with the indices of its edges; enumerated once per
+    graph, and shared, so read-only."""
+    return tuple((c, np.array([g.edge_index(e) for e, _ in c.steps])) for c in enumerate_circles(g))
 
 
-def _covered_circles(
-    g: MetricGraph, index: FibreIndex, delta: float
-) -> list[tuple[Circle, np.ndarray, np.ndarray]]:
-    """Circles of g whose delta/4 probe grid lies delta-close to the indexed
-    points, each with its grid."""
-    return [
-        (c, ge, gt)
-        for c, ge, gt in _circle_grids(g, delta / 4.0)
-        if not (index.nearest(ge, gt) > delta).any()
-    ]
+def _covered_circles(g: MetricGraph, index: FibreIndex, delta: float) -> list[tuple[Circle, np.ndarray]]:
+    """Circles of g every edge of which lies within delta of the indexed
+    points, each with its edge indices."""
+    covered = index.covered_edges(delta)
+    return [(c, ei) for c, ei in _circles(g) if covered[ei].all()]
 
 
 CANTOR_MIN_COMPONENTS = 20
@@ -290,13 +280,12 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
             return verdict("finite", n=n)
     covered = _covered_circles(g, index, delta)
     if covered:
-        # every sample point must sit near the covered union
-        _, grid_e, grid_t = zip(*covered)
-        union = FibreIndex(g, np.concatenate(grid_e), np.concatenate(grid_t))
-        if (union.nearest(edge_idx, ts) <= delta / 2.0 + delta / 8.0).all():
-            return verdict(
-                "circles", m=len(covered), circles=tuple(c for c, _, _ in covered)
-            )
+        # every sample point must sit near the union of the covered circles
+        union = np.zeros(len(g.edges), dtype=bool)
+        for _, ei in covered:
+            union[ei] = True
+        if (index.distance_to_edges(union) <= delta / 2.0).all():
+            return verdict("circles", m=len(covered), circles=tuple(c for c, _ in covered))
     if n >= CANTOR_MIN_COMPONENTS and diam < cap:
         finer = len(index.components(delta / 2.0)[0])
         if finer >= 1.5 * n:

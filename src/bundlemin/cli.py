@@ -154,6 +154,20 @@ def atomic_write(path: Path, data: str) -> None:
         f.write(data)
 
 
+#: the files classify writes from sample.csv
+VERDICT_FILES = ("dichotomy.json", "trichotomy.json", "circles.json", "verdict.txt")
+
+
+def _remove(paths: Iterable[Path]) -> None:
+    """Remove the files that exist; one that cannot be removed is a
+    ConfigError."""
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {path}: {exc.strerror}") from exc
+
+
 def _make_out(path: str) -> Path:
     """--out as a directory, made if missing; one that cannot be made is a
     ConfigError."""
@@ -275,6 +289,8 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     except WrongInput as exc:
         # the delta / 4 thinning grid cannot index the fibre or the base
         raise ConfigError(f"{name} at delta {delta}: {exc}") from exc
+    # outputs derived from the sample being replaced
+    _remove(out / file for file in (*VERDICT_FILES, "sample.svg"))
     with atomic_open(out / "sample.csv") as f:
         sample_to_csv(sample, f)
     prov = dict(sample.provenance)
@@ -371,18 +387,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     delta_base = result.delta_base if result.delta_base is not None else delta
 
     dich = endpoint_statistics(sample, delta, delta_base)
-    atomic_write(
-        out / "dichotomy.json",
-        _jdump(
-            {
-                "endpoint_fraction": dich.endpoint_fraction,
-                "interior_detected": dich.interior_detected,
-                "verdict": dich.verdict,
-                "scales": {"r": dich.r, "delta": dich.delta},
-                "points_checked": dich.points_checked,
-            }
-        ),
-    )
+    dich_json = {
+        "endpoint_fraction": dich.endpoint_fraction,
+        "interior_detected": dich.interior_detected,
+        "verdict": dich.verdict,
+        "scales": {"r": dich.r, "delta": dich.delta},
+        "points_checked": dich.points_checked,
+    }
 
     n = len(sample.bases)
     probes = sample.bases[:: max(1, n // 20)][:20]
@@ -399,7 +410,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
     except NoProbes as exc:
         tri_json = {"error": str(exc)}
-    atomic_write(out / "trichotomy.json", _jdump(tri_json))
 
     circ_probes = list(probes)
     if exceptional is not None:
@@ -414,7 +424,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
     except (NotCircleCase, NoProbes) as exc:
         circ_json = {"not_applicable": str(exc)}
-    atomic_write(out / "circles.json", _jdump(circ_json))
 
     verdict_lines = [
         f"construction: {name}",
@@ -424,7 +433,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
         f"circles: {circ_json}",
     ]
     verdict = "\n".join(verdict_lines) + "\n"
-    atomic_write(out / "verdict.txt", verdict)
+    # every report is computed before the first write; a failed write takes
+    # back the files this run wrote, so --out never holds mixed verdicts
+    texts = (_jdump(dich_json), _jdump(tri_json), _jdump(circ_json), verdict)
+    written: list[Path] = []
+    try:
+        for file, text in zip(VERDICT_FILES, texts):
+            atomic_write(out / file, text)
+            written.append(out / file)
+    except ConfigError:
+        _remove(written)
+        raise
     print(verdict, end="")
     return EXIT_INCONCLUSIVE if dich.verdict == "Inconclusive" else EXIT_OK
 

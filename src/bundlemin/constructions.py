@@ -30,7 +30,6 @@ from .base_systems import (
     doubled_cantor,
     quotient_base,
     sturmian,
-    weyl_minimal_rotation,
 )
 from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle
 from .errors import WrongInput
@@ -54,6 +53,11 @@ from .graphs import (
 
 TWO_PI = 2.0 * math.pi
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
+#: the theorem-d rotation, equidistributed along the odometer's return times
+#: 2, 4, ..., 2^200: the 281-bit truncation of frac(sqrt(3)), the first
+#: candidate of an exact star-discrepancy search whose discrepancy over those
+#: times is below 0.05, rounded to a float
+THEOREM_D_ROTATION = 0.7320508075688773
 
 
 @dataclass(frozen=True)
@@ -354,8 +358,8 @@ def _blown_up_odometer(
     """Product system over the quotiented blown-up odometer: the fibre map
     is the first of ``part_maps(rho)`` over the left part of the base (at
     or left of the identified point c_l) and the second over the right
-    part, for the rotation rho equidistributed along the odometer's return
-    times.  Seed index 0 is ``seed_y`` over the first base sample."""
+    part, for rho = ``THEOREM_D_ROTATION``.  Seed index 0 is ``seed_y``
+    over the first base sample."""
     q = quotient_base(doubled_cantor(precision=precision))
     c_l = q.params["c_l"]
     e_l = q.embedding(c_l)
@@ -364,9 +368,8 @@ def _blown_up_odometer(
         """The part of the base point embedded at e: 1 = left, 2 = right."""
         return 1 if e <= e_l + 1e-15 else 2
 
-    rho = float(weyl_minimal_rotation([2 ** k for k in range(1, 201)], 200, 0.05))
-    maps = dict(zip((1, 2), part_maps(rho)))
-    reference = {"exceptional_base": c_l, "part_of": part, "rotation": rho,
+    maps = dict(zip((1, 2), part_maps(THEOREM_D_ROTATION)))
+    reference = {"exceptional_base": c_l, "part_of": part, "rotation": THEOREM_D_ROTATION,
                  "seed": BundlePoint(q.sampler(1)[0], seed_y)}
     if geometry is not None:
         reference["geometry"] = geometry

@@ -1,8 +1,9 @@
-"""Per-slice fibre index: exact nearest-point and single-linkage queries on a
-point set of a metric graph, answered from per-edge sorted coordinates
-instead of one distance row per point.  Single linkage at every cutoff,
-and the gap between its components, is read from two kinds of link that the
-index computes once: successive points of an edge run, and edge extremes.
+"""Per-slice fibre index: exact nearest-point, single-linkage and edge
+coverage queries on a point set of a metric graph, answered from per-edge
+sorted coordinates instead of one distance row per point.  Single linkage
+at every cutoff, and the gap between its components, is read from two kinds
+of link that the index computes once: successive points of an edge run, and
+edge extremes.
 """
 from __future__ import annotations
 
@@ -62,6 +63,42 @@ class FibreIndex:
             direct = np.minimum(np.abs(below - qt[sel]) * L, np.abs(above - qt[sel]) * L)
             best[sel] = np.minimum(best[sel], direct)
         return best
+
+    def covered_edges(self, r: float) -> np.ndarray:
+        """Per edge, whether every point of it lies within r of the set.
+
+        On an edge of length L, in arc length, each end vertex w within r
+        of the set covers [0, r - d(u)] or [L - (r - d(v)), L], d(w) being
+        ``nearest`` at w, and each point of the edge at t covers
+        [tL - r, tL + r]; no other path reaches the edge.  One sweep over
+        these intervals, in order of start (the u interval, the sorted run,
+        the v interval), decides whether they cover [0, L] (Klee 1977, in
+        one dimension)."""
+        n = len(self.g.edges)
+        ends = self.nearest(np.repeat(np.arange(n), 2), np.tile([0.0, 1.0], n))
+        covered = np.zeros(n, dtype=bool)
+        for e in range(n):
+            du, dv = ends[2 * e], ends[2 * e + 1]
+            if not max(du, dv) <= r:
+                continue
+            L = self.g._len_arr[e]
+            s = self.ts[self.bounds[e]:self.bounds[e + 1]] * L
+            starts = np.concatenate(([0.0], s - r, [L - (r - dv)]))
+            stops = np.maximum.accumulate(np.concatenate(([r - du], s + r, [L])))
+            covered[e] = (starts[1:] <= stops[:-1]).all()
+        return covered
+
+    def distance_to_edges(self, edges: np.ndarray) -> np.ndarray:
+        """Distance from each point, in original order, to the union of the
+        edges where the boolean mask ``edges`` is set: 0 on one of them,
+        else the distance to the nearest of their end vertices."""
+        off = np.flatnonzero(~edges[self.edge_idx])
+        ve = np.repeat(np.flatnonzero(edges), 2)
+        vt = np.tile([0.0, 1.0], len(ve) // 2)
+        dist = np.zeros(len(self.ts))
+        dist[self.order[off]] = self.g.distance_matrix(
+            self.edge_idx[off], self.ts[off], ve, vt).min(axis=1, initial=math.inf)
+        return dist
 
     @cached_property
     def _links(self) -> tuple[np.ndarray, np.ndarray]:

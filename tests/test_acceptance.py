@@ -11,11 +11,9 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from bundlemin.analysis import (
-    _circle_grid,
     approximate_minimal_set,
     circles_report,
     classify_fibre,
@@ -32,7 +30,6 @@ from bundlemin.base_systems import (
     recurrence_horizon,
     sturmian,
     sturmian_fibre_codings,
-    weyl_minimal_rotation,
     word_embedding,
 )
 from bundlemin.bundles import BundlePoint
@@ -48,6 +45,7 @@ from bundlemin.constructions import (
     chained_loops_graph,
     mobius_boundary_circle_map,
 )
+from bundlemin.fibre_index import FibreIndex
 from bundlemin.graphs import (
     Edge,
     GraphPoint,
@@ -60,6 +58,7 @@ from bundlemin.graphs import (
     rotation_number_of_circle_map,
     star_graph,
 )
+from weyl_rotation import weyl_minimal_rotation
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
 DELTA = 0.02
@@ -162,12 +161,11 @@ class TestTwoIntersectingCircles:
         res, sample = two_intersecting_circles[pattern]
         g = res.system.bundle.fibre
         geo = res.system.reference["geometry"]
-        ys = sample.fibre_slice(res.system.reference["exceptional_base"], DELTA)
-        ei = np.array([g.edge_index(y.edge) for y in ys])
-        ts = np.array([y.t for y in ys])
+        ei, ts = sample.slice_arrays(res.system.reference["exceptional_base"], DELTA)
+        covered = FibreIndex(g, ei, ts).covered_edges(DELTA)
         for circ in (geo.outer, geo.inner):
-            for p in _circle_grid(g, circ, DELTA / 4.0):
-                assert float(g.distances_to_many(p, ei, ts).min()) <= DELTA
+            for eid, _ in circ.steps:
+                assert covered[g.edge_index(eid)]
 
     @pytest.mark.parametrize("pattern", ["point", "arc", "two"])
     def test_branch_formulas_agree_on_seams(self, two_intersecting_circles, pattern):

@@ -541,6 +541,14 @@ class TestClassifyFibre:
         c = classify_fibre(g, pts, 3.0**-6)
         assert c.kind == "cantor"
 
+    def test_a_hole_between_probe_grid_points_is_not_a_circle(self):
+        # 91 points about 0.01 apart, from 0.3015 round to 0.2005: the one gap,
+        # 0.101, leaves the arc (0.2505, 0.2515) farther than 0.05 from every
+        # point, and no point of a 0.0125-spaced grid falls in it
+        g = circle_graph(1.0)
+        pts = [GraphPoint("c", float(t % 1.0)) for t in np.linspace(0.3015, 1.2005, 91)]
+        assert classify_fibre(g, pts, 0.05).kind != "circles"
+
     def test_empty_rejected(self):
         with pytest.raises(WrongInput, match="^empty fibre sample$"):
             classify_fibre(interval_graph(1.0), [], 0.05)

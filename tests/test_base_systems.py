@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bundlemin.base_systems import (
     GOLDEN,
-    _discrepancy_exact,
     CircleAngle,
     DoubledCode,
     TernaryCode,
@@ -27,9 +26,10 @@ from bundlemin.base_systems import (
     recurrence_horizon,
     sturmian,
     sturmian_fibre_codings,
-    weyl_minimal_rotation,
 )
+from bundlemin.constructions import THEOREM_D_ROTATION
 from bundlemin.errors import WrongInput
+from weyl_rotation import _discrepancy_exact, weyl_minimal_rotation
 
 
 class TestCircleRotation:
@@ -293,6 +293,13 @@ class TestWeylSearch:
         alpha = weyl_minimal_rotation([k for k in range(1, 1001)], K=1000, tol=0.02)
         assert isinstance(alpha, Fraction)
         assert abs(float(alpha) - (math.sqrt(2.0) - 1.0)) < 1e-6
+
+    def test_rederives_the_theorem_d_rotation_bit_for_bit(self):
+        # the declared constant is the search's answer along the odometer's
+        # return times 2, ..., 2^200, a 281-bit dyadic rounded to a float
+        alpha = weyl_minimal_rotation([2 ** k for k in range(1, 201)], K=200, tol=0.05)
+        assert alpha.denominator == 1 << 281
+        assert float(alpha).hex() == THEOREM_D_ROTATION.hex()
 
     def test_impossible_tolerance_exhausts(self):
         with pytest.raises(WrongInput, match="^no candidate of 3 reached discrepancy 1e-09 at K=3$"):

@@ -795,6 +795,32 @@ class TestSampleStream:
         assert sorted(p.name for p in out.iterdir()) == ["provenance.json", "sample.csv", "summary.txt", "system.json"]
 
 
+class TestOutHoldsOneSample:
+    """No file in --out is derived from a sample other than its sample.csv."""
+
+    def test_new_sample_removes_the_old_verdicts_and_plot(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["build", "mobius", "--out", out]) == EXIT_OK
+        assert main(["minimal-set", "--out", out, "--steps", "2000"]) == EXIT_OK
+        assert main(["classify", "--out", out]) in (EXIT_OK, EXIT_INCONCLUSIVE)
+        assert main(["plot", "--out", out]) == EXIT_OK
+        derived = ("dichotomy.json", "trichotomy.json", "circles.json", "verdict.txt", "sample.svg")
+        assert all((tmp_path / name).exists() for name in derived)
+        assert main(["minimal-set", "--out", out, "--steps", "500", "--delta", "0.05"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "provenance.json", "sample.csv", "summary.txt", "system.json"]
+
+    def test_failed_verdict_write_leaves_no_verdict(self, tmp_path, capsys):
+        assert main(["build", "mobius", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(tmp_path), "--steps", "500"]) == EXIT_OK
+        (tmp_path / "circles.json").mkdir()
+        capsys.readouterr()
+        assert main(["classify", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cannot write {tmp_path / 'circles.json'}: Is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "circles.json", "provenance.json", "sample.csv", "summary.txt", "system.json"]
+
+
 class TestPipeline:
     def test_mobius_end_to_end(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -214,3 +214,71 @@ def test_chained_points_form_one_component_through_a_vertex():
     assert as_sets(index_of(g, pts).components(0.095)[0]) == {
         frozenset({0}), frozenset({1}), frozenset({2, 3, 4, 5}), frozenset({6})
     }
+
+
+#: steps of the brute-force grid on each edge
+GRID_STEPS = 1000
+
+
+@st.composite
+def coverage_cases(draw):
+    """A random graph with a loop, a twin of its first edge and an edge
+    that holds no point, and a point set on the other edges."""
+    g = draw(graphs())
+    v0, e0 = g.vertices[0], g.edges[0]
+    empty = Edge("empty", draw(st.sampled_from(g.vertices)), draw(st.sampled_from(g.vertices)),
+                 draw(st.floats(0.01, 3.0)))
+    edges = [*g.edges, Edge("loop", v0, v0, draw(st.floats(0.01, 3.0))),
+             Edge("twin", e0.u, e0.v, e0.length), empty]
+    g = MetricGraph(g.vertices, edges)
+    t = st.sampled_from(END_TS) | st.floats(0.0, 1.0)
+    edge = st.sampled_from([e.id for e in edges[:-1]])
+    return g, draw(st.lists(st.builds(GraphPoint, edge, t), max_size=40))
+
+
+def grid_distances(g: MetricGraph, pts: list[GraphPoint], e: int) -> tuple[np.ndarray, float]:
+    """Distances to the set from a grid of GRID_STEPS steps on edge e, with
+    the step in arc length."""
+    grid = np.linspace(0.0, 1.0, GRID_STEPS + 1)
+    pe, pt = g.point_arrays(pts)
+    d = g.distance_matrix(np.full(len(grid), e), grid, pe, pt).min(axis=1, initial=math.inf)
+    return d, g._len_arr[e] / GRID_STEPS
+
+
+@settings(max_examples=200, deadline=None)
+@given(coverage_cases(), st.floats(0.01, 3.0))
+def test_covered_edges_equal_a_fine_grid_away_from_the_boundary(case, r):
+    g, pts = case
+    got = index_of(g, pts).covered_edges(r)
+    for e in range(len(g.edges)):
+        d, h = grid_distances(g, pts, e)
+        # an uncovered point has a grid point within h / 2 that is farther
+        # than r - h / 2; a covered edge has every grid point within r
+        if (d <= r - h).all():
+            assert got[e]
+        if got[e]:
+            assert (d <= r + h).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coverage_cases(), st.data())
+def test_distance_to_edges_equals_a_fine_grid(case, data):
+    g, pts = case
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges))))
+    assume(mask.any())
+    got = index_of(g, pts).distance_to_edges(mask)
+    grid = np.linspace(0.0, 1.0, GRID_STEPS + 1)
+    for i, (e, t) in enumerate(zip(*g.point_arrays(pts))):
+        if mask[e]:
+            assert got[i] == 0.0
+        else:
+            # off the masked edges the least grid distance is at an end vertex
+            d = g.distance_matrix(np.array([e]), np.array([t]),
+                                  np.repeat(np.flatnonzero(mask), len(grid)), np.tile(grid, mask.sum()))
+            assert got[i] == d.min()
+
+
+def test_an_empty_set_covers_nothing():
+    g = MetricGraph(["o"], [Edge("a", "o", "o", 1.0)])
+    index = FibreIndex(g, np.array([], dtype=int), np.array([]))
+    assert index.covered_edges(10.0).tolist() == [False]

@@ -1,6 +1,8 @@
 """Command line surface: build a construction, sample its minimal set,
 classify the sample, and render plots. All outputs are deterministic for a
-fixed config and seed, and files are written atomically.
+fixed config and seed. Each command writes its --out files as one set (a
+failed write leaves the previous sample and its verdicts as they were), and
+a construction other than system.json's exits 2.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import csv
 import json
 import os
 import sys
-from contextlib import closing, contextmanager
+from contextlib import closing, suppress
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn, TextIO
 
@@ -132,40 +134,41 @@ def csv_to_points(
 # file plumbing
 
 
-@contextmanager
-def atomic_open(path: Path) -> Iterator[TextIO]:
-    """A text file that replaces path once the with-block completes; if the
-    block raises, path is left as it was and the partial file is removed.
-    A file that cannot be written is a ConfigError."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-        raise
-
-
-def atomic_write(path: Path, data: str) -> None:
-    with atomic_open(path) as f:
-        f.write(data)
-
-
 #: the files classify writes from sample.csv
 VERDICT_FILES = ("dichotomy.json", "trichotomy.json", "circles.json", "verdict.txt")
 
 
-def _remove(paths: Iterable[Path]) -> None:
-    """Remove the files that exist; one that cannot be removed is a
-    ConfigError."""
-    for path in paths:
-        try:
+def write_out(
+    out: Path, files: dict[str, str | Callable[[TextIO], None]], stale: Iterable[str] = ()
+) -> None:
+    """Write files into out as one set: each name maps to its text or to a
+    writer given the open file.  All go to <name>.tmp; only then are the
+    stale names removed and the new files moved in.  A failed write, removal
+    or move removes the files this call made and is a ConfigError."""
+    created: list[Path] = []
+    verb, path = "write", out
+    try:
+        for name, content in files.items():
+            path = out / f"{name}.tmp"
+            with open(path, "w", encoding="utf-8") as f:
+                created.append(path)
+                path = out / name
+                content(f) if callable(content) else f.write(content)
+        verb = "remove"
+        for path in (out / name for name in stale):
             path.unlink(missing_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot remove {path}: {exc.strerror}") from exc
+        verb = "write"
+        for name in files:
+            path = out / name
+            os.replace(out / f"{name}.tmp", path)
+            created.append(path)
+    except BaseException as exc:
+        for made in created:
+            with suppress(OSError):
+                made.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from exc
+        raise
 
 
 def _make_out(path: str) -> Path:
@@ -231,21 +234,27 @@ def cmd_build(args: argparse.Namespace) -> int:
     name, params = _resolve_construction(cfg, args.name)
     result = _construct(name, params)
     out = _make_out(args.out)
-    atomic_write(out / "system.json", _jdump({"construction": name, "params": params}))
     lines = [f"construction: {name}", f"system: {result.system.id}", f"note: {result.note}"]
     if "exceptional_base" in result.system.reference:
         lines.append("exceptional fibre tag: c_l (the identified doubled point)")
-    atomic_write(out / "summary.txt", "\n".join(lines) + "\n")
+    system = _jdump({"construction": name, "params": params})
+    write_out(out, {"system.json": system, "summary.txt": "\n".join(lines) + "\n"})
     print(f"wrote {out / 'system.json'}")
     return EXIT_OK
 
 
 def _load_system(out: Path, cfg: dict, name_arg: str | None) -> tuple[str, ConstructionResult]:
+    """The construction in out/system.json, else the one named; a name or
+    params that differ from system.json's are a ConfigError."""
     sysfile = out / "system.json"
-    if sysfile.exists():
-        name, params = _resolve_construction(load_config(str(sysfile)), None)
-    else:
+    if not sysfile.exists():
         name, params = _resolve_construction(cfg, name_arg)
+    else:
+        name, params = _resolve_construction(load_config(str(sysfile)), None)
+        asked = (name_arg or cfg.get("construction") or name, cfg.get("params", params))
+        if asked != (name, params):
+            raise ConfigError(f"{asked[0]} with params {asked[1]} is not {name} with params {params}, "
+                              f"the construction in {sysfile}")
     return name, _construct(name, params)
 
 
@@ -289,13 +298,11 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
     except WrongInput as exc:
         # the delta / 4 thinning grid cannot index the fibre or the base
         raise ConfigError(f"{name} at delta {delta}: {exc}") from exc
-    # outputs derived from the sample being replaced
-    _remove(out / file for file in (*VERDICT_FILES, "sample.svg"))
-    with atomic_open(out / "sample.csv") as f:
-        sample_to_csv(sample, f)
     prov = dict(sample.provenance)
     prov.update({"construction": name, "delta": delta, "seed_index": seed_index})
-    atomic_write(out / "provenance.json", _jdump(prov))
+    # the verdicts and plot of the sample being replaced go with it
+    write_out(out, {"sample.csv": lambda f: sample_to_csv(sample, f), "provenance.json": _jdump(prov)},
+              stale=(*VERDICT_FILES, "sample.svg"))
     print(f"wrote {out / 'sample.csv'} ({len(sample.bases)} points)")
     return EXIT_OK
 
@@ -433,17 +440,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         f"circles: {circ_json}",
     ]
     verdict = "\n".join(verdict_lines) + "\n"
-    # every report is computed before the first write; a failed write takes
-    # back the files this run wrote, so --out never holds mixed verdicts
     texts = (_jdump(dich_json), _jdump(tri_json), _jdump(circ_json), verdict)
-    written: list[Path] = []
-    try:
-        for file, text in zip(VERDICT_FILES, texts):
-            atomic_write(out / file, text)
-            written.append(out / file)
-    except ConfigError:
-        _remove(written)
-        raise
+    write_out(out, dict(zip(VERDICT_FILES, texts)))
     print(verdict, end="")
     return EXIT_INCONCLUSIVE if dich.verdict == "Inconclusive" else EXIT_OK
 
@@ -454,17 +452,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     exceptional = result.system.reference.get("exceptional_base")
     if exceptional is not None:
         highlight.append(float(result.system.base.embedding(exceptional)))
-    with atomic_open(out / "sample.svg") as f:
-        render_sample_svg(
-            f,
-            result.system.bundle.fibre,
-            sample.base_embed,
-            sample.edge_idx,
-            sample.ts,
-            highlight_bases=highlight,
-            cut_marker=result.system.bundle.is_monodromy,
-            title=name,
-        )
+    write_out(out, {"sample.svg": lambda f: render_sample_svg(
+        f,
+        result.system.bundle.fibre,
+        sample.base_embed,
+        sample.edge_idx,
+        sample.ts,
+        highlight_bases=highlight,
+        cut_marker=result.system.bundle.is_monodromy,
+        title=name,
+    )})
     print(f"wrote {out / 'sample.svg'}")
     return EXIT_OK
 

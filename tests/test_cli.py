@@ -231,9 +231,9 @@ class TestConfigBoundary:
         assert 2 ** K > 2 * cli.STEP_CAP >= 2 ** (K - 1)
 
     @staticmethod
-    def assert_one_config_error(capsys):
+    def assert_one_config_error(capsys, start=""):
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"config error: {start}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("cfg", list(BAD.values()), ids=list(BAD))
     def test_build(self, tmp_path, capsys, cfg):
@@ -736,8 +736,7 @@ class TestSampleStream:
         path = tmp_path / "sample.csv"
         tracemalloc.start()
         try:
-            with cli.atomic_open(path) as f:
-                cli.sample_to_csv(sample, f)
+            cli.write_out(tmp_path, {"sample.csv": lambda f: cli.sample_to_csv(sample, f)})
             write_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with closing(cli._read_out_lines(path)) as lines:
@@ -819,6 +818,121 @@ class TestOutHoldsOneSample:
         assert capsys.readouterr().err == f"config error: cannot write {tmp_path / 'circles.json'}: Is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "circles.json", "provenance.json", "sample.csv", "summary.txt", "system.json"]
+
+
+class TestWriteFailures:
+    """A command whose output cannot be written, or whose stale file cannot
+    be removed, exits 2 with one line; it leaves behind no .tmp file of its
+    own, and --out keeps files it held before or loses them, but never holds
+    a new file beside old ones."""
+
+    OUTPUTS = {
+        "build": ("system.json", "summary.txt"),
+        "minimal-set": ("sample.csv", "provenance.json"),
+        "classify": cli.VERDICT_FILES,
+        "plot": ("sample.svg",),
+    }
+    ARGS = {
+        "build": ["build", "mobius"],
+        "minimal-set": ["minimal-set", "--steps", "500", "--delta", "0.05"],
+        "classify": ["classify"],
+        "plot": ["plot"],
+    }
+    # (command, blocked name, what fails): a directory stands at the name
+    CASES = [
+        *((command, name, "write") for command, names in OUTPUTS.items() for name in names),
+        *((command, f"{name}.tmp", "write") for command, names in OUTPUTS.items() for name in names),
+        *(("minimal-set", name, "remove") for name in (*cli.VERDICT_FILES, "sample.svg")),
+    ]
+
+    @pytest.fixture(scope="class")
+    def previous(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("previous")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "--out", str(out), "--steps", "2000"]) == EXIT_OK
+        assert main(["classify", "--out", str(out)]) == EXIT_OK
+        assert main(["plot", "--out", str(out)]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("command, blocked, fails", CASES, ids=["-".join(case) for case in CASES])
+    def test_keeps_the_previous_set(self, previous, tmp_path, capsys, command, blocked, fails):
+        out = tmp_path / "out"
+        shutil.copytree(previous, out)
+        # outputs the command would write again byte for byte are marked,
+        # so that a new file left in place shows
+        for name in self.OUTPUTS[command]:
+            (out / name).write_text(f"previous {name}\n")
+        (out / blocked).unlink(missing_ok=True)
+        (out / blocked).mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert main([*self.ARGS[command], "--out", str(out)]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys, f"cannot {fails} {out / blocked}: ")
+        assert (out / blocked).is_dir()
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert not [name for name in after if name.endswith(".tmp")]
+        assert {name: before[name] for name in after if name in before} == after
+        if fails == "write" and blocked.endswith(".tmp"):
+            # nothing was removed or moved before the write failed
+            assert after == before
+
+    def test_failed_provenance_write_keeps_the_old_sample(self, tmp_path, capsys):
+        # a new sample.csv beside the old provenance.json read as a sample
+        # thinned at the old delta, and classify exited 0 on it
+        out = str(tmp_path)
+        assert main(["build", "mobius", "--out", out]) == EXIT_OK
+        assert main(["minimal-set", "--out", out, "--steps", "2000"]) == EXIT_OK
+        assert main(["classify", "--out", out]) == EXIT_OK
+        verdicts = {name: (tmp_path / name).read_bytes() for name in cli.VERDICT_FILES}
+        (tmp_path / "provenance.json.tmp").mkdir()
+        capsys.readouterr()
+        assert main(["minimal-set", "--out", out, "--steps", "2000", "--delta", "0.05"]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys, f"cannot write {tmp_path / 'provenance.json.tmp'}: ")
+        assert len((tmp_path / "sample.csv").read_text().splitlines()) == 1 + 235
+        assert {name: (tmp_path / name).read_bytes() for name in cli.VERDICT_FILES} == verdicts
+        assert main(["classify", "--out", out]) == EXIT_OK
+        assert {name: (tmp_path / name).read_bytes() for name in cli.VERDICT_FILES} == verdicts
+
+
+class TestOtherConstruction:
+    """After a build, a construction name or params other than system.json's
+    exit 2 with one line; the same ones are accepted."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sampled")
+        assert main(["build", "mobius", "--out", str(out)]) == EXIT_OK
+        assert main(["minimal-set", "mobius", "--out", str(out), "--steps", "500"]) == EXIT_OK
+        return out
+
+    OTHER = {
+        "name": (["torus-on-mobius"], None),
+        "config-name-and-params": ([], {"construction": "m-circles", "params": {"m": 5}}),
+        "config-params": ([], {"construction": "mobius", "params": {"alpha": 0.3}}),
+        "params-without-a-name": ([], {"params": {"alpha": 0.3}}),
+    }
+
+    @pytest.mark.parametrize("command", ["minimal-set", "classify", "plot"])
+    @pytest.mark.parametrize("name, cfg", list(OTHER.values()), ids=list(OTHER))
+    def test_refused(self, sampled, tmp_path, capsys, command, name, cfg):
+        flags = []
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        before = {p.name: p.read_bytes() for p in sampled.iterdir()}
+        capsys.readouterr()
+        assert main([command, *name, *flags, "--out", str(sampled), "--steps", "500"]) == EXIT_CONFIG
+        TestConfigBoundary.assert_one_config_error(capsys)
+        assert {p.name: p.read_bytes() for p in sampled.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["minimal-set", "classify", "plot"])
+    def test_the_same_accepted(self, sampled, tmp_path, command):
+        out = tmp_path / "out"
+        shutil.copytree(sampled, out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "mobius", "params": {}}))
+        for flags in (["mobius"], ["--config", str(cfg)]):
+            assert main([command, *flags, "--out", str(out), "--steps", "500"]) == EXIT_OK
 
 
 class TestPipeline:

@@ -23,7 +23,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fractional part of the golden ratio
 # point types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleAngle:
     theta: float  # in [0, 1)
 
@@ -34,7 +34,7 @@ class CircleAngle:
         return f"angle:{self.theta!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TernaryCode:
     """Finite-precision code over digits {0, 2}.
 
@@ -77,7 +77,7 @@ def embed_code(c: TernaryCode) -> float:
     return _embed_code(c.bits, c.K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubledCode:
     """A ternary code with a side tag; tags mark the doubled backward orbit."""
 
@@ -88,7 +88,7 @@ class DoubledCode:
         return f"dcode:{self.code.bits:x}:{self.code.K}:{self.side}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicWord:
     """Finite binary coding word with a cached admissible angle arc.
 

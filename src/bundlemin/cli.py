@@ -65,10 +65,13 @@ def sample_to_csv(sample: SampledSet, f: TextIO) -> None:
     w = csv.writer(f, lineterminator="\n")
     w.writerow(SAMPLE_HEADER)
     edges = [e.id for e in sample.bundle.fibre.edges]
-    columns = zip(sample.bases, sample.base_embed.tolist(), sample.edge_idx.tolist(), sample.ts.tolist())
-    w.writerows(
-        (i, repr(e), b.tag(), edges[k], repr(t)) for i, (b, e, k, t) in enumerate(columns)
-    )
+    w.writerows(zip(
+        range(len(sample.bases)),
+        map(repr, sample.base_embed.tolist()),
+        (b.tag() for b in sample.bases),
+        map(edges.__getitem__, sample.edge_idx.tolist()),
+        map(repr, sample.ts.tolist()),
+    ))
 
 
 def csv_to_points(
@@ -143,9 +146,23 @@ def write_out(
 ) -> None:
     """Write files into out as one set: each name maps to its text or to a
     writer given the open file.  All go to <name>.tmp; only then are the
-    stale names removed and the new files moved in.  A failed write, removal
-    or move removes the files this call made and is a ConfigError."""
+    stale names removed and the new files moved in, each old file at one of
+    those names first set aside to <name>.old.  A failed write, removal or
+    move removes the files this call made, moves the set-aside files back
+    and is a ConfigError; a finished call removes the set-aside files."""
     created: list[Path] = []
+    aside: list[Path] = []
+
+    def set_aside(name: str) -> Path:
+        """out / name, an old file at which is first moved to <name>.old."""
+        nonlocal path
+        target = path = out / name
+        if target.is_file():
+            path = out / f"{name}.old"
+            os.replace(target, path)
+            aside.append(target)
+        return target
+
     verb, path = "write", out
     try:
         for name, content in files.items():
@@ -155,20 +172,27 @@ def write_out(
                 path = out / name
                 content(f) if callable(content) else f.write(content)
         verb = "remove"
-        for path in (out / name for name in stale):
+        for name in stale:
+            path = set_aside(name)
             path.unlink(missing_ok=True)
         verb = "write"
         for name in files:
-            path = out / name
+            path = set_aside(name)
             os.replace(out / f"{name}.tmp", path)
             created.append(path)
     except BaseException as exc:
         for made in created:
             with suppress(OSError):
                 made.unlink(missing_ok=True)
+        for old in aside:
+            with suppress(OSError):
+                os.replace(f"{old}.old", old)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from exc
         raise
+    for old in aside:
+        with suppress(OSError):
+            os.remove(f"{old}.old")
 
 
 def _make_out(path: str) -> Path:

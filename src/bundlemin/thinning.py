@@ -21,8 +21,11 @@ to each other are never compared.
 
 A block of points is tested against the points kept before it in one
 array pass; the points that pass are tested against each other the same
-way, _CHUNK at a time, and only those with a close earlier point in their
-own block are decided one by one, in order.
+way, a chunk at a time, and only those with a close earlier point in their
+own block are decided one by one, in order.  A chunk is _CHUNK points, or
+more while its points have at most _CHUNK**2 grid candidates among the
+points that passed.  So a sparse block is decided in one pass, and a chunk
+of a dense one holds no more pairs than the candidates of _CHUNK points.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .graphs import MetricGraph
 #: points tested against the kept set in one array pass
 THIN_BLOCK = 1024
 #: points of a block that pass that test, decided against each other in
-#: one array pass
+#: one array pass; more while their grid candidates number at most _CHUNK**2
 _CHUNK = 64
 
 #: bound on |base cell| and on (edge count) x (arc cells per edge), so that
@@ -133,9 +136,9 @@ class KeptSet:
         fibre edge index; the indices of those kept, ascending.  Raises
         ``InvalidPoint`` for the first point with a parameter outside [0, 1]."""
         p = self._points(es, edges, ts)
-        near_kept, _ = self._close_pairs(p, self._index, self.e, self.edge, self.t)
+        near_kept, _ = self._close_pairs(p, self._candidate_ranges(p, self._index), self.e, self.edge, self.t)
         fresh = np.delete(np.arange(len(p.e)), near_kept)
-        kept = fresh[self._first_seen(p.take(fresh))]
+        kept = fresh[self._first_seen(p.take(fresh))] if len(fresh) else fresh
         new = p.take(kept)
         ids = np.arange(self.n, self.n + len(kept))
         self._append(new)
@@ -144,17 +147,30 @@ class KeptSet:
 
     def _first_seen(self, q: _Points) -> np.ndarray:
         """Positions, ascending, of the points greedy first-seen thinning of
-        q alone keeps.  They are decided _CHUNK at a time, each chunk first
-        against the points already kept and then against itself, so the
-        pairs held at once stay few however densely q is packed."""
+        q alone keeps.  They are decided a chunk at a time, each chunk first
+        against the points already kept and then against itself.  A chunk
+        is _CHUNK points, or more while its points have at most _CHUNK**2
+        grid candidates in all of q, so the pairs held at once stay few
+        however densely q is packed."""
+        n = len(q.e)
+        candidates = self._candidate_ranges(q, self._index_of(q, np.arange(n)))
+        counts = sum(np.bincount(owner, stop - start, minlength=n) for _, start, stop, owner in candidates)
+        # before[k]: the grid candidates in q of q's first k points
+        before = np.concatenate([[0], np.cumsum(counts)])
         kept = np.empty(0, dtype=np.int64)
         index = _NO_KEYS
-        for start in range(0, len(q.e), _CHUNK):
-            c = np.arange(start, min(start + _CHUNK, len(q.e)))
-            near, _ = self._close_pairs(q.take(c), index, q.e, q.edge, q.t)
-            c = np.delete(c, near)
+        start = 0
+        while start < n:
+            stop = min(n, max(start + _CHUNK, int(np.searchsorted(before, before[start] + _CHUNK**2, "right")) - 1))
+            c = np.arange(start, stop)
+            if start:
+                qc = q.take(c)
+                near, _ = self._close_pairs(qc, self._candidate_ranges(qc, index), q.e, q.edge, q.t)
+                c = np.delete(c, near)
             qc = q.take(c)
-            i, j = self._close_pairs(qc, self._index_of(qc, np.arange(len(c))), qc.e, qc.edge, qc.t)
+            if len(c) < n:  # else the chunk is all of q, whose candidates were counted
+                candidates = self._candidate_ranges(qc, self._index_of(qc, np.arange(len(c))))
+            i, j = self._close_pairs(qc, candidates, qc.e, qc.edge, qc.t)
             earlier = j < i
             i, j = i[earlier], j[earlier]
             order = np.argsort(i, kind="stable")
@@ -164,7 +180,9 @@ class KeptSet:
                     keep[a] = False
             c = c[np.array(keep, dtype=bool)]
             kept = np.concatenate([kept, c])
-            index = _merged(index, self._index_of(q.take(c), c))
+            if stop < n:
+                index = _merged(index, self._index_of(q.take(c), c))
+            start = stop
         return kept
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,26 +227,38 @@ class KeptSet:
         vo = np.argsort(vertex_keys, kind="stable")
         return _Index(cell_keys[co], ids[co], vertex_keys[vo], ids[at[vo]])
 
-    def _close_pairs(self, p: _Points, index: _Index, e: np.ndarray, edge: np.ndarray,
-                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs (i, j) such that the indexed point j, which is (e[j],
-        edge[j], t[j]), is a grid candidate of p's point i and lies within
-        sep of it in the base and in the fibre.  A pair may repeat."""
-        rows = p.bc[:, None] + np.array([-1, 0, 1])
-        lo = self._cell_key(rows, p.edge[:, None], p.ac[:, None] - 1).ravel()
+    def _candidate_ranges(self, p: _Points, index: _Index) -> list[tuple[np.ndarray, ...]]:
+        """The grid candidates in index of p's points, per kind of key (cell,
+        then vertex): (the ids of that kind, start, stop, owner), each
+        candidate a position in [start, stop) of that kind's keys and owner
+        the position in p whose candidate it is.  The needles are searched
+        in key order."""
+        lo = self._cell_key(p.bc, p.edge, p.ac - 1)
+        co = np.argsort(lo, kind="stable")
+        # one base row apart is a fixed key step, so each row's needles are sorted
+        lo = (lo[co] + np.array([[-1], [0], [1]]) * len(self.g.edges) * self._arcs).ravel()
         vlo, vat = self._vertex_keys(p, -1)
-        ci, cpos = _ranges(
-            np.searchsorted(index.cell_keys, lo, "left"),
-            np.searchsorted(index.cell_keys, lo + 2, "right"),
-            np.repeat(np.arange(len(p.e)), 3),
-        )
-        vi, vpos = _ranges(
-            np.searchsorted(index.vertex_keys, vlo, "left"),
-            np.searchsorted(index.vertex_keys, vlo + 2, "right"),
-            vat,
-        )
-        i = np.concatenate([ci, vi])
-        j = np.concatenate([index.cell_ids[cpos], index.vertex_ids[vpos]])
+        vo = np.argsort(vlo, kind="stable")
+        return [
+            (ids, np.searchsorted(keys, needles, "left"), np.searchsorted(keys, needles + 2, "right"), owner)
+            for keys, ids, needles, owner in (
+                (index.cell_keys, index.cell_ids, lo, np.tile(co, 3)),
+                (index.vertex_keys, index.vertex_ids, vlo[vo], vat[vo]),
+            )
+        ]
+
+    def _close_pairs(self, p: _Points, candidates: list[tuple[np.ndarray, ...]], e: np.ndarray,
+                     edge: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs (i, j) such that point j, which is (e[j], edge[j], t[j]), is
+        among the candidates of p's point i (from ``_candidate_ranges``) and
+        lies within sep of it in the base and in the fibre.  A pair may
+        repeat, and the pairs come in no particular order."""
+        i, j = [], []
+        for ids, start, stop, owner in candidates:
+            a, pos = _ranges(start, stop, owner)
+            i.append(a)
+            j.append(ids[pos])
+        i, j = np.concatenate(i), np.concatenate(j)
         near = np.abs(p.e[i] - e[j]) <= self.sep
         i, j = i[near], j[near]
         near = self.g.pair_distances(p.edge[i], p.t[i], edge[j], t[j]) <= self.sep

@@ -142,6 +142,19 @@ class TestApproximateMinimalSet:
             tracemalloc.stop()
         assert peak / len(sample.bases) < 400, (peak, len(sample.bases))
 
+    def test_memory_of_a_dense_orbit(self):
+        # the orbit barely moves, so each block's fresh points are grid
+        # candidates of each other; deciding a block in one array pass held
+        # every pair of them, about 170 MB
+        res = CONSTRUCTIONS["circle-product"]({"alpha": 1e-6, "angle": 1e-6})
+        tracemalloc.start()
+        try:
+            approximate_minimal_set(res.system, res.seed(0), 100, 30_000, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
+
     @pytest.mark.parametrize("transient", [0, 100])
     @pytest.mark.parametrize("y", [GraphPoint("Z", 0.5), GraphPoint("A", 1.5), GraphPoint("A", math.nan)])
     def test_bad_seed_raises(self, y, transient):
@@ -265,9 +278,11 @@ class TestBlockThinning:
     @given(
         case=_thinning_cases(),
         block=st.sampled_from([1, 2, 7, None]),
-        chunk=st.sampled_from([1, 3, thinning._CHUNK]),
+        chunk=st.sampled_from([1, 2, 3, thinning._CHUNK]),
     )
     def test_equals_reference(self, case, block, chunk):
+        # a small _CHUNK lets chunks grow past it by their pair budget
+        # _CHUNK**2, which no case of 40 points reaches at the shipped value
         g, sep, es, ys = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(thinning, "THIN_BLOCK", block or len(ys) + 1)

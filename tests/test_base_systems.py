@@ -12,6 +12,7 @@ from bundlemin.base_systems import (
     GOLDEN,
     CircleAngle,
     DoubledCode,
+    SymbolicWord,
     TernaryCode,
     adding_machine,
     circle_distance,
@@ -30,6 +31,16 @@ from bundlemin.base_systems import (
 from bundlemin.constructions import THEOREM_D_ROTATION
 from bundlemin.errors import WrongInput
 from weyl_rotation import _discrepancy_exact, weyl_minimal_rotation
+
+
+class TestPointTypes:
+    @pytest.mark.parametrize("point", [
+        CircleAngle(0.25), TernaryCode(5, 3), DoubledCode(TernaryCode(5, 3), 1), SymbolicWord(5, 3, (0.1, 0.2)),
+    ], ids=lambda p: type(p).__name__)
+    def test_points_have_slots_only(self, point):
+        # the orbit makes one point per step and the sample keeps one per
+        # row: a per-instance dict nearly doubled their size
+        assert not hasattr(point, "__dict__")
 
 
 class TestCircleRotation:

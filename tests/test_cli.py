@@ -822,9 +822,9 @@ class TestOutHoldsOneSample:
 
 class TestWriteFailures:
     """A command whose output cannot be written, or whose stale file cannot
-    be removed, exits 2 with one line; it leaves behind no .tmp file of its
-    own, and --out keeps files it held before or loses them, but never holds
-    a new file beside old ones."""
+    be removed, exits 2 with one line; it leaves behind no .tmp or
+    set-aside file of its own, and --out holds exactly the files it held
+    before."""
 
     OUTPUTS = {
         "build": ("system.json", "summary.txt"),
@@ -838,11 +838,13 @@ class TestWriteFailures:
         "classify": ["classify"],
         "plot": ["plot"],
     }
-    # (command, blocked name, what fails): a directory stands at the name
+    # (command, blocked name, what fails): a directory stands at the name;
+    # at <name>.old it stops the old file from being set aside
     CASES = [
-        *((command, name, "write") for command, names in OUTPUTS.items() for name in names),
-        *((command, f"{name}.tmp", "write") for command, names in OUTPUTS.items() for name in names),
-        *(("minimal-set", name, "remove") for name in (*cli.VERDICT_FILES, "sample.svg")),
+        *((command, name + suffix, "write")
+          for command, names in OUTPUTS.items() for suffix in ("", ".tmp", ".old") for name in names),
+        *(("minimal-set", name + suffix, "remove")
+          for suffix in ("", ".old") for name in (*cli.VERDICT_FILES, "sample.svg")),
     ]
 
     @pytest.fixture(scope="class")
@@ -870,11 +872,7 @@ class TestWriteFailures:
         TestConfigBoundary.assert_one_config_error(capsys, f"cannot {fails} {out / blocked}: ")
         assert (out / blocked).is_dir()
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
-        assert not [name for name in after if name.endswith(".tmp")]
-        assert {name: before[name] for name in after if name in before} == after
-        if fails == "write" and blocked.endswith(".tmp"):
-            # nothing was removed or moved before the write failed
-            assert after == before
+        assert after == before
 
     def test_failed_provenance_write_keeps_the_old_sample(self, tmp_path, capsys):
         # a new sample.csv beside the old provenance.json read as a sample

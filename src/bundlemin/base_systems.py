@@ -10,9 +10,10 @@ the orbit path checks nothing only a file can get wrong.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import InvalidPoint, WrongInput
 
@@ -110,6 +111,22 @@ class SymbolicWord:
 BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord
 
 
+class LazyPoints(Sequence):
+    """n base points, point i built by ``make(i)`` each time it is read, so
+    a walk builds only the points its caller reads."""
+
+    __slots__ = ("_n", "_make")
+
+    def __init__(self, n: int, make: Callable[[int], BasePoint]) -> None:
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> BasePoint:
+        return self._make(range(self._n)[i])
+
+
 def _tag_fields(tag: str, kind: str, n: int) -> list[str]:
     """The n fields of a ``kind:`` tag; another kind or count is refused."""
     head, _, rest = tag.partition(":")
@@ -144,6 +161,15 @@ class BaseSystem:
     ``preimages`` is optional backward dynamics used by the homeo-part
     filter in the analysis layer.  ``circular`` marks an embedding that is
     an angle mod 1, in [0, 1], so base distances wrap around.
+
+    ``walk(b, n)`` is the block step: ``(points, embeddings)``, the n base
+    points after b, ``apply^1(b), ..., apply^n(b)``, and a list of their
+    embeddings as floats, each bit-equal to ``float(embedding(apply^k(b)))``.
+    ``points`` may be a ``LazyPoints`` that builds a point only when it is
+    read.  A base with its own block step (``walker``) states its step once
+    there, and its ``apply`` is the first point of ``walk(b, 1)``; any other
+    base is walked by iterating ``apply`` and ``embedding``.  Those two stay
+    plain fields: ``perfbench/tracer.py`` replaces them on the instance.
     """
 
     id: str
@@ -154,6 +180,20 @@ class BaseSystem:
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
+    walker: Optional[Callable[[BasePoint, int], tuple[Sequence[BasePoint], list[float]]]] = field(
+        default=None, compare=False)
+
+    def walk(self, b: BasePoint, n: int) -> tuple[Sequence[BasePoint], list[float]]:
+        """The n base points after b and their embeddings (see the class)."""
+        if self.walker is not None:
+            return self.walker(b, n)
+        apply, embedding = self.apply, self.embedding
+        points, embeddings = [], []
+        for _ in range(n):
+            b = apply(b)
+            points.append(b)
+            embeddings.append(float(embedding(b)))
+        return points, embeddings
 
     def distance(self, x: BasePoint, y: BasePoint) -> float:
         """The difference of the two embeddings, wrapped when ``circular``."""
@@ -183,8 +223,13 @@ def _check_rotation_angle(alpha: float) -> None:
 def circle_rotation(alpha: float) -> BaseSystem:
     _check_rotation_angle(alpha)
 
-    def apply(x: CircleAngle) -> CircleAngle:
-        return CircleAngle((x.theta + alpha) % 1.0)
+    def walk(x: CircleAngle, n: int) -> tuple[LazyPoints, list[float]]:
+        th, thetas = x.theta, []
+        for _ in range(n):
+            th = (th + alpha) % 1.0
+            thetas.append(th)
+        # th is 1.0, not its embedding 0.0, when a tiny negative sum wraps
+        return LazyPoints(n, lambda i: CircleAngle(thetas[i])), [th % 1.0 for th in thetas]
 
     def sampler(n: int) -> list[CircleAngle]:
         return [CircleAngle((0.0123456789 + i * GOLDEN) % 1.0) for i in range(n)]
@@ -194,12 +239,13 @@ def circle_rotation(alpha: float) -> BaseSystem:
 
     return BaseSystem(
         id=f"rotation({alpha})",
-        apply=apply,
+        apply=lambda x: walk(x, 1)[0][0],
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
         decode=lambda tag: CircleAngle(float(_tag_fields(tag, "angle", 1)[0])),
         preimages=preimages,
         circular=True,
+        walker=walk,
     )
 
 
@@ -463,6 +509,8 @@ def _digit_of(theta: float, alpha: float) -> int:
 
 
 DEFAULT_STURMIAN_K = 1500
+#: ``bytes.translate`` table from digit bytes 0 and 1 to the text "0" and "1"
+_DIGIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def coding_word(theta: float, alpha: float, K: int) -> SymbolicWord:
@@ -531,17 +579,40 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         s, l = w.arc
         return CircleAngle((s + l / 2.0) % 1.0)
 
-    def apply(w: SymbolicWord) -> SymbolicWord:
-        w = ensure_arc(w)
-        s, l = w.arc
-        theta = (s + l / 2.0) % 1.0
-        new_digit = _digit_of(theta + k_alpha, alpha)
-        bits = (w.bits >> 1) | (new_digit << (K - 1))
-        rotated = ((s + alpha) % 1.0, l)
-        arc = _arc_intersect(rotated, shifted_cells[new_digit])
-        if arc[1] <= 0.0:
-            arc = rotated
-        return SymbolicWord(bits, K, arc)
+    top, m, one_minus_alpha = K - 1, min(K, 35), 1.0 - alpha  # m: the digits ``word_embedding`` reads
+    prefix_mask, word_mask = (1 << m) - 1, (1 << K) - 1
+
+    def walk(w: SymbolicWord, n: int) -> tuple[LazyPoints, list[float]]:
+        # each step shifts in the digit of the arc's midpoint K steps on
+        # and cuts the rotated arc to that digit's cell, keeping it whole
+        # where the cut is empty.  This is the orbit's base step, so
+        # ``_digit_of`` and ``_arc_intersect`` are written out, with the
+        # same float operations and min/max results.  The second try of
+        # ``_arc_intersect`` is left out: a cell at least 2^-52 long that
+        # starts inside the arc always meets it, and otherwise the second
+        # try repeats the first.  The words are kept as w's bits and the
+        # new digits, and built only when read
+        bits, (s, l) = w.bits, ensure_arc(w).arc
+        digits, arcs, embeddings = bytearray(), [], []
+        for _ in range(n):
+            new_digit = 1 if ((s + l / 2.0) % 1.0 + k_alpha) % 1.0 >= one_minus_alpha else 0
+            bits = (bits >> 1) | (new_digit << top)
+            s = (s + alpha) % 1.0
+            cell_start, cell_len = shifted_cells[new_digit]
+            t = (cell_start - s) % 1.0
+            lo, hi = (t, t + cell_len) if t < l else (0.0, t - 1.0 + cell_len)
+            hi = hi if hi < l else l
+            if hi > lo:
+                s, l = (s + lo) % 1.0, hi - lo
+            digits.append(new_digit)
+            arcs.append((s, l))
+            embeddings.append(_embed_prefix(bits & prefix_mask, m))
+
+        def word(i: int) -> SymbolicWord:
+            new = int(digits[i::-1].translate(_DIGIT_CHARS), 2)
+            return SymbolicWord(((w.bits | new << K) >> (i + 1)) & word_mask, K, arcs[i])
+
+        return LazyPoints(n, word), embeddings
 
     def sampler(n: int) -> list[SymbolicWord]:
         out: list[SymbolicWord] = []
@@ -557,10 +628,11 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
 
     bs = BaseSystem(
         id=f"sturmian(alpha={alpha},K={K})",
-        apply=apply,
+        apply=lambda w: walk(w, 1)[0][0],
         sampler=sampler,
         embedding=word_embedding,
         decode=lambda tag: SymbolicWord(_code_bits(*_tag_fields(tag, "word", 2), K), K),
+        walker=walk,
     )
     return bs, factor
 

@@ -6,11 +6,11 @@ coordinate, by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .base_systems import BasePoint, BaseSystem
+from .base_systems import BasePoint, BaseSystem, LazyPoints
 from .errors import WrongInput
 from .graphs import GraphMap, GraphPoint, MetricGraph, eval_et, eval_graph_map
 
@@ -93,37 +93,44 @@ def apply_skew(s: SkewSystem, x: BundlePoint) -> BundlePoint:
 
 def orbit_blocks(
     s: SkewSystem, x: BundlePoint, transient: int, n: int, size: int
-) -> Iterator[tuple[list[BasePoint], list[float], list[int], list[float]]]:
+) -> Iterator[tuple[Sequence[BasePoint], list[float], list[int], list[float]]]:
     """Points transient, ..., transient + n - 1 of the orbit of x, in blocks
-    of at most ``size``, each four lists: base points, base embeddings,
+    of at most ``size``, each four sequences: base points, base embeddings,
     fibre edge indices and fibre ``t``.  Same points as ``apply_skew``
-    iterated, stepped with ``eval_et`` on plain numbers; each base point is
-    embedded once, for the fibre-map family, the cut-crossing test and the
-    caller.  Only the seed is validated: the caller checks the rest."""
-    apply, embedding, family = s.base.apply, s.base.embedding, s.image_family
+    iterated: the base is stepped a block at a time by ``BaseSystem.walk``,
+    which may build its base points only when they are read, and this loop
+    steps only the fibre, with ``eval_et`` on plain numbers, reading each base
+    embedding for the fibre-map family and the cut-crossing test.  Each
+    block is released before the next is walked.  Only the seed is
+    validated: the caller checks the rest."""
+    walk, family = s.base.walk, s.image_family
     gluing, fibre = s.bundle.gluing, s.bundle.fibre
     fibre.validate_point(x.y)
-    b, e, k, t = x.b, float(embedding(x.b)), fibre.edge_index(x.y.edge), x.y.t
+    b, e, k, t = x.b, float(s.base.embedding(x.b)), fibre.edge_index(x.y.edge), x.y.t
     start, last = 0, transient + n - 1
     while start <= last:
         stop = min(start + size, transient if start < transient else last + 1)
-        bs, es, ks, ts = block = [], [], [], []
-        for i in range(start, stop):
-            bs.append(b)
-            es.append(e)
-            ks.append(k)
-            ts.append(t)
-            if i == last:
-                break
-            b2 = apply(b)
-            e2 = float(embedding(b2))
+        # walk from the last point of the previous block; the seed is the
+        # first point of the first block
+        after, embeds = walk(b, stop - start - (start == 0))
+        if start == 0:
+            bs = LazyPoints(stop, lambda i, b=b, after=after: after[i - 1] if i else b)
+            es, ks, ts = [e, *embeds], [k], [t]
+        else:
+            bs, es, ks, ts = after, embeds, [], []
+        for e2 in embeds:
             k, t = eval_et(family(e2), k, t)
             if gluing is not None and e2 < e:
                 k, t = eval_et(gluing, k, t)
-            b, e = b2, e2
+            e = e2
+            ks.append(k)
+            ts.append(t)
         if start >= transient:
-            yield block
+            yield bs, es, ks, ts
+        if embeds:
+            b = after[-1]
         start = stop
+        del after, embeds, bs, es, ks, ts
 
 
 def orbit(

@@ -316,7 +316,10 @@ def cmd_minimal_set(args: argparse.Namespace) -> int:
         raise CapExceeded(f"steps {steps} exceed cap {STEP_CAP}")
     if transient > STEP_CAP:
         raise CapExceeded(f"transient {transient} exceeds cap {STEP_CAP}")
-    seed = result.seed(seed_index)
+    try:
+        seed = result.seed(seed_index)
+    except WrongInput as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     try:
         sample = approximate_minimal_set(result.system, seed, transient, steps, delta)
     except WrongInput as exc:

@@ -24,6 +24,7 @@ import numpy as np
 from .base_systems import (
     DEFAULT_STURMIAN_K,
     GOLDEN,
+    BasePoint,
     BaseSystem,
     CircleAngle,
     circle_rotation,
@@ -67,6 +68,7 @@ class ConstructionResult:
 
     ``seed_rule(i)`` is the orbit seed for seed index i; without one, the
     seed is the i-th base sample point on the first fibre edge at t = 0.37.
+    An index past the base's distinct sample points is a ``WrongInput``.
     """
 
     system: SkewSystem
@@ -81,7 +83,16 @@ class ConstructionResult:
 
 
 def _sampled_seed(s: SkewSystem, i: int) -> BundlePoint:
-    return BundlePoint(s.base.sampler(i + 1)[-1], GraphPoint(s.bundle.fibre.edges[0].id, 0.37))
+    return BundlePoint(_sample_point(s.base, i), GraphPoint(s.bundle.fibre.edges[0].id, 0.37))
+
+
+def _sample_point(base: BaseSystem, i: int) -> BasePoint:
+    """The i-th base sample point; an index past the distinct points the
+    sampler finds is refused, not read as the last of them."""
+    points = base.sampler(i + 1)
+    if len(points) <= i:
+        raise WrongInput(f"seed index {i} needs {i + 1} distinct base points, but {base.id} has {len(points)}")
+    return points[i]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +239,7 @@ def build_sturmian_cylinder(
     )
 
     def seed_rule(i: int) -> BundlePoint:
-        w = base.sampler(i + 1)[-1]
+        w = _sample_point(base, i)
         return BundlePoint(w, GraphPoint("I", base.embedding(w)))
 
     return ConstructionResult(

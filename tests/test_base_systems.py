@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,10 @@ from bundlemin.base_systems import (
     doubled_cantor,
     doubled_pair,
     embed_code,
+    _arc_intersect,
+    _cell_arc,
+    _digit_of,
+    _word_arc,
     quotient_base,
     recurrence_horizon,
     sturmian,
@@ -280,6 +285,106 @@ class TestSturmian:
         bs, _ = sturmian(GOLDEN, precision=400)
         ws = bs.sampler(12)
         assert len(set(ws)) == 12
+
+
+def _rotation_step(alpha):
+    """The one-point rotation step, the reference its block walk is held to."""
+    return lambda x: CircleAngle((x.theta + alpha) % 1.0)
+
+
+def _sturmian_step(alpha, K):
+    """The one-word Sturmian step, the reference its block walk is held to:
+    the new digit is that of the word's arc midpoint K steps on, and the
+    rotated arc is cut to that digit's cell, or kept whole where the cut
+    is empty."""
+    k_alpha = K * alpha
+    cells = tuple(((c[0] - ((K - 1) * alpha) % 1.0) % 1.0, c[1]) for c in (_cell_arc(0, alpha), _cell_arc(1, alpha)))
+
+    def step(w):
+        s, l = w.arc if w.arc is not None else _word_arc(w.bits, w.K, alpha)
+        new_digit = _digit_of((s + l / 2.0) % 1.0 + k_alpha, alpha)
+        rotated = ((s + alpha) % 1.0, l)
+        arc = _arc_intersect(rotated, cells[new_digit])
+        return SymbolicWord((w.bits >> 1) | (new_digit << (K - 1)), K, arc if arc[1] > 0.0 else rotated)
+
+    return step
+
+
+def _bits(xs):
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+def _assert_walk_is_iterated_step(bs, b, n, step):
+    """``bs.walk(b, n)`` holds the points ``step`` and ``bs.apply`` reach
+    from b, equal and with equal tags (words also with their arcs, bit for
+    bit), and their embeddings bit for bit; the points read in any order."""
+    points, embeds = bs.walk(b, n)
+    assert len(points) == len(embeds) == n
+    for one_step in (step, bs.apply):
+        want, x = [], b
+        for _ in range(n):
+            x = one_step(x)
+            want.append(x)
+        got = [points[i] for i in reversed(range(n))][::-1]
+        assert got == want and [p.tag() for p in got] == [p.tag() for p in want]
+        if isinstance(b, SymbolicWord):
+            assert [_bits(p.arc) for p in got] == [_bits(p.arc) for p in want]
+        assert _bits(embeds) == _bits([float(bs.embedding(x)) for x in want])
+
+
+#: rotation angles a few ulps inside the refusal floor 2^-52 at each end
+_EDGE_ALPHAS = [2.0**-52 + k * math.ulp(2.0**-52) for k in range(3)] + [1.0 - k * 2.0**-53 for k in (2, 3, 4)]
+_ALPHAS = st.one_of(st.floats(2.0**-52, 1.0 - 2.0**-52), st.sampled_from(_EDGE_ALPHAS))
+
+
+class TestWalk:
+    """Each base's block walk equals its one-point step iterated."""
+
+    @given(alpha=_ALPHAS, seed=st.one_of(st.integers(0, 20), st.sampled_from(["angle:1.5", "angle:-0.25", "below"])),
+           n=st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_rotation(self, alpha, seed, n):
+        bs = circle_rotation(alpha)
+        if seed == "below":
+            # theta + alpha is a tiny negative sum, so the first angle is
+            # 1.0 or just below it, and its embedding 0.0 or that angle
+            seed = f"angle:{-(alpha + math.ulp(alpha))!r}"
+        b = bs.sampler(seed + 1)[-1] if isinstance(seed, int) else bs.decode(seed)
+        _assert_walk_is_iterated_step(bs, b, n, _rotation_step(alpha))
+
+    @given(alpha=_ALPHAS, K=st.sampled_from([1, 2, 35, 36, 64, 1500]), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_sturmian(self, alpha, K, data):
+        bs, _ = sturmian(alpha, K)
+        if data.draw(st.booleans()):
+            b = bs.sampler(data.draw(st.integers(1, min(K + 1, 40))))[-1]
+        else:
+            # a decoded word carries no arc; most such words code no angle
+            b = bs.decode(f"word:{data.draw(st.integers(0, 2**K - 1)):x}:{K}")
+            assert b.arc is None
+        n = data.draw(st.integers(0, 2 * K + 40 if K < 1500 else 200))
+        _assert_walk_is_iterated_step(bs, b, n, _sturmian_step(alpha, K))
+
+    def test_sturmian_collapsed_arc(self):
+        # at alpha = 1 - 2^-52 the arc of the word 10 rotates off the cell
+        # of the digit its midpoint gives, and the step keeps the rotated
+        # arc whole
+        alpha, K = 1.0 - 2.0**-52, 2
+        bs, _ = sturmian(alpha, K)
+        w = bs.decode("word:1:2")
+        s, l = _word_arc(w.bits, K, alpha)
+        cells = [((c[0] - ((K - 1) * alpha) % 1.0) % 1.0, c[1]) for c in (_cell_arc(0, alpha), _cell_arc(1, alpha))]
+        assert _arc_intersect(((s + alpha) % 1.0, l), cells[_digit_of((s + l / 2.0) % 1.0 + K * alpha, alpha)])[1] <= 0.0
+        _assert_walk_is_iterated_step(bs, w, 5, _sturmian_step(alpha, K))
+
+    def test_default_walk_through_the_doubled_points(self):
+        q = quotient_base(doubled_cantor())
+        a, K = q.params["a"], q.params["K"]
+        back = [TernaryCode((a.bits - j) % (1 << K), K) for j in range(1, 13)]
+        seeds = [q.params["c_l"], q.params["c_r"], *q.sampler(3)]
+        seeds += [DoubledCode(c, side) for c in back for side in (-1, 1)]
+        for b in seeds:
+            _assert_walk_is_iterated_step(q, b, 16, q.apply)
 
 
 class TestDiscrepancy:

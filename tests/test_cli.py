@@ -267,6 +267,26 @@ class TestConfigBoundary:
         assert main(["minimal-set", "--out", out, "--steps", "200"]) == EXIT_CONFIG
         self.assert_one_config_error(capsys)
 
+    def test_seed_index_past_the_distinct_sturmian_words(self, tmp_path, capsys):
+        # the sampler finds the 3 words of length 2, so seed index 3 would
+        # sample index 2's orbit again; with no transient each sample
+        # starts at its seed word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"construction": "sturmian-cylinder", "params": {"precision": 2}, "transient": 0}))
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        run = ["minimal-set", "--config", str(cfg), "--out", str(out), "--steps", "2000", "--seed"]
+        samples = set()
+        for seed in range(3):
+            assert main([*run, str(seed)]) == EXIT_OK
+            samples.add((out / "sample.csv").read_text())
+        assert len(samples) == 3
+        capsys.readouterr()
+        assert main([*run, "3"]) == EXIT_CONFIG
+        self.assert_one_config_error(
+            capsys, f"sturmian-cylinder: seed index 3 needs 4 distinct base points, but sturmian(alpha={GOLDEN},K=2) has 3")
+
 
 class TestParamBoundaryGrid:
     """Each float param of each construction, at the edges of the float

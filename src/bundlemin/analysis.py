@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .graphs import (
     circles_disjoint,
     enumerate_circles,
     eval_graph_map_arrays,
-    star_branch_count,
+    star_branch_counts,
 )
 from . import thinning
 
@@ -46,7 +46,7 @@ class SampledSet:
     """
 
     delta: float
-    bases: list[BasePoint]
+    bases: Sequence[BasePoint]
     edge_idx: np.ndarray = field(repr=False)
     ts: np.ndarray = field(repr=False)
     provenance: dict
@@ -326,17 +326,17 @@ def endpoint_statistics(sample: SampledSet, delta: float, delta_base: float) -> 
     groups: dict[int, list[int]] = {}
     for i in range(0, n, step):
         groups.setdefault(int(sample.base_embed[i] / (delta_base / 2.0)), []).append(i)
-    endpoints = 0
-    for rows in groups.values():
-        ei, tt = sample.slice_arrays(sample.bases[rows[0]], delta_base)
-        # one distance matrix per slice, in blocks of rows to bound memory
-        block = max(1, ENDPOINT_BLOCK // len(ei))
-        for lo in range(0, len(rows), block):
-            pe, pt = sample.edge_idx[rows[lo:lo + block]], sample.ts[rows[lo:lo + block]]
-            dist = g.distance_matrix(pe, pt, ei, tt)
-            for j in range(len(pe)):
-                k = star_branch_count(g, pe[j], pt[j], ei, tt, dist[j], r, delta)
-                endpoints += k < 2
+
+    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
+        for rows in groups.values():
+            ei, tt = sample.slice_arrays(sample.bases[rows[0]], delta_base)
+            # one distance matrix per slice, in blocks of rows to bound memory
+            block = max(1, ENDPOINT_BLOCK // len(ei))
+            for lo in range(0, len(rows), block):
+                pe, pt = sample.edge_idx[rows[lo:lo + block]], sample.ts[rows[lo:lo + block]]
+                yield pe, pt, ei, tt, g.distance_matrix(pe, pt, ei, tt)
+
+    endpoints = int(np.count_nonzero(star_branch_counts(g, blocks(), r, delta) < 2))
     checked = len(range(0, n, step))
     fraction = endpoints / checked
     interior = interior_detector(sample, delta)

@@ -113,7 +113,7 @@ BasePoint = CircleAngle | TernaryCode | DoubledCode | SymbolicWord
 
 class LazyPoints(Sequence):
     """n base points, point i built by ``make(i)`` each time it is read, so
-    a walk builds only the points its caller reads."""
+    a walk builds only the points its caller reads; so does a slice."""
 
     __slots__ = ("_n", "_make")
 
@@ -123,8 +123,9 @@ class LazyPoints(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int) -> BasePoint:
-        return self._make(range(self._n)[i])
+    def __getitem__(self, i: int | slice) -> BasePoint | LazyPoints:
+        k = range(self._n)[i]
+        return LazyPoints(len(k), lambda j: self._make(k[j])) if isinstance(k, range) else self._make(k)
 
 
 def _tag_fields(tag: str, kind: str, n: int) -> list[str]:
@@ -170,6 +171,10 @@ class BaseSystem:
     there, and its ``apply`` is the first point of ``walk(b, 1)``; any other
     base is walked by iterating ``apply`` and ``embedding``.  Those two stay
     plain fields: ``perfbench/tracer.py`` replaces them on the instance.
+
+    ``read(tags)`` decodes a block of tags as ``decode`` does, with their
+    embeddings as ``walk`` gives them; a base with its own (``reader``) states
+    its tag grammar there, and its ``decode`` is the first point of ``read``.
     """
 
     id: str
@@ -181,6 +186,8 @@ class BaseSystem:
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
     walker: Optional[Callable[[BasePoint, int], tuple[Sequence[BasePoint], list[float]]]] = field(
+        default=None, compare=False)
+    reader: Optional[Callable[[Sequence[str]], tuple[Sequence[BasePoint], list[float]]]] = field(
         default=None, compare=False)
 
     def walk(self, b: BasePoint, n: int) -> tuple[Sequence[BasePoint], list[float]]:
@@ -194,6 +201,13 @@ class BaseSystem:
             points.append(b)
             embeddings.append(float(embedding(b)))
         return points, embeddings
+
+    def read(self, tags: Sequence[str]) -> tuple[Sequence[BasePoint], list[float]]:
+        """The points of the tags and their embeddings (see the class)."""
+        if self.reader is not None:
+            return self.reader(tags)
+        points = list(map(self.decode, tags))
+        return points, [float(self.embedding(b)) for b in points]
 
     def distance(self, x: BasePoint, y: BasePoint) -> float:
         """The difference of the two embeddings, wrapped when ``circular``."""
@@ -231,6 +245,13 @@ def circle_rotation(alpha: float) -> BaseSystem:
         # th is 1.0, not its embedding 0.0, when a tiny negative sum wraps
         return LazyPoints(n, lambda i: CircleAngle(thetas[i])), [th % 1.0 for th in thetas]
 
+    def read(tags: Sequence[str]) -> tuple[LazyPoints, list[float]]:
+        # a block of tags that are all "angle:" and one field is parsed in one pass
+        cells = [tag[6:] for tag in tags]
+        plain = [tag[:6] for tag in tags] == ["angle:"] * len(tags) and ":" not in "".join(cells)
+        thetas = list(map(float, cells)) if plain else [float(_tag_fields(tag, "angle", 1)[0]) for tag in tags]
+        return LazyPoints(len(thetas), lambda i: CircleAngle(thetas[i])), [th % 1.0 for th in thetas]
+
     def sampler(n: int) -> list[CircleAngle]:
         return [CircleAngle((0.0123456789 + i * GOLDEN) % 1.0) for i in range(n)]
 
@@ -242,10 +263,11 @@ def circle_rotation(alpha: float) -> BaseSystem:
         apply=lambda x: walk(x, 1)[0][0],
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
-        decode=lambda tag: CircleAngle(float(_tag_fields(tag, "angle", 1)[0])),
+        decode=lambda tag: read([tag])[0][0],
         preimages=preimages,
         circular=True,
         walker=walk,
+        reader=read,
     )
 
 

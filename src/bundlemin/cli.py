@@ -12,8 +12,9 @@ import json
 import os
 import sys
 from contextlib import closing, suppress
+from itertools import count, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn, TextIO
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .analysis import (
     endpoint_statistics,
     typical_fibre_report,
 )
-from .base_systems import BasePoint, BaseSystem
+from .base_systems import BasePoint, BaseSystem, LazyPoints
 from .constructions import CONSTRUCTIONS, ConstructionResult, coerce_setting
 from .errors import (
     BundleMinError,
@@ -59,6 +60,9 @@ SAMPLE_HEADER = ["step", "base", "tag", "edge", "parameter"]
 #: the checks on a sample CSV, in the order their failures are reported
 SAMPLE_CHECKS = ("header", "fields", "step", "tag", "base", "edge", "parameter", "range")
 
+#: rows ``csv_to_points`` checks and decodes at a time
+SAMPLE_BLOCK = 1024
+
 
 def sample_to_csv(sample: SampledSet, f: TextIO) -> None:
     """Write the sample to f as CSV, one row at a time."""
@@ -76,22 +80,35 @@ def sample_to_csv(sample: SampledSet, f: TextIO) -> None:
 
 def csv_to_points(
     lines: Iterable[str], base: BaseSystem, fibre: MetricGraph
-) -> tuple[list[BasePoint], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Sequence[BasePoint], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sample in CSV lines as columns: base points, fibre edge indices,
-    parameters and the ``base`` cells, decoded in one pass.  Every row is
-    checked for five fields, its row number as ``step`` (so reordered or
-    spliced rows are refused), a tag the base decodes, a numeric ``base``,
-    an edge of the fibre and a parameter in [0, 1].  Each check keeps its
-    first failing line; after the last row the failure of the earliest
-    check in ``SAMPLE_CHECKS`` is raised, so a bad step on a late line is
-    reported before a bad tag on an early one.  Only a record the csv
-    module cannot parse is refused at once."""
+    parameters, the ``base`` cells and the points' embeddings, decoded
+    ``SAMPLE_BLOCK`` rows at a time.  Every row is checked for five fields,
+    its row number as ``step`` (so reordered or spliced rows are refused),
+    a tag the base decodes, a numeric ``base``, an edge of the fibre and a
+    parameter in [0, 1].  Each check keeps its first failing line; after
+    the last row the failure of the earliest check in ``SAMPLE_CHECKS`` is
+    raised, so a bad step on a late line is reported before a bad tag on an
+    early one.  Only a record the csv module cannot parse is refused at once."""
     fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
-    bases: list[BasePoint] = []
-    written: list[float] = []
-    edge_idx: list[int] = []
-    ts: list[float] = []
+    size = SAMPLE_BLOCK
+    blocks: list[tuple] = []
     failures: dict[str, str] = {}
+
+    def read_block(first: int, rows: list[list[str]]) -> tuple | None:
+        """The block's columns, or None when a row fails a check."""
+        try:
+            # a row of another length fails the strict zip or the unpacking
+            steps, base_cells, tags, edges, t_cells = zip(*rows, strict=True)
+            edge_idx = np.fromiter(map(fibre_edges.__getitem__, edges), int, len(rows))
+            ts = np.fromiter(map(float, t_cells), float, len(rows))
+            written = np.fromiter(map(float, base_cells), float, len(rows))
+            points, embeddings = base.read(tags)
+        except (KeyError, ValueError, BundleMinError):
+            return None
+        if steps != tuple(map(str, range(first, first + len(rows)))) or not ((ts >= 0.0) & (ts <= 1.0)).all():
+            return None
+        return points, edge_idx, ts, written, np.array(embeddings, dtype=float)
 
     def read(check: str, cell: str, decode: Callable) -> Any:
         try:
@@ -100,37 +117,40 @@ def csv_to_points(
             failures.setdefault(check, f"sample CSV line {line}: {check} {cell!r}: {exc}")
             return None
 
-    records = csv.reader(lines)
-    line = 0  # lines read: the header is line 1 and row i is line i + 2
+    # record i is line i: zip draws the line number before the record
+    line_numbers = count(1)
+    records = (record for _, record in zip(line_numbers, csv.reader(lines)))
+    n = 0
     try:
         if next(records, None) != SAMPLE_HEADER:
             failures["header"] = "sample CSV header mismatch"
-        line = 1
-        for i, row in enumerate(records):
-            line = i + 2
-            if len(row) != 5:
-                failures.setdefault("fields", f"sample CSV line {line}: {len(row)} fields, expected 5")
-                continue
-            step, base_cell, tag, edge, t_cell = row
-            if step != str(i):
-                failures.setdefault("step", f"sample CSV line {line}: step {step!r}, expected {i}")
-            # a failed cell appends a placeholder: any failure discards the columns
-            bases.append(read("tag", tag, base.decode))
-            written.append(read("base", base_cell, float) or 0.0)
-            k = fibre_edges.get(edge)
-            if k is None:
-                failures.setdefault("edge", f"sample CSV line {line}: unknown fibre edge {edge!r}")
-            edge_idx.append(k or 0)
-            t = read("parameter", t_cell, float)
-            # the negated test also catches NaN
-            if t is not None and not 0.0 <= t <= 1.0:
-                failures.setdefault("range", f"sample CSV line {line}: parameter {t!r} outside [0, 1]")
-            ts.append(t or 0.0)
+        while rows := list(islice(records, size)):
+            blocks.append(read_block(n, rows))
+            # the block checks are the row checks, so a block that fails
+            # one is read again row by row to find its failing lines
+            for i, row in enumerate(rows if blocks[-1] is None else (), n):
+                line = i + 2
+                if len(row) != 5:
+                    failures.setdefault("fields", f"sample CSV line {line}: {len(row)} fields, expected 5")
+                    continue
+                step, base_cell, tag, edge, t_cell = row
+                if step != str(i):
+                    failures.setdefault("step", f"sample CSV line {line}: step {step!r}, expected {i}")
+                read("tag", tag, base.decode)
+                read("base", base_cell, float)
+                if edge not in fibre_edges:
+                    failures.setdefault("edge", f"sample CSV line {line}: unknown fibre edge {edge!r}")
+                t = read("parameter", t_cell, float)
+                # the negated test also catches NaN
+                if t is not None and not 0.0 <= t <= 1.0:
+                    failures.setdefault("range", f"sample CSV line {line}: parameter {t!r} outside [0, 1]")
+            n += len(rows)
     except csv.Error as exc:
-        raise SchemaError(f"sample CSV line {line + 1}: {exc}") from exc
+        raise SchemaError(f"sample CSV line {next(line_numbers) - 1}: {exc}") from exc
     if failures:
         raise SchemaError(failures[min(failures, key=SAMPLE_CHECKS.index)])
-    return bases, np.array(edge_idx, dtype=int), np.array(ts, dtype=float), np.array(written, dtype=float)
+    points, *columns = zip(*blocks) if blocks else ([], *([np.empty(0, t)] for t in (int, float, float, float)))
+    return (LazyPoints(n, lambda i: points[i // size][i % size]), *map(np.concatenate, columns))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +410,7 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
         raise ConfigError(f"sample not found: {csv_path}")
     s = result.system
     with closing(_read_out_lines(csv_path)) as lines:
-        bases, edge_idx, ts, written = csv_to_points(lines, s.base, s.bundle.fibre)
+        bases, edge_idx, ts, written, embeddings = csv_to_points(lines, s.base, s.bundle.fibre)
     if not bases:
         raise SchemaError(f"{csv_path} holds no points")
     prov_path = out / "provenance.json"
@@ -403,7 +423,7 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     _check_provenance(prov, prov_path, s.id, len(bases))
     if (args.delta is not None or "delta" in cfg) and delta != prov["delta"]:
         raise ConfigError(f"delta {delta} is not {prov['delta']}, the delta of the sample in {out}")
-    sample = SampledSet(prov["delta"], bases, edge_idx, ts, prov, s.base, s.bundle)
+    sample = SampledSet(prov["delta"], bases, edge_idx, ts, prov, s.base, s.bundle, embeddings)
     bad = np.flatnonzero(written != sample.base_embed)
     if len(bad):
         i = int(bad[0])

@@ -11,7 +11,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -657,14 +657,19 @@ def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tupl
 # local classification (end-points vs star-like interior points)
 
 
-def star_branch_count(
-    g: MetricGraph, pe: int, pt: float, qe: np.ndarray, qt: np.ndarray, dist: np.ndarray,
-    r: float, delta: float,
-) -> int:
-    """Finite-scale end-point / star-like-interior classifier: the number k
-    of distinct edge germs at p = (edge index pe, t = pt) along which
-    shortest paths depart toward the sample points (qe, qt) whose distance
-    ``dist`` from p (a ``distance_matrix`` row) lies in (delta, min(r, 2·delta)].
+GERM_PASS_PAIRS = 1 << 12  # pairs in range gathered before a germ pass, to bound its temporaries
+
+
+def star_branch_counts(
+    g: MetricGraph, blocks: Iterable[tuple[np.ndarray, ...]], r: float, delta: float,
+) -> np.ndarray:
+    """Finite-scale end-point / star-like-interior classifier.  For every
+    row p = (edge index pe, t = pt) of every block (pe, pt, qe, qt, dist),
+    in order: the number k of distinct edge germs at p along which shortest
+    paths depart toward the sample points (qe, qt) whose distance from p in
+    the ``distance_matrix`` block ``dist`` lies in (delta, min(r, 2·delta)].
+    Only those pairs are kept, and one germ pass runs over the pairs of
+    whole blocks once ``GERM_PASS_PAIRS`` are held (there must be a block).
 
     p is a star-like interior point at scale (r, delta) when k >= 2, and an
     end-point otherwise.  Within delta of a vertex the germs are the
@@ -674,35 +679,48 @@ def star_branch_count(
     """
     if delta >= r:
         raise WrongInput(f"need delta < r, got delta={delta}, r={r}")
-    sel = (dist > delta) & (dist <= r) & (dist <= 2.0 * delta)
-    if not sel.any():
-        return 0
-    qe, qt = qe[sel], qt[sel]
+    counts, pairs, n = [], [], 0
+    for pe, pt, qe, qt, dist in blocks:
+        if sum(len(pair[0]) for pair in pairs) >= GERM_PASS_PAIRS:
+            counts.append(_germ_counts(g, n, pairs, delta))
+            pairs, n = [], 0
+        row, col = np.nonzero((dist > delta) & (dist <= r) & (dist <= 2.0 * delta))
+        pairs.append((row + n, pe[row], pt[row], qe[col], qt[col]))
+        n += len(dist)
+    counts.append(_germ_counts(g, n, pairs, delta))
+    return np.concatenate(counts)
+
+
+def _germ_counts(g: MetricGraph, n: int, pairs: list[tuple[np.ndarray, ...]], delta: float) -> np.ndarray:
+    """One germ pass of ``star_branch_counts`` over the pairs (row, pe, pt,
+    qe, qt) it kept: the branch count of each of n rows."""
+    row, pe, pt, qe, qt = map(np.concatenate, zip(*pairs))
     L = g._len_arr[qe]
     qu, qv = qt * L, (1.0 - qt) * L
     qa, qb = g._u_arr[qe], g._v_arr[qe]
     vd = g._vdist
-    ep = g.edges[pe]
-    v = ep.u if pt * ep.length <= delta else ep.v if (1.0 - pt) * ep.length <= delta else None
-    if v is not None:
-        germs = g._germs[v]
+    plen, iu, iv = g._len_arr[pe], g._u_arr[pe], g._v_arr[pe]
+    vertex = np.where(pt * plen <= delta, iu, np.where((1.0 - pt) * plen <= delta, iv, -1))
+    d_minus = pt * plen + np.minimum(qu + vd[iu, qa], qv + vd[iu, qb])
+    d_plus = (1.0 - pt) * plen + np.minimum(qu + vd[iv, qa], qv + vd[iv, qb])
+    same = qe == pe
+    d_plus = np.where(same & (qt >= pt), np.minimum(d_plus, (qt - pt) * plen), d_plus)
+    d_minus = np.where(same & (qt < pt), np.minimum(d_minus, (pt - qt) * plen), d_minus)
+    germ = np.where(d_minus < d_plus, 0, 1)
+    for w in set(vertex[vertex >= 0].tolist()):
+        s = vertex == w
+        germs = g._germs[g.vertices[w]]
         ge = np.array([g._eidx[eid] for eid, _ in germs])
         from_u = np.array([end == 0 for _, end in germs])
         other = np.where(from_u, g._v_arr[ge], g._u_arr[ge])
         glen = g._len_arr[ge][:, None]
-        d = glen + np.minimum(qu + vd[other][:, qa], qv + vd[other][:, qb])
+        d = glen + np.minimum(qu[s] + vd[other][:, qa[s]], qv[s] + vd[other][:, qb[s]])
         # q reachable within the germ's edge without leaving it
-        d_in = np.where(from_u[:, None], qt, 1.0 - qt) * glen
-        germ = np.where(ge[:, None] == qe, np.minimum(d, d_in), d).argmin(axis=0)
-    else:
-        iu, iv = g._u_arr[pe], g._v_arr[pe]
-        d_minus = pt * ep.length + np.minimum(qu + vd[iu, qa], qv + vd[iu, qb])
-        d_plus = (1.0 - pt) * ep.length + np.minimum(qu + vd[iv, qa], qv + vd[iv, qb])
-        same = qe == pe
-        d_plus = np.where(same & (qt >= pt), np.minimum(d_plus, (qt - pt) * ep.length), d_plus)
-        d_minus = np.where(same & (qt < pt), np.minimum(d_minus, (pt - qt) * ep.length), d_minus)
-        germ = np.where(d_minus < d_plus, 0, 1)
-    return int(np.count_nonzero(np.bincount(germ)))
+        d_in = np.where(from_u[:, None], qt[s], 1.0 - qt[s]) * glen
+        germ[s] = np.where(ge[:, None] == qe[s], np.minimum(d, d_in), d).argmin(axis=0)
+    seen = np.zeros((n, max([2, *map(len, g._germs.values())])), dtype=bool)
+    seen[row, germ] = True
+    return np.count_nonzero(seen, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlemin import analysis, thinning
+from bundlemin import analysis, graphs, thinning
 from bundlemin.analysis import (
     FibreClass,
     SampledSet,
@@ -66,8 +66,8 @@ from bundlemin.graphs import (
     enumerate_circles,
     eval_graph_map,
     interval_graph,
-    star_branch_count,
 )
+from test_graphs import reference_branch_count
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
 
@@ -207,8 +207,8 @@ class TestApproximateMinimalSet:
         buf = io.StringIO()
         sample_to_csv(streamed, buf)
         buf.seek(0)
-        bases, edge_idx, ts, _ = csv_to_points(buf, s.base, s.bundle.fibre)
-        loaded = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
+        bases, edge_idx, ts, _, embeddings = csv_to_points(buf, s.base, s.bundle.fibre)
+        loaded = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle, embeddings)
         for sample in (streamed, loaded):
             assert len(sample.base_embed) == len(sample.points)
             for i, x in enumerate(sample.points):
@@ -644,8 +644,8 @@ class TestDichotomy:
 def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
     """End-points among the checked points as ``endpoint_statistics``
     counted them before slices were grouped: one slice per quantized base
-    coordinate, built from the first point with that key, and one
-    ``distances_to_many`` row and ``star_branch_count`` per point."""
+    coordinate, built from the first point with that key, and the scalar
+    classifier ``reference_branch_count`` per point."""
     n = len(sample.points)
     slices = {}
     endpoints = 0
@@ -653,10 +653,8 @@ def reference_endpoint_count(g, sample, r, delta, delta_base, max_points=1200):
         x = sample.points[i]
         key = int(sample.base_embed[i] / (delta_base / 2.0))
         if key not in slices:
-            slices[key] = g.point_arrays(reference_fibre_slice(sample, x.b, delta_base))
-        ei, tt = slices[key]
-        dist = g.distances_to_many(x.y, ei, tt)
-        endpoints += star_branch_count(g, g.edge_index(x.y.edge), x.y.t, ei, tt, dist, r, delta) < 2
+            slices[key] = reference_fibre_slice(sample, x.b, delta_base)
+        endpoints += reference_branch_count(g, slices[key], x.y, r, delta) < 2
     return endpoints
 
 
@@ -668,9 +666,12 @@ class TestGroupedEndpointStatistics:
         monkeypatch.setattr(analysis, "ENDPOINT_MAX_POINTS", 300)
         for res, sample in (_torus_sample(n=10_000), _mobius_sample(n=5_000)):
             g = res.system.bundle.fibre
-            rep = endpoint_statistics(sample, 0.02, delta_base)
             want = reference_endpoint_count(g, sample, 0.06, 0.02, delta_base, max_points=300)
-            assert rep.endpoint_fraction == want / rep.points_checked
+            # germ passes of one pair and of the default size
+            for pass_pairs in (1, graphs.GERM_PASS_PAIRS):
+                monkeypatch.setattr(graphs, "GERM_PASS_PAIRS", pass_pairs)
+                rep = endpoint_statistics(sample, 0.02, delta_base)
+                assert rep.endpoint_fraction == want / rep.points_checked
 
     def test_circles_enumerated_once_per_graph(self, monkeypatch):
         g = circle_graph(1.0)

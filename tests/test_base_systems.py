@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bundlemin.base_systems import (
     GOLDEN,
     CircleAngle,
+    LazyPoints,
     DoubledCode,
     SymbolicWord,
     TernaryCode,
@@ -34,7 +35,7 @@ from bundlemin.base_systems import (
     sturmian_fibre_codings,
 )
 from bundlemin.constructions import THEOREM_D_ROTATION
-from bundlemin.errors import WrongInput
+from bundlemin.errors import InvalidPoint, WrongInput
 from weyl_rotation import _discrepancy_exact, weyl_minimal_rotation
 
 
@@ -96,6 +97,100 @@ class TestCircleRotation:
         for _ in range(n):
             x, y = bs.apply(x), bs.apply(y)
         assert bs.distance(x, y) == pytest.approx(d0, abs=1e-9)
+
+
+def _bits(xs):
+    """The floats xs as int64 bit patterns, so -0.0 and NaN compare exactly."""
+    return np.array(xs, dtype=float).view(np.int64).tolist()
+
+
+def _reference_angle_decode(tag):
+    """The rotation's one-tag decode before tags were read in blocks."""
+    head, _, rest = tag.partition(":")
+    fields = rest.split(":")
+    if head != "angle" or len(fields) != 1:
+        raise InvalidPoint("not a angle: tag with 1 field(s)")
+    return CircleAngle(float(fields[0]))
+
+
+def _outcome(read):
+    try:
+        return "read", read()
+    except (InvalidPoint, ValueError) as exc:
+        return "refused", type(exc), str(exc)
+
+
+class TestRotationReader:
+    """The rotation's block tag reader is its decode and embedding."""
+
+    @given(st.lists(st.floats() | st.sampled_from([-0.0, 0.0, 1.0, math.nan, 0.5]), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_decode_and_embedding(self, thetas):
+        bs = circle_rotation(GOLDEN)
+        tags = [CircleAngle(t).tag() for t in thetas]
+        points, embeddings = bs.read(tags)
+        assert len(points) == len(tags)
+        want = [_reference_angle_decode(tag) for tag in tags]
+        assert _bits([p.theta for p in points]) == _bits([bs.decode(tag).theta for tag in tags]) \
+            == _bits([p.theta for p in want])
+        assert _bits(embeddings) == _bits([float(bs.embedding(p)) for p in want])
+
+    def test_angle_one_embeds_at_zero(self):
+        points, embeddings = circle_rotation(GOLDEN).read(["angle:1.0", "angle:-0.0"])
+        assert _bits([p.theta for p in points]) == _bits([1.0, -0.0])
+        assert _bits(embeddings) == _bits([0.0, 0.0])
+
+    @pytest.mark.parametrize("tag", [
+        "angle:xyz", "angle", "angle:", "angle:1:2", "angle::0.5", "angles:0.5", "ANGLE:0.5", "word:1:2",
+        "", ":0.5", "angle:0x1p-3", "angle: 0.5 ", "angle:1_0", "angle:nan", "angle:-inf", "angle:0.5\n",
+    ])
+    def test_refuses_what_decode_refused(self, tag):
+        bs = circle_rotation(GOLDEN)
+        want = _outcome(lambda: _reference_angle_decode(tag))
+        one = _outcome(lambda: bs.decode(tag))
+        block = _outcome(lambda: bs.read(["angle:0.25", tag, "angle:0.5"]))
+        if want[0] == "refused":
+            assert one == block == want
+        else:
+            assert _bits([one[1].theta]) == _bits([want[1].theta])
+            assert _bits([p.theta for p in block[1][0]]) == _bits([0.25, want[1].theta, 0.5])
+
+
+class TestLazyPoints:
+    def test_slice_of_a_walk(self):
+        points = circle_rotation(0.3).walk(CircleAngle(0.1), 5)[0]
+        assert isinstance(points, LazyPoints)
+        assert list(points[1:3]) == list(points)[1:3]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("sl", [
+        slice(None), slice(1, 3), slice(None, None, 2), slice(None, None, -1), slice(5, 1, -2),
+        slice(-3, None), slice(None, -2), slice(-1, -8, -3), slice(3, 3), slice(4, 1), slice(100, 200),
+        slice(-100, 100, 3), slice(None, None, -100),
+    ], ids=repr)
+    def test_slice_is_the_list_slice(self, n, sl):
+        lazy = LazyPoints(n, lambda i: CircleAngle(i / 8.0))
+        full = list(lazy)
+        assert len(full) == n
+        for _ in range(2):
+            # the slice, then the same slice of it
+            lazy, full = lazy[sl], full[sl]
+            assert isinstance(lazy, LazyPoints)
+            assert len(lazy) == len(full) and list(lazy) == full
+            # every index, the negative ones too
+            assert [lazy[i] for i in range(-len(full), len(full))] == full + full
+            with pytest.raises(IndexError):
+                lazy[len(full)]
+
+    @given(n=st.integers(0, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_slice_of_a_slice(self, n, data):
+        lazy = LazyPoints(n, lambda i: CircleAngle(i / 64.0))
+        full = list(lazy)
+        for _ in range(data.draw(st.integers(1, 3))):
+            sl = data.draw(st.slices(len(full)))
+            lazy, full = lazy[sl], full[sl]
+            assert len(lazy) == len(full) and list(lazy) == full
 
 
 class TestAddingMachine:

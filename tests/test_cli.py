@@ -616,6 +616,10 @@ def _set_cell(field, value):
     return damage
 
 
+def _extra_field(lines, row, rng):
+    lines[row] += ",0"
+
+
 def _swap_with_next(lines, row, rng):
     lines[row], lines[row + 1] = lines[row + 1], lines[row]
 
@@ -641,9 +645,10 @@ class TestSampleStream:
     at a time, and none of them holds a copy of the file."""
 
     # TestDamagedOut's row damages, less the over-long field the reference
-    # reader cannot parse, plus line breaks inside a row
+    # reader cannot parse, plus a sixth field and line breaks inside a row
     ROW_DAMAGES = {
         "four-fields": _set_cell(4, None),
+        "six-fields": _extra_field,
         "parameter-not-a-number": _set_cell(4, "abc"),
         "unknown-edge": _set_cell(3, "ZZ"),
         "parameter-too-large": _set_cell(4, "1.5"),
@@ -685,6 +690,29 @@ class TestSampleStream:
         except SchemaError as exc:
             return "error", str(exc)
 
+    def _read_as_the_reference(self, path, s):
+        """Read path with ``csv_to_points`` and with the reference reader:
+        the same SchemaError text, or the same columns bit for bit, with
+        embeddings those of the reference's points.  Returns the reference's
+        outcome."""
+        ref = self._outcome(lambda: _reference_csv_to_points(
+            path.read_text(encoding="utf-8"), s.base, s.bundle.fibre))
+        with closing(cli._read_out_lines(path)) as stream:
+            got = self._outcome(lambda: csv_to_points(stream, s.base, s.bundle.fibre))
+        assert got[0] == ref[0], (got, ref)
+        if ref[0] == "error":
+            assert got[1] == ref[1]
+        else:
+            bases, *columns, embeddings = got[1]
+            assert list(bases) == ref[1][0]
+            want = np.array([float(s.base.embedding(b)) for b in ref[1][0]], dtype=float)
+            for a, b in zip((*columns, embeddings), (*ref[1][1:], want)):
+                assert a.dtype == b.dtype and a.view(np.int64).tolist() == b.view(np.int64).tolist()
+        return ref
+
+    #: block sizes: one row, three rows, and csv_to_points' own
+    BLOCKS = [1, 3, cli.SAMPLE_BLOCK]
+
     def test_damaged_copies_read_as_the_reference_reads_them(self, mobius_sample, tmp_path):
         s = cli.CONSTRUCTIONS["mobius"]({}).system
         damages = list(self.ROW_DAMAGES.values())
@@ -698,22 +726,59 @@ class TestSampleStream:
             for damage in rng.choices(damages, k=rng.randint(1, 3)):
                 damage(lines, rng.randrange(len(lines) - 2), rng)
             path.write_bytes("\n".join(lines).encode())
-            ref = self._outcome(lambda: _reference_csv_to_points(
-                path.read_text(encoding="utf-8"), s.base, s.bundle.fibre))
-            with closing(cli._read_out_lines(path)) as stream:
-                got = self._outcome(lambda: csv_to_points(stream, s.base, s.bundle.fibre))
-            assert got[0] == ref[0], (got, ref)
+            ref = self._read_as_the_reference(path, s)
             if ref[0] == "error":
-                assert got[1] == ref[1]
                 errors.add(next(check for check, pattern in self.CHECK_OF if re.search(pattern, ref[1])))
             else:
                 columns += 1
-                assert got[1][0] == ref[1][0]
-                for a, b in zip(got[1][1:], ref[1][1:]):
-                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
         # every check on the rows was reached, and some copies still load
         assert errors >= set(cli.SAMPLE_CHECKS) - {"header"}, errors
         assert columns > 0
+
+    @pytest.mark.parametrize("block", BLOCKS[:2])
+    def test_damaged_copies_in_small_blocks(self, mobius_sample, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+        self.test_damaged_copies_read_as_the_reference_reads_them(mobius_sample, tmp_path)
+
+    @pytest.fixture(scope="class")
+    def torus_text(self, torus_sample):
+        buf = io.StringIO()
+        cli.sample_to_csv(torus_sample[1], buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_damage_at_a_block_boundary(self, torus_sample, torus_text, tmp_path, monkeypatch, block):
+        # each damage on the last row of the first block, on the first row
+        # of the second, and on both; line 0 is the header, so data row i
+        # is line i + 1
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+        s = torus_sample[0]
+        head = torus_text.split("\n")[:2 * block + 3]
+        assert len(head) == 2 * block + 3
+        path = tmp_path / "sample.csv"
+        rng = random.Random(block)
+        for damage in self.ROW_DAMAGES.values():
+            for rows in ([block], [block + 1], [block, block + 1]):
+                lines = list(head) + [""]
+                for row in rows:
+                    damage(lines, row, rng)
+                path.write_bytes("\n".join(lines).encode())
+                self._read_as_the_reference(path, s)
+        # an undamaged copy loads
+        path.write_bytes("\n".join(head + [""]).encode())
+        assert self._read_as_the_reference(path, s)[0] == "columns"
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_a_bad_step_in_block_two_before_a_bad_tag_in_block_one(
+            self, torus_sample, torus_text, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+        lines = torus_text.split("\n")[:2 * block + 1] + [""]
+        _set_cell(2, "angle:xyz")(lines, 1, None)
+        _set_cell(0, "x")(lines, block + 1, None)
+        path = tmp_path / "sample.csv"
+        path.write_bytes("\n".join(lines).encode())
+        ref = self._read_as_the_reference(path, torus_sample[0])
+        assert ref == ("error", f"sample CSV line {block + 2}: step 'x', expected {block}")
 
     @pytest.mark.parametrize("data", [
         b"step\n\xff\n",
@@ -988,10 +1053,10 @@ class TestPipeline:
 
         res = build_mobius(GOLDEN)
         s = res.system
-        bases, edge_idx, ts, written = csv_to_points(io.StringIO(text), s.base, s.bundle.fibre)
+        bases, edge_idx, ts, written, embeddings = csv_to_points(io.StringIO(text), s.base, s.bundle.fibre)
         assert len(bases) > 10
         sample = SampledSet(0.02, bases, edge_idx, ts, {}, s.base, s.bundle)
-        assert written.tolist() == sample.base_embed.tolist()
+        assert written.tolist() == sample.base_embed.tolist() == embeddings.tolist()
         buf = io.StringIO()
         sample_to_csv(sample, buf)
         assert buf.getvalue() == text

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bundlemin import graphs
 from bundlemin.errors import InvalidPoint, WrongInput
 from bundlemin.graphs import (
     Edge,
@@ -28,9 +30,10 @@ from bundlemin.graphs import (
     rotation_number,
     rotation_number_of_circle_map,
     shortest_path_segments,
-    star_branch_count,
+    star_branch_counts,
     star_graph,
 )
+from bundlemin.constructions import build_torus_on_mobius
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -326,13 +329,18 @@ class TestShortestPath:
         assert segs[0].length(g) == pytest.approx(0.7)
 
 
-def branch_count(g, fibre_sample, p, r, delta):
-    """``star_branch_count`` of p against the sample, on p's
-    ``distance_matrix`` row; p is an end-point when it is below 2."""
-    pe, pt = g.point_arrays([p])
+def branch_counts(g, fibre_sample, ps, r, delta):
+    """``star_branch_counts`` of each point of ps against the sample, read
+    from their ``distance_matrix`` rows; a point is an end-point when its
+    count is below 2."""
+    pe, pt = g.point_arrays(ps)
     qe, qt = g.point_arrays(fibre_sample)
-    dist = g.distance_matrix(pe, pt, qe, qt)[0]
-    return star_branch_count(g, int(pe[0]), float(pt[0]), qe, qt, dist, r, delta)
+    return star_branch_counts(g, [(pe, pt, qe, qt, g.distance_matrix(pe, pt, qe, qt))], r, delta)
+
+
+def branch_count(g, fibre_sample, p, r, delta):
+    """``branch_counts`` of the one point p."""
+    return int(branch_counts(g, fibre_sample, [p], r, delta)[0])
 
 
 class TestLocalClass:
@@ -498,6 +506,88 @@ class TestGermCountEquivalence:
             got = branch_count(g, pts, p, 0.06, 0.02)
             assert got == reference_branch_count(g, pts, p, 0.06, 0.02)
             assert got == k
+
+
+#: the fibres the array classifier is checked on; every edge has length 1
+CLASSIFIER_FIBRES = {
+    "interval": interval_graph(1.0),
+    "star": star_graph(3, 1.0),
+    "circle": circle_graph(1.0),
+    "torus-on-mobius": build_torus_on_mobius().system.bundle.fibre,
+}
+
+#: edge parameters where the germ comparisons tie: the ends, the middle
+#: and the quarter points
+TIE_TS = [0.0, 1.0, 0.5, 0.25, 0.75]
+
+
+def _within_a_step(x):
+    """x, or one float step below or above it."""
+    return st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+
+
+@st.composite
+def classifier_slices(draw):
+    """A fibre, a random slice of it, the points p (rows) to classify and
+    scales (r, delta).  Rows lie at random, at the tie points, and delta
+    from a vertex or one float step either side of that; the slice holds
+    random and tie points and points delta and 2 delta along the edge from
+    some rows.  delta is drawn, or set so that one row's distance to a
+    slice point is delta or 2 delta, or one float step either side."""
+    g = CLASSIFIER_FIBRES[draw(st.sampled_from(sorted(CLASSIFIER_FIBRES)))]
+    delta = draw(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3]))
+    edge = st.sampled_from([e.id for e in g.edges])
+    ts = st.sampled_from(TIE_TS) | st.floats(0.0, 1.0)
+    row_ts = ts | _within_a_step(delta) | _within_a_step(1.0 - delta)
+    rows = draw(st.lists(st.builds(GraphPoint, edge, row_ts), min_size=1, max_size=8))
+    pts = draw(st.lists(st.builds(GraphPoint, edge, ts), min_size=1, max_size=12))
+    for p in rows[:draw(st.integers(0, len(rows)))]:
+        for along in (delta, 2.0 * delta):
+            t = p.t + draw(st.sampled_from([along, -along]))
+            if 0.0 <= t <= 1.0:
+                pts.append(GraphPoint(p.edge, t))
+    snap = draw(st.sampled_from(["drawn", "delta", "two-delta"]))
+    if snap != "drawn":
+        dist = g.distance_matrix(*g.point_arrays(rows), *g.point_arrays(pts))
+        d = float(dist[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(pts) - 1))])
+        if d > 1e-300:
+            d = draw(_within_a_step(d))
+            delta = d if snap == "delta" else d / 2.0
+    r = delta * draw(st.sampled_from([1.5, 2.0, 3.0, 4.5]))
+    return g, pts, rows, r, delta
+
+
+class TestArrayClassifier:
+    # the middle of the unit loop is 0.5 from its vertex both ways, and -t
+    # is taken only when strictly shorter: the vertex and the point at 0.9
+    # both depart along +t, so k = 1
+    @example((circle_graph(1.0), [GraphPoint("c", 0.0), GraphPoint("c", 0.9)], [GraphPoint("c", 0.5)],
+              0.9, 0.3))
+    @settings(max_examples=400, deadline=None)
+    @given(classifier_slices())
+    def test_every_row_matches_the_scalar_classifier(self, case):
+        g, pts, rows, r, delta = case
+        got = branch_counts(g, pts, rows, r, delta)
+        assert got.tolist() == [reference_branch_count(g, pts, p, r, delta) for p in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(classifier_slices(), st.data())
+    def test_rows_split_over_blocks_and_germ_passes(self, case, data):
+        # each block has its own rows and its own part of the slice, and a
+        # germ pass runs once as few as one pair is held
+        g, pts, rows, r, delta = case
+        blocks, want = [], []
+        while rows:
+            cut = data.draw(st.integers(1, len(rows)))
+            part = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=len(pts)))
+            pe, pt = g.point_arrays(rows[:cut])
+            qe, qt = g.point_arrays(part)
+            blocks.append((pe, pt, qe, qt, g.distance_matrix(pe, pt, qe, qt)))
+            want += [reference_branch_count(g, part, p, r, delta) for p in rows[:cut]]
+            rows = rows[cut:]
+        pass_pairs = data.draw(st.sampled_from([1, 5, graphs.GERM_PASS_PAIRS]))
+        with mock.patch.object(graphs, "GERM_PASS_PAIRS", pass_pairs):
+            assert star_branch_counts(g, iter(blocks), r, delta).tolist() == want
 
 
 class TestRotationNumber:

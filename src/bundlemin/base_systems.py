@@ -1,6 +1,6 @@
 """Minimal base dynamical systems: circle rotations, the dyadic adding machine
-on the ternary Cantor set, its blow-up with a doubled backward orbit, the
-quotient base identifying the doubled pair, and Sturmian codings.
+on the ternary Cantor set, the blown-up odometer (its backward orbit of one
+point doubled, the first doubled pair identified), and Sturmian codings.
 
 Coded points carry a finite precision K; all comparisons happen at that
 precision. Each point writes its own ``sample.csv`` tag (``tag()``), and
@@ -163,14 +163,14 @@ class BaseSystem:
     filter in the analysis layer.  ``circular`` marks an embedding that is
     an angle mod 1, in [0, 1], so base distances wrap around.
 
-    ``walk(b, n)`` is the block step: ``(points, embeddings)``, the n base
-    points after b, ``apply^1(b), ..., apply^n(b)``, and a list of their
-    embeddings as floats, each bit-equal to ``float(embedding(apply^k(b)))``.
-    ``points`` may be a ``LazyPoints`` that builds a point only when it is
-    read.  A base with its own block step (``walker``) states its step once
-    there, and its ``apply`` is the first point of ``walk(b, 1)``; any other
-    base is walked by iterating ``apply`` and ``embedding``.  Those two stay
-    plain fields: ``perfbench/tracer.py`` replaces them on the instance.
+    ``walk(b, n)`` is the base's one step, stated a block at a time:
+    ``(points, embeddings)``, the n base points after b, ``apply^1(b), ...,
+    apply^n(b)``, and a list of their embeddings as floats, each bit-equal
+    to ``float(embedding(apply^k(b)))``.  ``points`` may be a ``LazyPoints``
+    that builds a point only when it is read.  ``apply`` is the first point
+    of ``walk(b, 1)``.  ``apply`` and ``embedding`` are read through the
+    instance, and the class keeps no slots: ``perfbench/tracer.py``
+    replaces both on the instance.
 
     ``read(tags)`` decodes a block of tags as ``decode`` does, with their
     embeddings as ``walk`` gives them; a base with its own (``reader``) states
@@ -178,29 +178,19 @@ class BaseSystem:
     """
 
     id: str
-    apply: Callable[[BasePoint], BasePoint]
+    walk: Callable[[BasePoint, int], tuple[Sequence[BasePoint], list[float]]]
     sampler: Callable[[int], list[BasePoint]]
     embedding: Callable[[BasePoint], float]
     decode: Optional[Callable[[str], BasePoint]] = None
     preimages: Optional[Callable[[BasePoint], list[BasePoint]]] = None
     params: dict = field(default_factory=dict, compare=False)
     circular: bool = False
-    walker: Optional[Callable[[BasePoint, int], tuple[Sequence[BasePoint], list[float]]]] = field(
-        default=None, compare=False)
     reader: Optional[Callable[[Sequence[str]], tuple[Sequence[BasePoint], list[float]]]] = field(
         default=None, compare=False)
 
-    def walk(self, b: BasePoint, n: int) -> tuple[Sequence[BasePoint], list[float]]:
-        """The n base points after b and their embeddings (see the class)."""
-        if self.walker is not None:
-            return self.walker(b, n)
-        apply, embedding = self.apply, self.embedding
-        points, embeddings = [], []
-        for _ in range(n):
-            b = apply(b)
-            points.append(b)
-            embeddings.append(float(embedding(b)))
-        return points, embeddings
+    def apply(self, b: BasePoint) -> BasePoint:
+        """The base point after b: the first point of ``walk(b, 1)``."""
+        return self.walk(b, 1)[0][0]
 
     def read(self, tags: Sequence[str]) -> tuple[Sequence[BasePoint], list[float]]:
         """The points of the tags and their embeddings (see the class)."""
@@ -260,13 +250,12 @@ def circle_rotation(alpha: float) -> BaseSystem:
 
     return BaseSystem(
         id=f"rotation({alpha})",
-        apply=lambda x: walk(x, 1)[0][0],
+        walk=walk,
         sampler=sampler,
         embedding=lambda x: x.theta % 1.0,
         decode=lambda tag: read([tag])[0][0],
         preimages=preimages,
         circular=True,
-        walker=walk,
         reader=read,
     )
 
@@ -281,15 +270,16 @@ def adding_machine(precision: int = 40) -> BaseSystem:
     K = precision
     mod = 1 << K
 
-    def apply(x: TernaryCode) -> TernaryCode:
-        return TernaryCode((x.bits + 1) % mod, K)
+    def walk(x: TernaryCode, n: int) -> tuple[list[TernaryCode], list[float]]:
+        points = [TernaryCode((x.bits + i) % mod, K) for i in range(1, n + 1)]
+        return points, list(map(embed_code, points))
 
     def sampler(n: int) -> list[TernaryCode]:
         return [TernaryCode(i % mod, K) for i in range(min(n, mod))]
 
     return BaseSystem(
         id=f"odometer(K={K})",
-        apply=apply,
+        walk=walk,
         sampler=sampler,
         embedding=embed_code,
         preimages=lambda x: [TernaryCode((x.bits - 1) % mod, K)],
@@ -353,15 +343,19 @@ def _nearest_gap_width(a: TernaryCode) -> float:
 DOUBLING_HORIZON = 12
 
 
-def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSystem:
-    """Adding machine with the backward orbit of ``a`` doubled.
+def blown_up_odometer(a: TernaryCode | None = None, precision: int = 40) -> BaseSystem:
+    """Adding machine with the backward orbit of ``a`` doubled and its first
+    doubled pair identified.
 
     Backward-orbit points a_{-j} (j up to DOUBLING_HORIZON) are replaced by
     side-tagged pairs separated by a gap of length L_{-j} in the embedding;
-    both members of the first pair map to ``a``, deeper pairs shift one step
-    forward keeping their tag. Untagged codes always follow the plain
-    odometer. Those backward points need distinct codes, so the precision
-    must give 2^K > DOUBLING_HORIZON.
+    deeper pairs shift one step forward keeping their tag, and untagged
+    codes follow the plain odometer.  The first pair c_l = (a_{-1}, -1),
+    c_r = (a_{-1}, +1) is one point, c_l its representative: it steps to
+    ``a``, both members of the second pair step to it, and everything at
+    or right of c_r is translated left by the first gap length, which
+    closes that gap.  The backward points need distinct codes, so the
+    precision must give 2^K > DOUBLING_HORIZON.
     """
     K = precision
     if K < 1 or 1 << K <= DOUBLING_HORIZON:
@@ -378,25 +372,26 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
     J = DOUBLING_HORIZON
     L = _gap_widths(a, J, mod)
     back_codes = {((a.bits - j) % mod): j for j in range(1, J + 1)}
-    back_embed = sorted(
-        (embed_code(TernaryCode((a.bits - j) % mod, K)), j) for j in range(1, J + 1)
-    )
+    back_embed = sorted((_embed_code((a.bits - j) % mod, K), j) for j in range(1, J + 1))
+    c_l, c_r = (DoubledCode(TernaryCode((a.bits - 1) % mod, K), side) for side in (-1, 1))
 
-    def shifted_embed(e0: float) -> float:
-        # gap inserted at a_{-j} pushes everything strictly to its right
-        s = e0
+    def shifted(bits: int) -> float:
+        # the gap inserted at a_{-j} pushes everything strictly to its right
+        e0 = e = _embed_code(bits, K)
         for ej, j in back_embed:
-            if ej < e0:
-                s += L[j - 1]
-            else:
+            if ej >= e0:
                 break
-        return s
-
-    def embedding(x: DoubledCode) -> float:
-        e = shifted_embed(embed_code(x.code))
-        if x.side > 0:
-            e += L[back_codes[x.code.bits] - 1]
+            e += L[j - 1]
         return e
+
+    closed_from = shifted(c_r.code.bits) + L[0] - 1e-15  # c_r's embedding before the close, less 1e-15
+
+    def embed(bits: int, side: int) -> float:
+        # a right member sits past its pair's gap, except c_r, which is c_l
+        e = shifted(bits)
+        if side > 0 and bits != c_r.code.bits:
+            e += L[back_codes[bits] - 1]
+        return e - L[0] if e >= closed_from else e
 
     def validate(x: DoubledCode) -> int | None:
         j = back_codes.get(x.code.bits)
@@ -412,89 +407,43 @@ def doubled_cantor(a: TernaryCode | None = None, precision: int = 40) -> BaseSys
         validate(x)
         return x
 
-    def apply(x: DoubledCode) -> DoubledCode:
-        j = validate(x)
-        if x.side != 0:
-            if j == 1:
-                return DoubledCode(a, 0)
-            return DoubledCode(TernaryCode((x.code.bits + 1) % mod, K), x.side)
-        return DoubledCode(TernaryCode((x.code.bits + 1) % mod, K), 0)
+    def walk(x: DoubledCode, n: int) -> tuple[LazyPoints, list[float]]:
+        # the orbit is stepped as a code, a side and, on a tagged point, its
+        # index j on the backward orbit; the points are built only when read
+        bits, side, j = x.code.bits, x.side, validate(x)
+        codes, sides, embeddings = [], [], []
+        for _ in range(n):
+            if side and j == 1:
+                bits, side = a.bits, 0
+            else:
+                bits = (bits + 1) % mod
+                if side:
+                    j -= 1
+                    side = -1 if j == 1 else side  # the second pair steps to c_l
+            codes.append(bits)
+            sides.append(side)
+            embeddings.append(embed(bits, side))
+        return LazyPoints(n, lambda i: DoubledCode(TernaryCode(codes[i], K), sides[i])), embeddings
 
     def preimages(x: DoubledCode) -> list[DoubledCode]:
         j = validate(x)
         prev = TernaryCode((x.code.bits - 1) % mod, K)
-        if x.side == 0 and x.code.bits == a.bits:
-            return [DoubledCode(prev, -1), DoubledCode(prev, +1)]
-        if x.side != 0:
-            if j == J:
-                return [DoubledCode(prev, 0)]
-            return [DoubledCode(prev, x.side)]
-        return [DoubledCode(prev, 0)]
+        if x.side == 0:
+            return [c_l if x.code.bits == a.bits else DoubledCode(prev, 0)]
+        # c_r is read as c_l, and the deepest pair's preimage is untagged
+        return [DoubledCode(prev, 0 if j == J else -1 if j == 1 else x.side)]
 
     def sampler(n: int) -> list[DoubledCode]:
-        return [DoubledCode(TernaryCode(i % mod, K), 0) for i in range(min(n, mod))]
+        return [DoubledCode(TernaryCode(i, K), 0) for i in range(min(n, mod))]
 
     return BaseSystem(
-        id=f"doubled-cantor(K={K})",
-        apply=apply,
+        id=f"quotient(doubled-cantor(K={K}))",
+        walk=walk,
         sampler=sampler,
-        embedding=embedding,
+        embedding=lambda x: embed(x.code.bits, x.side),
         decode=decode,
         preimages=preimages,
-        params={"K": K, "a": a, "gaps": tuple(L)},
-    )
-
-
-def doubled_pair(dc: BaseSystem) -> tuple[DoubledCode, DoubledCode]:
-    """The first doubled pair (c_l, c_r) of a doubled-Cantor system."""
-    a: TernaryCode = dc.params["a"]
-    K: int = dc.params["K"]
-    prev = TernaryCode((a.bits - 1) % (1 << K), K)
-    return DoubledCode(prev, -1), DoubledCode(prev, +1)
-
-
-def quotient_base(dc: BaseSystem) -> BaseSystem:
-    """Identify the first doubled pair and close up the embedding gap.
-
-    Everything at or right of c_r is translated left by the first gap
-    length, making the identified point a genuine single point of the
-    quotient; c_l is the canonical representative.
-    """
-    if not {"a", "K", "gaps"} <= dc.params.keys():
-        raise WrongInput("quotient_base expects a doubled-Cantor system")
-    c_l, c_r = doubled_pair(dc)
-    L1 = dc.params["gaps"][0]
-    e_r = dc.embedding(c_r)
-
-    def canonical(x: DoubledCode) -> DoubledCode:
-        return c_l if x == c_r else x
-
-    def apply(x: DoubledCode) -> DoubledCode:
-        return canonical(dc.apply(canonical(x)))
-
-    def embedding(x: DoubledCode) -> float:
-        e = dc.embedding(canonical(x))
-        return e - L1 if e >= e_r - 1e-15 else e
-
-    a: TernaryCode = dc.params["a"]
-
-    def preimages(x: DoubledCode) -> list[DoubledCode]:
-        if x.side == 0 and x.code.bits == a.bits:
-            return [c_l]
-        pres = dc.preimages(canonical(x))
-        return [canonical(p) for p in pres]
-
-    def sampler(n: int) -> list[DoubledCode]:
-        return [canonical(p) for p in dc.sampler(n)]
-
-    return BaseSystem(
-        id=f"quotient({dc.id})",
-        apply=apply,
-        sampler=sampler,
-        embedding=embedding,
-        decode=dc.decode,
-        preimages=preimages,
-        params={**dc.params, "c_l": c_l, "c_r": c_r},
+        params={"K": K, "a": a, "gaps": tuple(L), "c_l": c_l, "c_r": c_r},
     )
 
 
@@ -574,12 +523,9 @@ def word_embedding(w: SymbolicWord) -> float:
     return _embed_prefix(w.bits & ((1 << m) - 1), m)
 
 
-def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
-    """Sturmian base system plus the factor map onto the rotation.
-
-    Returns (BaseSystem, factor) where factor(word) is the CircleAngle the
-    word codes, recovered as the midpoint of the word's admissible arc.
-    """
+def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K) -> BaseSystem:
+    """The shift on the length-K coding words of the rotation by alpha;
+    each stepped word carries its admissible arc."""
     _check_rotation_angle(alpha)
     if precision < 1:
         raise WrongInput("precision must be >= 1")
@@ -590,16 +536,6 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         ((cell[0] - ((K - 1) * alpha) % 1.0) % 1.0, cell[1])
         for cell in (_cell_arc(0, alpha), _cell_arc(1, alpha))
     )
-
-    def ensure_arc(w: SymbolicWord) -> SymbolicWord:
-        if w.arc is None:
-            return SymbolicWord(w.bits, w.K, _word_arc(w.bits, w.K, alpha))
-        return w
-
-    def factor(w: SymbolicWord) -> CircleAngle:
-        w = ensure_arc(w)
-        s, l = w.arc
-        return CircleAngle((s + l / 2.0) % 1.0)
 
     top, m, one_minus_alpha = K - 1, min(K, 35), 1.0 - alpha  # m: the digits ``word_embedding`` reads
     prefix_mask, word_mask = (1 << m) - 1, (1 << K) - 1
@@ -614,7 +550,7 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
         # starts inside the arc always meets it, and otherwise the second
         # try repeats the first.  The words are kept as w's bits and the
         # new digits, and built only when read
-        bits, (s, l) = w.bits, ensure_arc(w).arc
+        bits, (s, l) = w.bits, w.arc if w.arc is not None else _word_arc(w.bits, w.K, alpha)
         digits, arcs, embeddings = bytearray(), [], []
         for _ in range(n):
             new_digit = 1 if ((s + l / 2.0) % 1.0 + k_alpha) % 1.0 >= one_minus_alpha else 0
@@ -648,15 +584,13 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K):
             i += 1
         return out
 
-    bs = BaseSystem(
+    return BaseSystem(
         id=f"sturmian(alpha={alpha},K={K})",
-        apply=lambda w: walk(w, 1)[0][0],
+        walk=walk,
         sampler=sampler,
         embedding=word_embedding,
         decode=lambda tag: SymbolicWord(_code_bits(*_tag_fields(tag, "word", 2), K), K),
-        walker=walk,
     )
-    return bs, factor
 
 
 def sturmian_fibre_codings(

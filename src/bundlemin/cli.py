@@ -26,7 +26,7 @@ from .analysis import (
     typical_fibre_report,
 )
 from .base_systems import BasePoint, BaseSystem, LazyPoints
-from .constructions import CONSTRUCTIONS, ConstructionResult, coerce_setting
+from .constructions import CONSTRUCTIONS, STEP_CAP, ConstructionResult, coerce_setting
 from .errors import (
     BundleMinError,
     CapExceeded,
@@ -43,9 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CAP = 4
-
-#: most orbit steps, and most transient steps, one run may take
-STEP_CAP = 10_000_000
 
 #: largest seed index: a seed rule builds all i + 1 base samples for index i
 MAX_SEED_INDEX = 999

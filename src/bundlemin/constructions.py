@@ -27,9 +27,8 @@ from .base_systems import (
     BasePoint,
     BaseSystem,
     CircleAngle,
+    blown_up_odometer,
     circle_rotation,
-    doubled_cantor,
-    quotient_base,
     sturmian,
 )
 from .bundles import Bundle, BundlePoint, SkewSystem, monodromy_bundle
@@ -222,7 +221,7 @@ def build_sturmian_cylinder(
     generic fibre of it is one point; over the two codings of a boundary
     angle it is two.
     """
-    base, _ = sturmian(alpha, precision)
+    base = sturmian(alpha, precision)
     fibre = MetricGraph(("v0", "v1"), (Edge("I", "v0", "v1", 1.0),))
 
     @lru_cache(maxsize=1024)
@@ -357,7 +356,7 @@ def build_m_circles(
 # blown-up odometer bases: the one assembly of both theorem-d systems
 
 
-def _blown_up_odometer(
+def _theorem_d_system(
     precision: int,
     fibre: MetricGraph,
     part_maps: Callable[[float], tuple[GraphMap, GraphMap]],
@@ -371,7 +370,7 @@ def _blown_up_odometer(
     or left of the identified point c_l) and the second over the right
     part, for rho = ``THEOREM_D_ROTATION``.  Seed index 0 is ``seed_y``
     over the first base sample."""
-    q = quotient_base(doubled_cantor(precision=precision))
+    q = blown_up_odometer(precision=precision)
     c_l = q.params["c_l"]
     e_l = q.embedding(c_l)
 
@@ -431,7 +430,7 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
         )
 
     c1, c2 = _loop_circle(g, "s1"), _loop_circle(g, "s2")
-    return _blown_up_odometer(
+    return _theorem_d_system(
         precision, g, lambda rho: (target_map(rho, c1, 0.0), target_map(rho, c2, 0.5)),
         GraphPoint("s1", 0.0), f"theorem-d-1(K={precision})", "two disjoint circles over a blown-up odometer",
     )
@@ -646,7 +645,7 @@ def build_theorem_d_case2(
                 _case2_fibre_map(geo, target_inner=True, delta_theta=delta))
 
     seed_theta = geo.theta_ranges[geo.outer_edges[0]][0] + 0.37
-    return _blown_up_odometer(
+    return _theorem_d_system(
         precision, geo.graph, part_maps, geo.push_outer(seed_theta),
         f"theorem-d-2:{pattern}({params})", "two intersecting circles over a blown-up odometer",
         geometry=geo,
@@ -701,11 +700,14 @@ def _m_circles(m: int = 3, alpha: float = GOLDEN, angle: float = SQRT2_FRAC) -> 
     return build_m_circles(circle_rotation(alpha), g, circles, angle)
 
 
+#: most orbit steps, and most transient steps, one run may take
+STEP_CAP = 10_000_000
+
 #: smallest base precision K the theorem-d constructions accept: one run
-#: visits at most 2 * 10^7 orbit points (the transient and the steps, each
-#: capped at the command line's STEP_CAP), fewer than the 2^25 codes of the
-#: base, so its orbit cannot close within a run; at K = 24 it can
-MIN_THEOREM_D_PRECISION = 25
+#: visits at most 2 * STEP_CAP orbit points (the transient and the steps),
+#: fewer than the 2^K codes of the base, so its orbit cannot close within a
+#: run; at K - 1 it can
+MIN_THEOREM_D_PRECISION = (2 * STEP_CAP).bit_length()
 
 #: largest theorem-d precision: a K-digit code still fits one uint64, and
 #: K = 63 reads the verdicts of the default K = 40; build time grows with K

@@ -58,6 +58,7 @@ from bundlemin.graphs import (
     rotation_number_of_circle_map,
     star_graph,
 )
+from reference_bases import sturmian_factor
 from weyl_rotation import weyl_minimal_rotation
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
@@ -234,12 +235,12 @@ class TestCodingSystem:
             assert len(words) == 2
 
     def test_factor_commutes_with_shift(self):
-        bs, factor = sturmian(GOLDEN, 1500)
+        bs = sturmian(GOLDEN, 1500)
         bound = 2.0 * coding_word(0.1, GOLDEN, 1500).arc[1] + 1e-12
         for i in range(1000):
             w = coding_word((0.123 + i * 0.000917) % 1.0, GOLDEN, 1500)
-            lhs = float(factor(bs.apply(w)))
-            rhs = (float(factor(w)) + GOLDEN) % 1.0
+            lhs = float(sturmian_factor(bs.apply(w), GOLDEN))
+            rhs = (float(sturmian_factor(w, GOLDEN)) + GOLDEN) % 1.0
             assert circle_distance(lhs, rhs) < bound
 
 

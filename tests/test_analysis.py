@@ -31,7 +31,6 @@ from bundlemin.base_systems import (
     CircleAngle,
     DoubledCode,
     circle_rotation,
-    doubled_cantor,
     word_embedding,
 )
 from bundlemin.bundles import (
@@ -67,6 +66,7 @@ from bundlemin.graphs import (
     eval_graph_map,
     interval_graph,
 )
+from reference_bases import doubled_cantor
 from test_graphs import reference_branch_count
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
@@ -494,7 +494,7 @@ def _angle_base(circular):
     """A base whose embedding is the angle itself, unreduced, so a probe can
     sit exactly at 1 (an interval base when not circular)."""
     return BaseSystem(
-        id=f"identity(circular={circular})", apply=lambda x: x,
+        id=f"identity(circular={circular})", walk=lambda x, n: ([x] * n, [x.theta] * n),
         sampler=lambda n: [], embedding=lambda x: x.theta, circular=circular,
     )
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlemin.base_systems import (
+    DOUBLING_HORIZON,
     GOLDEN,
     CircleAngle,
     LazyPoints,
@@ -17,25 +19,24 @@ from bundlemin.base_systems import (
     SymbolicWord,
     TernaryCode,
     adding_machine,
+    blown_up_odometer,
     circle_distance,
     circle_rotation,
     code_from_digits,
     coding_word,
     default_blowup_center,
-    doubled_cantor,
-    doubled_pair,
     embed_code,
     _arc_intersect,
     _cell_arc,
     _digit_of,
     _word_arc,
-    quotient_base,
     recurrence_horizon,
     sturmian,
     sturmian_fibre_codings,
 )
 from bundlemin.constructions import THEOREM_D_ROTATION
 from bundlemin.errors import InvalidPoint, WrongInput
+from reference_bases import doubled_cantor, quotient_base, sturmian_factor
 from weyl_rotation import _discrepancy_exact, weyl_minimal_rotation
 
 
@@ -258,33 +259,38 @@ class TestRecurrenceHorizon:
 
 
 class TestDoubledCantor:
+    """The blown-up odometer's doubled backward orbit, past the identified
+    first pair."""
+
     def test_default_center_valid(self):
         a = default_blowup_center(40)
-        bs = doubled_cantor(a)
+        bs = blown_up_odometer(a)
         assert bs.params["a"] == a
 
     def test_rejects_endpoint_like_center(self):
         # all-zero tail looks like a removed-interval endpoint
         with pytest.raises(WrongInput, match="^center has a constant tail at this precision$"):
-            doubled_cantor(code_from_digits([2] + [0] * 39))
+            blown_up_odometer(code_from_digits([2] + [0] * 39))
 
     def test_doubled_points_are_distinct_but_close(self):
-        bs = doubled_cantor()
-        lo, hi = doubled_pair(bs)
+        # the second pair: the first is identified
+        bs = blown_up_odometer()
+        (lo,) = bs.preimages(bs.params["c_l"])
+        hi = DoubledCode(lo.code, +1)
         assert lo.side == -1 and hi.side == +1
         gap = bs.embedding(hi) - bs.embedding(lo)
         assert gap > 0.0
         assert gap < 1e-10
 
     def test_backward_orbit_tags_shift(self):
-        bs = doubled_cantor()
-        lo, _ = doubled_pair(bs)
-        pres = bs.preimages(lo)
+        bs = blown_up_odometer()
+        pres = bs.preimages(bs.params["c_l"])
         assert len(pres) == 1
         assert pres[0].side == -1
+        assert bs.preimages(bs.params["c_r"]) == pres
 
     def test_untagged_points_follow_odometer(self):
-        bs = doubled_cantor()
+        bs = blown_up_odometer()
         am = adding_machine(bs.params["a"].K)
         x = DoubledCode(am.sampler(1)[0], 0)
         y = bs.apply(x)
@@ -292,30 +298,31 @@ class TestDoubledCantor:
         assert y.code == am.apply(x.code)
 
     def test_two_preimages_only_at_blowup_point(self):
-        bs = doubled_cantor()
-        lo, hi = doubled_pair(bs)
+        # before the identification (the reference's doubled base) a has
+        # the doubled pair as its two preimages; in the blown-up odometer
+        # both step to a, and c_l is a's one preimage
+        dc, bs = doubled_cantor(), blown_up_odometer()
+        c_l, c_r = bs.params["c_l"], bs.params["c_r"]
         target = DoubledCode(bs.params["a"], 0)
-        assert len(bs.preimages(target)) == 2
-        assert set(bs.preimages(target)) == {lo, hi}
-        assert bs.apply(lo) == target
-        assert bs.apply(hi) == target
-        assert len(bs.preimages(lo)) == 1
+        assert set(dc.preimages(target)) == {c_l, c_r}
+        assert bs.preimages(target) == [c_l]
+        assert bs.apply(c_l) == target
+        assert bs.apply(c_r) == target
+        assert len(bs.preimages(c_l)) == 1
 
     def test_backward_orbit_gaps_match_schedule(self):
-        bs = doubled_cantor()
-        lo, hi = doubled_pair(bs)
+        bs = blown_up_odometer()
         gaps = bs.params["gaps"]
-        x, y = lo, hi
-        gap = bs.embedding(y) - bs.embedding(x)
-        assert gap == pytest.approx(gaps[0], rel=1e-6)
+        x, y = bs.params["c_l"], bs.params["c_r"]
+        assert bs.embedding(y) == bs.embedding(x)
         for j in range(1, 5):
             (x,) = bs.preimages(x)
-            (y,) = bs.preimages(y)
+            y = DoubledCode(x.code, +1)
             gap = bs.embedding(y) - bs.embedding(x)
             assert gap == pytest.approx(gaps[j], rel=1e-6)
 
     def test_embedding_monotone_on_samples(self):
-        bs = doubled_cantor()
+        bs = blown_up_odometer()
         pts = bs.sampler(64)
         order = sorted(pts, key=bs.embedding)
         for a, b in zip(order, order[1:]):
@@ -324,21 +331,18 @@ class TestDoubledCantor:
 
 class TestQuotient:
     def test_identified_pair_has_equal_embedding(self):
-        dc = doubled_cantor()
-        q = quotient_base(dc)
+        q = blown_up_odometer()
         lo, hi = q.params["c_l"], q.params["c_r"]
-        assert q.embedding(lo) == pytest.approx(q.embedding(hi), abs=1e-12)
+        assert q.embedding(lo) == q.embedding(hi)
         assert q.distance(lo, hi) == 0.0
 
     def test_preimage_count_is_one_everywhere(self):
-        dc = doubled_cantor()
-        q = quotient_base(dc)
+        q = blown_up_odometer()
         for x in q.sampler(32):
             assert len(q.preimages(x)) == 1
 
     def test_preimages_invert_apply(self):
-        dc = doubled_cantor()
-        q = quotient_base(dc)
+        q = blown_up_odometer()
         for x in q.sampler(16):
             (y,) = q.preimages(x)
             assert q.distance(q.apply(y), x) == 0.0
@@ -354,16 +358,15 @@ class TestSturmian:
             assert w.digit(n) == (1 if t >= 1.0 - alpha else 0)
 
     def test_factor_recovers_angle(self):
-        bs, factor = sturmian(GOLDEN, precision=800)
         w = coding_word(0.37, GOLDEN, 800)
-        assert circle_distance(float(factor(w)), 0.37) < w.arc[1] + 1e-12
+        assert circle_distance(float(sturmian_factor(w, GOLDEN)), 0.37) < w.arc[1] + 1e-12
         assert w.arc[1] < 1e-2
 
     def test_shift_commutes_with_rotation(self):
-        bs, factor = sturmian(GOLDEN, precision=800)
+        bs = sturmian(GOLDEN, precision=800)
         w = coding_word(0.61, GOLDEN, 800)
-        lhs = float(factor(bs.apply(w)))
-        rhs = (float(factor(w)) + GOLDEN) % 1.0
+        lhs = float(sturmian_factor(bs.apply(w), GOLDEN))
+        rhs = (float(sturmian_factor(w, GOLDEN)) + GOLDEN) % 1.0
         assert circle_distance(lhs, rhs) < 2 * w.arc[1] + 1e-12
 
     def test_generic_point_single_coding(self):
@@ -377,7 +380,7 @@ class TestSturmian:
         assert words[0] != words[1]
 
     def test_sampler_words_distinct(self):
-        bs, _ = sturmian(GOLDEN, precision=400)
+        bs = sturmian(GOLDEN, precision=400)
         ws = bs.sampler(12)
         assert len(set(ws)) == 12
 
@@ -450,7 +453,7 @@ class TestWalk:
     @given(alpha=_ALPHAS, K=st.sampled_from([1, 2, 35, 36, 64, 1500]), data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_sturmian(self, alpha, K, data):
-        bs, _ = sturmian(alpha, K)
+        bs = sturmian(alpha, K)
         if data.draw(st.booleans()):
             b = bs.sampler(data.draw(st.integers(1, min(K + 1, 40))))[-1]
         else:
@@ -465,21 +468,74 @@ class TestWalk:
         # of the digit its midpoint gives, and the step keeps the rotated
         # arc whole
         alpha, K = 1.0 - 2.0**-52, 2
-        bs, _ = sturmian(alpha, K)
+        bs = sturmian(alpha, K)
         w = bs.decode("word:1:2")
         s, l = _word_arc(w.bits, K, alpha)
         cells = [((c[0] - ((K - 1) * alpha) % 1.0) % 1.0, c[1]) for c in (_cell_arc(0, alpha), _cell_arc(1, alpha))]
         assert _arc_intersect(((s + alpha) % 1.0, l), cells[_digit_of((s + l / 2.0) % 1.0 + K * alpha, alpha)])[1] <= 0.0
         _assert_walk_is_iterated_step(bs, w, 5, _sturmian_step(alpha, K))
 
-    def test_default_walk_through_the_doubled_points(self):
-        q = quotient_base(doubled_cantor())
-        a, K = q.params["a"], q.params["K"]
-        back = [TernaryCode((a.bits - j) % (1 << K), K) for j in range(1, 13)]
-        seeds = [q.params["c_l"], q.params["c_r"], *q.sampler(3)]
-        seeds += [DoubledCode(c, side) for c in back for side in (-1, 1)]
-        for b in seeds:
-            _assert_walk_is_iterated_step(q, b, 16, q.apply)
+    def test_blown_up_odometer(self):
+        bs, ref = blown_up_odometer(), quotient_base(doubled_cantor())
+        for b in [*_doubled_points(bs), *bs.sampler(3)]:
+            _assert_walk_is_iterated_step(bs, b, 16, ref.apply)
+
+
+def _doubled_points(bs):
+    """Every doubled backward point of a blown-up odometer, on both sides
+    and untagged; the first pair is c_l and c_r."""
+    a, K = bs.params["a"], bs.params["K"]
+    back = [TernaryCode((a.bits - j) % (1 << K), K) for j in range(1, DOUBLING_HORIZON + 1)]
+    return [DoubledCode(c, side) for c in back for side in (-1, 0, 1)]
+
+
+@lru_cache(maxsize=None)
+def _blown_up_and_reference(K):
+    return blown_up_odometer(precision=K), quotient_base(doubled_cantor(precision=K))
+
+
+def _decoded(bs, tag):
+    """The point bs decodes from tag, or the type of the error it refuses it with."""
+    try:
+        return bs.decode(tag)
+    except (InvalidPoint, ValueError) as e:
+        return type(e)
+
+
+class TestBlownUpOdometer:
+    """``blown_up_odometer`` is the reference's doubled base quotiented:
+    equal points, preimages and walks, bit-equal embeddings, and the same
+    tags decoded and refused."""
+
+    @given(K=st.sampled_from([25, 40, 63]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, K, data):
+        bs, ref = _blown_up_and_reference(K)
+        a, mod = bs.params["a"].bits, 1 << K
+        x = data.draw(st.one_of(
+            st.sampled_from(_doubled_points(bs)),
+            # untagged codes just before a, whose walks cross it, and anywhere
+            st.integers(-80, 0).map(lambda d: DoubledCode(TernaryCode((a + d) % mod, K), 0)),
+            st.integers(0, mod - 1).map(lambda bits: DoubledCode(TernaryCode(bits, K), 0)),
+        ))
+        assert _bits([bs.embedding(x)]) == _bits([ref.embedding(x)])
+        assert bs.preimages(x) == ref.preimages(x)
+        n = data.draw(st.integers(0, 64))
+        (points, embeds), (want, want_embeds) = bs.walk(x, n), ref.walk(x, n)
+        assert list(points) == want and _bits(embeds) == _bits(want_embeds)
+
+    @given(K=st.sampled_from([25, 40, 63]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decodes_the_reference_tags(self, K, data):
+        bs, ref = _blown_up_and_reference(K)
+        tag = data.draw(st.one_of(
+            st.tuples(st.sampled_from(_doubled_points(bs)), st.integers(-2, 2)).map(
+                lambda p: f"dcode:{p[0].code.bits:x}:{K}:{p[1]}"),
+            st.tuples(st.integers(-1, 1 << (K + 1)), st.sampled_from([K - 1, K, K + 1]), st.integers(-2, 2)).map(
+                lambda f: "dcode:{:x}:{}:{}".format(*f)),
+            st.text(max_size=24),
+        ))
+        assert _decoded(bs, tag) == _decoded(ref, tag)
 
 
 class TestDiscrepancy:

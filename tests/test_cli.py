@@ -27,8 +27,8 @@ from bundlemin.base_systems import (
     SymbolicWord,
     TernaryCode,
     circle_rotation,
+    blown_up_odometer,
     coding_word,
-    doubled_cantor,
     sturmian,
 )
 from bundlemin.cli import (
@@ -50,9 +50,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _tag_bases():
-    """One base per tag kind: a rotation, a K = 40 doubled odometer and a
+    """One base per tag kind: a rotation, a K = 40 blown-up odometer and a
     K = 8 Sturmian base."""
-    return [circle_rotation(GOLDEN), doubled_cantor(precision=40), sturmian(GOLDEN, 8)[0]]
+    return [circle_rotation(GOLDEN), blown_up_odometer(precision=40), sturmian(GOLDEN, 8)]
 
 
 class TestBasePointTags:
@@ -62,10 +62,10 @@ class TestBasePointTags:
             (circle_rotation(GOLDEN), CircleAngle(0.123456789)),
             (circle_rotation(GOLDEN), CircleAngle(GOLDEN)),
             # the doubled pair over the code 1234567, centred just above it
-            (doubled_cantor(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), 1)),
-            (doubled_cantor(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), -1)),
-            (doubled_cantor(precision=40), DoubledCode(TernaryCode(98765, 40), 0)),
-            (sturmian(GOLDEN, 400)[0], SymbolicWord((1 << 300) - 7, 400)),
+            (blown_up_odometer(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), 1)),
+            (blown_up_odometer(TernaryCode(1234568, 40)), DoubledCode(TernaryCode(1234567, 40), -1)),
+            (blown_up_odometer(precision=40), DoubledCode(TernaryCode(98765, 40), 0)),
+            (sturmian(GOLDEN, 400), SymbolicWord((1 << 300) - 7, 400)),
         ],
         ids=[f"pt{i}" for i in range(6)],
     )
@@ -1105,4 +1105,4 @@ class TestPipeline:
     def test_word_tag_survives_pipeline(self, tmp_path):
         # symbolic-word bases rely on exact big-integer tags in the CSV
         w = coding_word(0.2, GOLDEN, 500)
-        assert sturmian(GOLDEN, 500)[0].decode(w.tag()) == w
+        assert sturmian(GOLDEN, 500).decode(w.tag()) == w

@@ -12,18 +12,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .base_systems import BasePoint, BaseSystem
-from .bundles import Bundle, BundlePoint, SkewSystem, cut_sides, orbit_blocks
+from .bundles import Bundle, BundlePoint, SkewSystem, orbit_blocks
 from .errors import NoProbes, NotCircleCase, WrongInput
-from .fibre_index import FibreIndex
-from .graphs import (
-    Circle,
-    GraphPoint,
-    MetricGraph,
-    circles_disjoint,
-    enumerate_circles,
+from .fibre_index import (
+    FibreIndex,
+    distance_matrix,
     eval_graph_map_arrays,
+    point_arrays,
+    points_from_arrays,
     star_branch_counts,
 )
+from .graphs import Circle, GraphPoint, MetricGraph, circles_disjoint, enumerate_circles
 from . import thinning
 
 # ---------------------------------------------------------------------------
@@ -34,6 +33,16 @@ from . import thinning
 #: rounding of the window ends and of the distance test (embeddings are
 #: O(1)); the exact test on the candidates decides
 SLICE_MARGIN = 1e-9
+
+
+def cut_sides(t_from: np.ndarray, t_to: float) -> np.ndarray:
+    """Per base angle in t_from: 1 where the short base arc from it to t_to
+    crosses the cut at angle 0 forward (the angle wraps past 1 -> 0), -1
+    where it crosses backward, 0 where it avoids the cut (a tie avoids it)."""
+    t_from = t_from % 1.0
+    t_to = t_to % 1.0
+    d_direct = np.abs(t_from - t_to)
+    return np.where(d_direct <= 1.0 - d_direct, 0, np.where(t_from > t_to, 1, -1))
 
 
 @dataclass
@@ -65,14 +74,14 @@ class SampledSet:
         cls, delta: float, points: Sequence[BundlePoint], provenance: dict, base: BaseSystem, bundle: Bundle
     ) -> SampledSet:
         """The sample of the given (base point, fibre point) pairs."""
-        ei, tt = bundle.fibre.point_arrays([x.y for x in points])
+        ei, tt = point_arrays(bundle.fibre, [x.y for x in points])
         return cls(delta, [x.b for x in points], ei, tt, provenance, base, bundle)
 
     @cached_property
     def points(self) -> list[BundlePoint]:
         """The sample as point objects, for library callers; the pipeline
         reads the arrays."""
-        ys = self.bundle.fibre.points_from_arrays(self.edge_idx, self.ts)
+        ys = points_from_arrays(self.bundle.fibre, self.edge_idx, self.ts)
         return [BundlePoint(b, y) for b, y in zip(self.bases, ys)]
 
     @cached_property
@@ -126,7 +135,7 @@ class SampledSet:
 
     def fibre_slice(self, b: BasePoint, delta_base: float) -> list[GraphPoint]:
         """``slice_arrays`` as a point list."""
-        return self.bundle.fibre.points_from_arrays(*self.slice_arrays(b, delta_base))
+        return points_from_arrays(self.bundle.fibre, *self.slice_arrays(b, delta_base))
 
     def probe_class(self, b: BasePoint, delta_base: float, delta: float) -> FibreClass | None:
         """``classify_fibre`` of the fibre slice over b, None when the slice is
@@ -229,10 +238,10 @@ def _cluster_diameter(
     eccentricity (itself such a distance) already reaches cap, that
     eccentricity."""
     ei, tt = edge_idx[comp], ts[comp]
-    ecc = float(g.distance_matrix(ei[:1], tt[:1], ei, tt).max())
+    ecc = float(distance_matrix(g, ei[:1], tt[:1], ei, tt).max())
     if ecc >= cap:
         return ecc
-    return float(g.distance_matrix(ei, tt, ei, tt).max())
+    return float(distance_matrix(g, ei, tt, ei, tt).max())
 
 
 @lru_cache(maxsize=8)
@@ -261,7 +270,7 @@ def classify_fibre(g: MetricGraph, fibre_sample: Sequence[GraphPoint], delta: fl
     """
     if not fibre_sample:
         raise WrongInput("empty fibre sample")
-    edge_idx, ts = g.point_arrays(fibre_sample)
+    edge_idx, ts = point_arrays(g, fibre_sample)
     verdict = partial(FibreClass, edge_idx=edge_idx, ts=ts)
     index = FibreIndex(g, edge_idx, ts)
     comps, gap = index.components(delta)
@@ -334,7 +343,7 @@ def endpoint_statistics(sample: SampledSet, delta: float, delta_base: float) -> 
             block = max(1, ENDPOINT_BLOCK // len(ei))
             for lo in range(0, len(rows), block):
                 pe, pt = sample.edge_idx[rows[lo:lo + block]], sample.ts[rows[lo:lo + block]]
-                yield pe, pt, ei, tt, g.distance_matrix(pe, pt, ei, tt)
+                yield pe, pt, ei, tt, distance_matrix(g, pe, pt, ei, tt)
 
     endpoints = int(np.count_nonzero(star_branch_counts(g, blocks(), r, delta) < 2))
     checked = len(range(0, n, step))
@@ -364,7 +373,7 @@ def _fibre_window_probes(
     grids = [np.linspace(0.0, 1.0, max(2, int(math.ceil(e.length / spacing))) + 1) for e in g.edges]
     ei = np.repeat(np.arange(len(grids)), [len(t) for t in grids])
     tt = np.concatenate(grids)
-    d = g.distance_matrix(np.array([e0]), np.array([t0]), ei, tt)[0]
+    d = distance_matrix(g, np.array([e0]), np.array([t0]), ei, tt)[0]
     keep = d <= radius
     return ei[keep], tt[keep]
 
@@ -402,7 +411,7 @@ def interior_detector(sample: SampledSet, delta: float) -> bool:
         # endpoint_statistics, to bound memory
         block = max(1, ENDPOINT_BLOCK // len(box))
         for lo in range(0, len(pe), block):
-            dfib = g.distance_matrix(pe[lo:lo + block], pt[lo:lo + block], ei, tt)
+            dfib = distance_matrix(g, pe[lo:lo + block], pt[lo:lo + block], ei, tt)
             if any((np.maximum(dfib, gap).min(axis=1) > delta / 2.0).any() for gap in base_gaps):
                 break
         else:
@@ -508,7 +517,7 @@ def circles_report(
             continue
         tested += 1
         images = eval_graph_map_arrays(s.fibre_family(b), v.edge_idx, v.ts)
-        img_class = classify_fibre(g, g.points_from_arrays(*images), delta)
+        img_class = classify_fibre(g, points_from_arrays(g, *images), delta)
         if img_class.kind != "circles" or img_class.m != m:
             ok = False
             continue

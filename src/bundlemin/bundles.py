@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .base_systems import BasePoint, BaseSystem, LazyPoints
 from .errors import WrongInput
 from .graphs import GraphMap, GraphPoint, MetricGraph, eval_et, eval_graph_map
@@ -146,16 +144,6 @@ def orbit(
     return out
 
 
-def cut_sides(t_from: np.ndarray, t_to: float) -> np.ndarray:
-    """Per base angle in t_from: 1 where the short base arc from it to t_to
-    crosses the cut at angle 0 forward (the angle wraps past 1 -> 0), -1
-    where it crosses backward, 0 where it avoids the cut (a tie avoids it)."""
-    t_from = t_from % 1.0
-    t_to = t_to % 1.0
-    d_direct = np.abs(t_from - t_to)
-    return np.where(d_direct <= 1.0 - d_direct, 0, np.where(t_from > t_to, 1, -1))
-
-
 def transport_to(
     bundle: Bundle, base: BaseSystem, b_from: BasePoint, b_to: BasePoint, y: GraphPoint
 ) -> GraphPoint:
@@ -163,9 +151,13 @@ def transport_to(
 
     For product bundles this is the identity; for monodromy bundles the
     gluing (or its inverse) is applied when the short base arc joining
-    b_from and b_to crosses the cut (``cut_sides``).
+    b_from and b_to crosses the cut (``analysis.cut_sides``).
     """
     if not bundle.is_monodromy:
         return y
+    import numpy as np
+
+    from .analysis import cut_sides
+
     side = cut_sides(np.array([float(base.embedding(b_from))]), float(base.embedding(b_to)))[0]
     return y if side == 0 else eval_graph_map(bundle.gluing if side > 0 else bundle.gluing_inverse, y)

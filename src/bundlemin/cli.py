@@ -2,7 +2,9 @@
 classify the sample, and render plots. All outputs are deterministic for a
 fixed config and seed. Each command writes its --out files as one set (a
 failed write leaves the previous sample and its verdicts as they were), and
-a construction other than system.json's exits 2.
+a construction other than system.json's exits 2.  ``build`` reads no sample,
+so it loads neither numpy nor the sample layer: the commands that read or
+write a sample import them where they run.
 """
 from __future__ import annotations
 
@@ -14,17 +16,8 @@ import sys
 from contextlib import closing, suppress
 from itertools import count, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-import numpy as np
-
-from .analysis import (
-    SampledSet,
-    approximate_minimal_set,
-    circles_report,
-    endpoint_statistics,
-    typical_fibre_report,
-)
 from .base_systems import BasePoint, BaseSystem, LazyPoints
 from .constructions import CONSTRUCTIONS, STEP_CAP, ConstructionResult, coerce_setting
 from .errors import (
@@ -37,7 +30,11 @@ from .errors import (
     WrongInput,
 )
 from .graphs import MetricGraph
-from .plotting import render_sample_svg
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .analysis import SampledSet
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,6 +84,8 @@ def csv_to_points(
     the last row the failure of the earliest check in ``SAMPLE_CHECKS`` is
     raised, so a bad step on a late line is reported before a bad tag on an
     early one.  Only a record the csv module cannot parse is refused at once."""
+    import numpy as np
+
     fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
     size = SAMPLE_BLOCK
     blocks: list[tuple] = []
@@ -325,6 +324,8 @@ def _run_settings(args: argparse.Namespace, cfg: dict) -> tuple[float, int, int,
 
 
 def cmd_minimal_set(args: argparse.Namespace) -> int:
+    from .analysis import approximate_minimal_set
+
     cfg = load_config(args.config)
     delta, steps, transient, seed_index = _run_settings(args, cfg)
     out = _make_out(args.out)
@@ -398,6 +399,10 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     """The system and the orbit sample saved in --out, at the delta its
     provenance says it was thinned at; a --delta flag or config delta that
     differs is a ConfigError."""
+    import numpy as np
+
+    from .analysis import SampledSet
+
     cfg = load_config(args.config)
     delta = _run_settings(args, cfg)[0]
     out = Path(args.out)
@@ -432,6 +437,8 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .analysis import circles_report, endpoint_statistics, typical_fibre_report
+
     out, name, result, sample = _load_sample(args)
     delta = sample.delta
     s = result.system
@@ -491,6 +498,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .plotting import render_sample_svg
+
     out, name, result, sample = _load_sample(args)
     highlight = []
     exceptional = result.system.reference.get("exceptional_base")

@@ -17,9 +17,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .base_systems import (
     DEFAULT_STURMIAN_K,
@@ -50,6 +48,9 @@ from .graphs import (
     rotate_along_circle,
     shortest_path_segments,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
@@ -452,14 +453,20 @@ class Chart:
         return float(self.arcs[-1])
 
     def arc_of_theta(self, theta: float) -> float:
+        import numpy as np
+
         return float(np.interp(theta, self.thetas, self.arcs))
 
     def theta_of_arc(self, s: float) -> float:
+        import numpy as np
+
         return float(np.interp(s, self.arcs, self.thetas))
 
 
 def _make_chart(r: Callable[[float], float], dr: Callable[[float], float],
                 th_a: float, th_b: float) -> Chart:
+    import numpy as np
+
     th = np.linspace(th_a, th_b, 721)  # 720 trapezoids
     integrand = np.sqrt(np.array([r(t) for t in th]) ** 2 + np.array([dr(t) for t in th]) ** 2)
     arcs = np.concatenate(([0.0], np.cumsum((integrand[:-1] + integrand[1:]) / 2.0 * np.diff(th))))
@@ -595,6 +602,8 @@ def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
 def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float) -> GraphMap:
     """GraphMap realizing y -> push_target(theta(y) + delta_theta), affine
     between 257 knots per edge."""
+    import numpy as np
+
     g = geo.graph
     circ = geo.inner if target_inner else geo.outer
     push = geo.push_inner if target_inner else geo.push_outer

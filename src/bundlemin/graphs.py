@@ -4,6 +4,9 @@ A graph is a finite set of vertices joined by edges of positive length;
 multi-edges and self-loops are allowed.  Points are addressed as
 ``(edge id, t)`` with ``t`` the arc-length-normalized parameter in [0, 1];
 ``t in {0, 1}`` is canonically identified with the corresponding vertex.
+
+The model is pure Python; the array kernels over (edge index, t) columns of
+a graph's points are in ``bundlemin.fibre_index``.
 """
 from __future__ import annotations
 
@@ -11,11 +14,12 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidPoint, WrongInput
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: tolerance for point identity, measured in path distance
 POINT_TOL = 1e-9
@@ -56,17 +60,14 @@ class MetricGraph:
         for e in self.edges:
             self._germs[e.u].append((e.id, 0))
             self._germs[e.v].append((e.id, 1))
-        self._vdist = self._all_pairs_vertex_distances()
-        # numpy caches for vectorized fibre distances
-        self._len_arr = np.array([e.length for e in self.edges])
-        self._u_arr = np.array([self._vidx[e.u] for e in self.edges], dtype=int)
-        self._v_arr = np.array([self._vidx[e.v] for e in self.edges], dtype=int)
+        #: the distance from each vertex to each, by vertex index
+        self._vdist_rows = self._all_pairs_vertex_distances()
 
     # -- construction -------------------------------------------------
 
-    def _all_pairs_vertex_distances(self) -> np.ndarray:
+    def _all_pairs_vertex_distances(self) -> list[list[float]]:
         n = len(self.vertices)
-        dist = np.full((n, n), math.inf)
+        rows = []
         adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
         for e in self.edges:
             iu, iv = self._vidx[e.u], self._vidx[e.v]
@@ -85,8 +86,8 @@ class MetricGraph:
                     if nd < d[w]:
                         d[w] = nd
                         heapq.heappush(heap, (nd, w))
-            dist[s] = d
-        return dist
+            rows.append(d)
+        return rows
 
     # -- basic queries -------------------------------------------------
 
@@ -108,13 +109,12 @@ class MetricGraph:
         return e.v if end == 0 else e.u
 
     def vertex_distance(self, a: str, b: str) -> float:
-        return float(self._vdist[self._vidx[a], self._vidx[b]])
+        return self._vdist_rows[self._vidx[a]][self._vidx[b]]
 
     def n_components(self) -> int:
         """Connected components: a vertex starts one when the distance
         table puts no earlier vertex at a finite distance from it."""
-        reached = np.tril(np.isfinite(self._vdist), -1).any(axis=1)
-        return int(np.count_nonzero(~reached))
+        return sum(not any(map(math.isfinite, row[:i])) for i, row in enumerate(self._vdist_rows))
 
     def is_connected(self) -> bool:
         return self.n_components() == 1
@@ -157,59 +157,12 @@ class MetricGraph:
 
     def distances_to_many(self, p: GraphPoint, edge_idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Vectorized path_distance from p to points given as (edge index, t) arrays."""
+        import numpy as np
+
+        from .fibre_index import distance_matrix
+
         pe = np.array([self._eidx[self.edge_of(p.edge).id]])
-        return self.distance_matrix(pe, np.array([p.t]), edge_idx, ts)[0]
-
-    def _vertex_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``_vdist[a, b]`` for vertex index arrays that broadcast together.
-        A column against a row is gathered by rows, then by columns, several
-        times faster than numpy's broadcast fancy index."""
-        if a.ndim == 2 == b.ndim and a.shape[1] == 1 == b.shape[0]:
-            return self._vdist[a[:, 0]][:, b[0]]
-        return self._vdist[a, b]
-
-    def pair_distances(
-        self, pe: np.ndarray, pt: np.ndarray, qe: np.ndarray, qt: np.ndarray
-    ) -> np.ndarray:
-        """Path distance from each point (pe, pt) to the point (qe, qt) at
-        the same position; the four arrays broadcast together.
-
-        Each entry is ``path_distance``'s value, bit for bit: the same four
-        vertex terms, each summed as ``(p to vertex + vertex distance) +
-        vertex to q``, and ``|t_q - t_p| * length`` for a pair on one edge.
-        """
-        plen, qlen = self._len_arr[pe], self._len_arr[qe]
-        pu, pv = pt * plen, (1.0 - pt) * plen
-        qu, qv = qt * qlen, (1.0 - qt) * qlen
-        pa, pb = self._u_arr[pe], self._v_arr[pe]
-        qa, qb = self._u_arr[qe], self._v_arr[qe]
-        vd = self._vertex_distances
-        best = np.minimum(
-            np.minimum(pu + vd(pa, qa) + qu, pu + vd(pa, qb) + qv),
-            np.minimum(pv + vd(pb, qa) + qu, pv + vd(pb, qb) + qv),
-        )
-        direct = np.abs(qt - pt) * plen
-        return np.where(pe == qe, np.minimum(best, direct), best)
-
-    def distance_matrix(
-        self, pe: np.ndarray, pt: np.ndarray, qe: np.ndarray, qt: np.ndarray
-    ) -> np.ndarray:
-        """Path distances from the points (pe, pt) (rows) to the points
-        (qe, qt) (columns): ``pair_distances`` of every pair."""
-        return self.pair_distances(pe[:, None], pt[:, None], qe[None, :], qt[None, :])
-
-    def point_arrays(self, pts: Sequence[GraphPoint]) -> tuple[np.ndarray, np.ndarray]:
-        """(edge index, t) arrays of a point list, the form the vectorized
-        distance functions take."""
-        return (
-            np.array([self._eidx[p.edge] for p in pts], dtype=int),
-            np.array([p.t for p in pts], dtype=float),
-        )
-
-    def points_from_arrays(self, edge_idx: np.ndarray, ts: np.ndarray) -> list[GraphPoint]:
-        """The point list of (edge index, t) arrays; ``point_arrays`` inverted."""
-        edges = self.edges
-        return [GraphPoint(edges[e].id, t) for e, t in zip(edge_idx.tolist(), ts.tolist())]
+        return distance_matrix(self, pe, np.array([p.t]), edge_idx, ts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +413,6 @@ class GraphMap:
         object.__setattr__(self, "_table", table)
 
 
-def eval_graph_map_arrays(m: GraphMap, ei: np.ndarray, tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_et`` of each point (ei, tt), as (codomain edge index, t)
-    arrays, with ``InvalidPoint`` for a parameter outside [0, 1]."""
-    outside = ~((tt >= 0.0) & (tt <= 1.0))
-    if outside.any():
-        j = int(np.flatnonzero(outside)[0])
-        raise InvalidPoint(f"parameter {tt[j]} outside [0, 1] on edge {m.domain.edges[ei[j]].id!r}")
-    images = [eval_et(m, e, t) for e, t in zip(ei.tolist(), tt.tolist())]
-    return np.array([e for e, _ in images], dtype=int), np.array([t for _, t in images], dtype=float)
-
-
 def eval_et(m: GraphMap, e: int, t: float) -> tuple[int, float]:
     """The image of (domain edge index e, t) as (codomain edge index, t),
     unchecked; the one walk of a map's pieces.  Each clamp is
@@ -651,76 +593,6 @@ def shortest_path_segments(g: MetricGraph, p: GraphPoint, q: GraphPoint) -> tupl
     if not segs:
         segs.append(PathSeg(p.edge, p.t, p.t))
     return tuple(segs)
-
-
-# ---------------------------------------------------------------------------
-# local classification (end-points vs star-like interior points)
-
-
-GERM_PASS_PAIRS = 1 << 12  # pairs in range gathered before a germ pass, to bound its temporaries
-
-
-def star_branch_counts(
-    g: MetricGraph, blocks: Iterable[tuple[np.ndarray, ...]], r: float, delta: float,
-) -> np.ndarray:
-    """Finite-scale end-point / star-like-interior classifier.  For every
-    row p = (edge index pe, t = pt) of every block (pe, pt, qe, qt, dist),
-    in order: the number k of distinct edge germs at p along which shortest
-    paths depart toward the sample points (qe, qt) whose distance from p in
-    the ``distance_matrix`` block ``dist`` lies in (delta, min(r, 2·delta)].
-    Only those pairs are kept, and one germ pass runs over the pairs of
-    whole blocks once ``GERM_PASS_PAIRS`` are held (there must be a block).
-
-    p is a star-like interior point at scale (r, delta) when k >= 2, and an
-    end-point otherwise.  Within delta of a vertex the germs are the
-    vertex's, and a tie goes to the first in ``germs_at`` order; inside an
-    edge they are its -t and +t ends, and -t is taken only when it is
-    strictly shorter.
-    """
-    if delta >= r:
-        raise WrongInput(f"need delta < r, got delta={delta}, r={r}")
-    counts, pairs, n = [], [], 0
-    for pe, pt, qe, qt, dist in blocks:
-        if sum(len(pair[0]) for pair in pairs) >= GERM_PASS_PAIRS:
-            counts.append(_germ_counts(g, n, pairs, delta))
-            pairs, n = [], 0
-        row, col = np.nonzero((dist > delta) & (dist <= r) & (dist <= 2.0 * delta))
-        pairs.append((row + n, pe[row], pt[row], qe[col], qt[col]))
-        n += len(dist)
-    counts.append(_germ_counts(g, n, pairs, delta))
-    return np.concatenate(counts)
-
-
-def _germ_counts(g: MetricGraph, n: int, pairs: list[tuple[np.ndarray, ...]], delta: float) -> np.ndarray:
-    """One germ pass of ``star_branch_counts`` over the pairs (row, pe, pt,
-    qe, qt) it kept: the branch count of each of n rows."""
-    row, pe, pt, qe, qt = map(np.concatenate, zip(*pairs))
-    L = g._len_arr[qe]
-    qu, qv = qt * L, (1.0 - qt) * L
-    qa, qb = g._u_arr[qe], g._v_arr[qe]
-    vd = g._vdist
-    plen, iu, iv = g._len_arr[pe], g._u_arr[pe], g._v_arr[pe]
-    vertex = np.where(pt * plen <= delta, iu, np.where((1.0 - pt) * plen <= delta, iv, -1))
-    d_minus = pt * plen + np.minimum(qu + vd[iu, qa], qv + vd[iu, qb])
-    d_plus = (1.0 - pt) * plen + np.minimum(qu + vd[iv, qa], qv + vd[iv, qb])
-    same = qe == pe
-    d_plus = np.where(same & (qt >= pt), np.minimum(d_plus, (qt - pt) * plen), d_plus)
-    d_minus = np.where(same & (qt < pt), np.minimum(d_minus, (pt - qt) * plen), d_minus)
-    germ = np.where(d_minus < d_plus, 0, 1)
-    for w in set(vertex[vertex >= 0].tolist()):
-        s = vertex == w
-        germs = g._germs[g.vertices[w]]
-        ge = np.array([g._eidx[eid] for eid, _ in germs])
-        from_u = np.array([end == 0 for _, end in germs])
-        other = np.where(from_u, g._v_arr[ge], g._u_arr[ge])
-        glen = g._len_arr[ge][:, None]
-        d = glen + np.minimum(qu[s] + vd[other][:, qa[s]], qv[s] + vd[other][:, qb[s]])
-        # q reachable within the germ's edge without leaving it
-        d_in = np.where(from_u[:, None], qt[s], 1.0 - qt[s]) * glen
-        germ[s] = np.where(ge[:, None] == qe[s], np.minimum(d, d_in), d).argmin(axis=0)
-    seen = np.zeros((n, max([2, *map(len, g._germs.values())])), dtype=bool)
-    seen[row, germ] = True
-    return np.count_nonzero(seen, axis=1)
 
 
 # ---------------------------------------------------------------------------

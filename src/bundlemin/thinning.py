@@ -34,6 +34,7 @@ from typing import Iterable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .errors import InvalidPoint, WrongInput
+from .fibre_index import graph_arrays, pair_distances
 from .graphs import MetricGraph
 
 #: points tested against the kept set in one array pass
@@ -122,7 +123,8 @@ class KeptSet:
 
     def __init__(self, g: MetricGraph, sep: float):
         self.g, self.sep = g, sep
-        self._arcs = int(float(g._len_arr.max()) / sep) + 3
+        self.fibre_arrays = graph_arrays(g)
+        self._arcs = int(float(self.fibre_arrays.length.max()) / sep) + 3
         if len(g.edges) * self._arcs >= _CELL_LIMIT:
             raise WrongInput(f"separation {sep} too small for the fibre's edge lengths")
         self.n = 0
@@ -201,7 +203,7 @@ class KeptSet:
         cell = e / sep
         if not (np.abs(cell) < _CELL_LIMIT).all():
             raise WrongInput(f"base embedding too large for separation {sep}")
-        length = g._len_arr[edge]
+        length = self.fibre_arrays.length[edge]
         pu, pv = t * length, (1.0 - t) * length
         return _Points(e, edge, t, cell.astype(np.int64), (pu / sep).astype(np.int64),
                        pu <= 2 * sep, pv <= 2 * sep)
@@ -213,7 +215,7 @@ class KeptSet:
         """Per point and per end of its edge that it is near, the key of
         (that end vertex, base cell + db), with the point's position."""
         keys, at = [], []
-        for near, ends in ((p.near_u, self.g._u_arr), (p.near_v, self.g._v_arr)):
+        for near, ends in ((p.near_u, self.fibre_arrays.u), (p.near_v, self.fibre_arrays.v)):
             k = np.flatnonzero(near)
             keys.append(ends[p.edge[k]] * _VERTEX_STRIDE + p.bc[k] + (db + _CELL_LIMIT + 2))
             at.append(k)
@@ -261,7 +263,7 @@ class KeptSet:
         i, j = np.concatenate(i), np.concatenate(j)
         near = np.abs(p.e[i] - e[j]) <= self.sep
         i, j = i[near], j[near]
-        near = self.g.pair_distances(p.edge[i], p.t[i], edge[j], t[j]) <= self.sep
+        near = pair_distances(self.g, p.edge[i], p.t[i], edge[j], t[j]) <= self.sep
         return i[near], j[near]
 
     def _append(self, p: _Points) -> None:

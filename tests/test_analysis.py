@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlemin import analysis, graphs, thinning
+from bundlemin import analysis, fibre_index, thinning
 from bundlemin.analysis import (
     FibreClass,
     SampledSet,
@@ -52,6 +52,7 @@ from bundlemin.constructions import (
     chained_loops_graph,
 )
 from bundlemin.errors import InvalidPoint, NoProbes, WrongInput
+from bundlemin.fibre_index import point_arrays
 from bundlemin.graphs import (
     Circle,
     Edge,
@@ -668,8 +669,8 @@ class TestGroupedEndpointStatistics:
             g = res.system.bundle.fibre
             want = reference_endpoint_count(g, sample, 0.06, 0.02, delta_base, max_points=300)
             # germ passes of one pair and of the default size
-            for pass_pairs in (1, graphs.GERM_PASS_PAIRS):
-                monkeypatch.setattr(graphs, "GERM_PASS_PAIRS", pass_pairs)
+            for pass_pairs in (1, fibre_index.GERM_PASS_PAIRS):
+                monkeypatch.setattr(fibre_index, "GERM_PASS_PAIRS", pass_pairs)
                 rep = endpoint_statistics(sample, 0.02, delta_base)
                 assert rep.endpoint_fraction == want / rep.points_checked
 
@@ -722,7 +723,7 @@ def reference_interior_detector(bundle, sample, delta):
         box = sample.slice_indices(x0.b, delta)
         if len(box) < 4:
             continue
-        ei, tt = g.point_arrays(reference_fibre_slice(sample, x0.b, delta))
+        ei, tt = point_arrays(g, reference_fibre_slice(sample, x0.b, delta))
         be = sample.base_embed[box]
         e0 = float(sample.base.embedding(x0.b))
         order = np.argsort((be - e0 + 0.5) % 1.0 - 0.5 if circular else be - e0, kind="stable")

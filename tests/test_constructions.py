@@ -36,9 +36,9 @@ from bundlemin.graphs import (
     enumerate_circles,
     eval_et,
     eval_graph_map,
-    eval_graph_map_arrays,
     rotation_number_of_circle_map,
 )
+from bundlemin.fibre_index import eval_graph_map_arrays
 
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
 

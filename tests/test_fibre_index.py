@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundlemin.analysis import _cluster_diameter
-from bundlemin.fibre_index import FibreIndex
+from bundlemin.fibre_index import FibreIndex, distance_matrix, graph_arrays, point_arrays
 from bundlemin.graphs import Edge, GraphPoint, MetricGraph
 
 # t values at and next to the edge ends, where vertex terms tie
@@ -52,22 +52,23 @@ def cases(draw):
 
 
 def index_of(g: MetricGraph, pts: list[GraphPoint]) -> FibreIndex:
-    return FibreIndex(g, *g.point_arrays(pts))
+    return FibreIndex(g, *point_arrays(g, pts))
 
 
 def reference_distances_to_many(g: MetricGraph, p: GraphPoint, edge_idx, ts) -> np.ndarray:
     """``MetricGraph.distances_to_many`` before it became one row of
     ``distance_matrix``."""
     ep = g.edge_of(p.edge)
-    lens = g._len_arr[edge_idx]
+    arrays = graph_arrays(g)
+    lens = arrays.length[edge_idx]
     qu = ts * lens
     qv = (1.0 - ts) * lens
     pu, pv = p.t * ep.length, (1.0 - p.t) * ep.length
-    du = g._vdist[g._vidx[ep.u]]
-    dv = g._vdist[g._vidx[ep.v]]
+    du = arrays.vdist[g._vidx[ep.u]]
+    dv = arrays.vdist[g._vidx[ep.v]]
     best = np.minimum(
-        np.minimum(pu + du[g._u_arr[edge_idx]] + qu, pu + du[g._v_arr[edge_idx]] + qv),
-        np.minimum(pv + dv[g._u_arr[edge_idx]] + qu, pv + dv[g._v_arr[edge_idx]] + qv),
+        np.minimum(pu + du[arrays.u[edge_idx]] + qu, pu + du[arrays.v[edge_idx]] + qv),
+        np.minimum(pv + dv[arrays.u[edge_idx]] + qu, pv + dv[arrays.v[edge_idx]] + qv),
     )
     same = edge_idx == g._eidx[p.edge]
     if same.any():
@@ -104,8 +105,8 @@ def reference_clusters(g: MetricGraph, pts: list[GraphPoint], cutoff: float) -> 
 
 def linked_closure(g: MetricGraph, pts: list[GraphPoint], cutoff: float) -> set[frozenset[int]]:
     """Connected components of the pairs within cutoff in either direction."""
-    ei, ts = g.point_arrays(pts)
-    d = g.distance_matrix(ei, ts, ei, ts)
+    ei, ts = point_arrays(g, pts)
+    d = distance_matrix(g, ei, ts, ei, ts)
     linked = (d <= cutoff) | (d.T <= cutoff)
     label = list(range(len(pts)))
     changed = True
@@ -120,14 +121,14 @@ def linked_closure(g: MetricGraph, pts: list[GraphPoint], cutoff: float) -> set[
 
 
 def brute_diameter(g, pts, comp) -> float:
-    ei, tt = g.point_arrays([pts[i] for i in comp])
+    ei, tt = point_arrays(g, [pts[i] for i in comp])
     return max(float(reference_distances_to_many(g, pts[i], ei, tt).max()) for i in comp)
 
 
 def brute_gap(g, pts, comps) -> float:
     gap = math.inf
     for a in range(len(comps)):
-        ei, tt = g.point_arrays([pts[i] for i in comps[a]])
+        ei, tt = point_arrays(g, [pts[i] for i in comps[a]])
         for b in range(a + 1, len(comps)):
             for i in comps[b]:
                 gap = min(gap, float(reference_distances_to_many(g, pts[i], ei, tt).min()))
@@ -142,9 +143,9 @@ def as_sets(comps) -> set[frozenset[int]]:
 @given(cases())
 def test_distance_matrix_equals_path_distance_and_the_old_kernel(case):
     g, pts, queries = case
-    qe, qt = g.point_arrays(queries)
-    pe, pt = g.point_arrays(pts)
-    m = g.distance_matrix(qe, qt, pe, pt)
+    qe, qt = point_arrays(g, queries)
+    pe, pt = point_arrays(g, pts)
+    m = distance_matrix(g, qe, qt, pe, pt)
     for i, q in enumerate(queries):
         assert m[i].tolist() == reference_distances_to_many(g, q, pe, pt).tolist()
         assert m[i].tolist() == g.distances_to_many(q, pe, pt).tolist()
@@ -156,8 +157,8 @@ def test_distance_matrix_equals_path_distance_and_the_old_kernel(case):
 def test_nearest_equals_row_minima(case):
     g, pts, queries = case
     index = index_of(g, pts)
-    pe, pt = g.point_arrays(pts)
-    got = index.nearest(*g.point_arrays(queries))
+    pe, pt = point_arrays(g, pts)
+    got = index.nearest(*point_arrays(g, queries))
     want = [float(reference_distances_to_many(g, q, pe, pt).min()) for q in queries]
     assert got.tolist() == want
 
@@ -166,8 +167,8 @@ def test_nearest_equals_row_minima(case):
 @given(cases(), st.floats(0.0, 2.0))
 def test_components_equal_breadth_first_search(case, cutoff):
     g, pts, _ = case
-    ei, ts = g.point_arrays(pts)
-    d = g.distance_matrix(ei, ts, ei, ts)
+    ei, ts = point_arrays(g, pts)
+    d = distance_matrix(g, ei, ts, ei, ts)
     # d[i, j] and d[j, i] round differently in the last bit on some pairs; a
     # cutoff between the two makes the search's result depend on its start
     assume(((d <= cutoff) == (d.T <= cutoff)).all())
@@ -180,8 +181,8 @@ def test_components_equal_breadth_first_search(case, cutoff):
 @given(cases(), st.data())
 def test_components_at_a_pairwise_distance_link_either_direction(case, data):
     g, pts, _ = case
-    ei, ts = g.point_arrays(pts)
-    d = g.distance_matrix(ei, ts, ei, ts).ravel()
+    ei, ts = point_arrays(g, pts)
+    d = distance_matrix(g, ei, ts, ei, ts).ravel()
     cutoff = data.draw(st.sampled_from(sorted(set(d[np.isfinite(d)].tolist()))))
     got, gap = index_of(g, pts).components(cutoff)
     assert as_sets(got) == linked_closure(g, pts, cutoff)
@@ -192,7 +193,7 @@ def test_components_at_a_pairwise_distance_link_either_direction(case, data):
 @given(cases(), st.floats(0.001, 0.3))
 def test_gap_and_diameter_decisions_equal_brute_force(case, delta):
     g, pts, _ = case
-    ei, ts = g.point_arrays(pts)
+    ei, ts = point_arrays(g, pts)
     comps, gap = FibreIndex(g, ei, ts).components(delta)
     cap = 10.0 * delta
     diams = [_cluster_diameter(g, ei, ts, c, cap) for c in comps]
@@ -240,9 +241,9 @@ def grid_distances(g: MetricGraph, pts: list[GraphPoint], e: int) -> tuple[np.nd
     """Distances to the set from a grid of GRID_STEPS steps on edge e, with
     the step in arc length."""
     grid = np.linspace(0.0, 1.0, GRID_STEPS + 1)
-    pe, pt = g.point_arrays(pts)
-    d = g.distance_matrix(np.full(len(grid), e), grid, pe, pt).min(axis=1, initial=math.inf)
-    return d, g._len_arr[e] / GRID_STEPS
+    pe, pt = point_arrays(g, pts)
+    d = distance_matrix(g, np.full(len(grid), e), grid, pe, pt).min(axis=1, initial=math.inf)
+    return d, graph_arrays(g).length[e] / GRID_STEPS
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,12 +269,12 @@ def test_distance_to_edges_equals_a_fine_grid(case, data):
     assume(mask.any())
     got = index_of(g, pts).distance_to_edges(mask)
     grid = np.linspace(0.0, 1.0, GRID_STEPS + 1)
-    for i, (e, t) in enumerate(zip(*g.point_arrays(pts))):
+    for i, (e, t) in enumerate(zip(*point_arrays(g, pts))):
         if mask[e]:
             assert got[i] == 0.0
         else:
             # off the masked edges the least grid distance is at an end vertex
-            d = g.distance_matrix(np.array([e]), np.array([t]),
+            d = distance_matrix(g, np.array([e]), np.array([t]),
                                   np.repeat(np.flatnonzero(mask), len(grid)), np.tile(grid, mask.sum()))
             assert got[i] == d.min()
 

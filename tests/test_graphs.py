@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bundlemin import graphs
+from bundlemin import fibre_index
 from bundlemin.errors import InvalidPoint, WrongInput
 from bundlemin.graphs import (
     Edge,
@@ -30,9 +31,9 @@ from bundlemin.graphs import (
     rotation_number,
     rotation_number_of_circle_map,
     shortest_path_segments,
-    star_branch_counts,
     star_graph,
 )
+from bundlemin.fibre_index import distance_matrix, graph_arrays, point_arrays, star_branch_counts
 from bundlemin.constructions import build_torus_on_mobius
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,6 +66,85 @@ class TestBuildGraph:
             g.validate_point(GraphPoint("I", 1.5))
         with pytest.raises(InvalidPoint):
             g.edge_of("nope")
+
+
+@st.composite
+def random_graphs(draw):
+    """A graph on up to 7 vertices with up to 9 edges between any two of
+    them: disconnected graphs, isolated vertices, self-loops and parallel
+    edges all occur."""
+    n = draw(st.integers(1, 7))
+    ends = st.integers(0, n - 1)
+    lengths = st.floats(1e-3, 10.0) | st.sampled_from([0.1, 0.2, 0.3, 1.0])
+    edges = draw(st.lists(st.tuples(ends, ends, lengths), max_size=9))
+    return MetricGraph(
+        [f"v{i}" for i in range(n)], [Edge(f"e{k}", f"v{i}", f"v{j}", L) for k, (i, j, L) in enumerate(edges)]
+    )
+
+
+def bfs_component_count(g: MetricGraph) -> int:
+    adjacent = {v: set() for v in g.vertices}
+    for e in g.edges:
+        adjacent[e.u].add(e.v)
+        adjacent[e.v].add(e.u)
+    seen: set[str] = set()
+    count = 0
+    for v in g.vertices:
+        if v in seen:
+            continue
+        count += 1
+        frontier = [v]
+        seen.add(v)
+        while frontier:
+            frontier = [w for u in frontier for w in adjacent[u] if w not in seen]
+            seen.update(frontier)
+    return count
+
+
+def brute_force_distances(g: MetricGraph, source: str) -> dict[str, float]:
+    """Dijkstra without a heap: settle the nearest unsettled vertex, each
+    distance summed along its path from the source."""
+    dist = {v: math.inf for v in g.vertices}
+    dist[source] = 0.0
+    unsettled = set(g.vertices)
+    while unsettled:
+        u = min(sorted(unsettled), key=dist.__getitem__)
+        unsettled.discard(u)
+        for e in g.edges:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if a == u and dist[u] + e.length < dist[b]:
+                    dist[b] = dist[u] + e.length
+    return dist
+
+
+def float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+class TestVertexDistances:
+    """The model's vertex distances are Python floats; the array layer's
+    matrix holds the same bits."""
+
+    @given(g=random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_components_distances_and_their_matrix(self, g):
+        assert g.n_components() == bfs_component_count(g)
+        assert g.is_connected() == (bfs_component_count(g) == 1)
+        for a in g.vertices:
+            want = brute_force_distances(g, a)
+            for b in g.vertices:
+                d = g.vertex_distance(a, b)
+                assert type(d) is float and d == want[b]
+        vdist = graph_arrays(g).vdist
+        assert vdist.dtype == np.float64 and vdist.shape == (len(g.vertices),) * 2
+        assert vdist.view(np.int64).tolist() == [
+            [float_bits(g.vertex_distance(a, b)) for b in g.vertices] for a in g.vertices
+        ]
+
+    def test_the_arrays_are_built_once_per_graph(self):
+        g = theta_graph()
+        assert graph_arrays(g) is graph_arrays(g)
+        assert graph_arrays(g) is not graph_arrays(theta_graph())
 
 
 class TestPathDistance:
@@ -333,9 +413,9 @@ def branch_counts(g, fibre_sample, ps, r, delta):
     """``star_branch_counts`` of each point of ps against the sample, read
     from their ``distance_matrix`` rows; a point is an end-point when its
     count is below 2."""
-    pe, pt = g.point_arrays(ps)
-    qe, qt = g.point_arrays(fibre_sample)
-    return star_branch_counts(g, [(pe, pt, qe, qt, g.distance_matrix(pe, pt, qe, qt))], r, delta)
+    pe, pt = point_arrays(g, ps)
+    qe, qt = point_arrays(g, fibre_sample)
+    return star_branch_counts(g, [(pe, pt, qe, qt, distance_matrix(g, pe, pt, qe, qt))], r, delta)
 
 
 def branch_count(g, fibre_sample, p, r, delta):
@@ -416,7 +496,7 @@ def reference_initial_germ(g, p, q, delta):
 def reference_branch_count(g, fibre_sample, p, r, delta):
     """The branch count of the per-point classifier with its per-candidate
     germ loop and witness dict, as it was before the vectorised germ count."""
-    edge_idx, ts = g.point_arrays(fibre_sample)
+    edge_idx, ts = point_arrays(g, fibre_sample)
     dist = g.distances_to_many(p, edge_idx, ts)
     witnesses = {}
     for j in np.flatnonzero((dist > delta) & (dist <= r)):
@@ -450,7 +530,7 @@ def germ_cases(draw):
                        | st.floats(0.95, 1.0) | st.floats(0.0, 1.0)))
     pts = draw(st.lists(st.builds(GraphPoint, edge, st.sampled_from(END_TS) | st.floats(0.0, 1.0)),
                         min_size=1, max_size=40))
-    dist = g.distances_to_many(p, *g.point_arrays(pts))
+    dist = g.distances_to_many(p, *point_arrays(g, pts))
     ep = g.edge_of(p.edge)
     tie = draw(st.sampled_from(["delta", "two-delta", "r", "vertex-u", "vertex-v"]))
     if tie.startswith("vertex"):
@@ -548,7 +628,7 @@ def classifier_slices(draw):
                 pts.append(GraphPoint(p.edge, t))
     snap = draw(st.sampled_from(["drawn", "delta", "two-delta"]))
     if snap != "drawn":
-        dist = g.distance_matrix(*g.point_arrays(rows), *g.point_arrays(pts))
+        dist = distance_matrix(g, *point_arrays(g, rows), *point_arrays(g, pts))
         d = float(dist[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(pts) - 1))])
         if d > 1e-300:
             d = draw(_within_a_step(d))
@@ -580,13 +660,13 @@ class TestArrayClassifier:
         while rows:
             cut = data.draw(st.integers(1, len(rows)))
             part = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=len(pts)))
-            pe, pt = g.point_arrays(rows[:cut])
-            qe, qt = g.point_arrays(part)
-            blocks.append((pe, pt, qe, qt, g.distance_matrix(pe, pt, qe, qt)))
+            pe, pt = point_arrays(g, rows[:cut])
+            qe, qt = point_arrays(g, part)
+            blocks.append((pe, pt, qe, qt, distance_matrix(g, pe, pt, qe, qt)))
             want += [reference_branch_count(g, part, p, r, delta) for p in rows[:cut]]
             rows = rows[cut:]
-        pass_pairs = data.draw(st.sampled_from([1, 5, graphs.GERM_PASS_PAIRS]))
-        with mock.patch.object(graphs, "GERM_PASS_PAIRS", pass_pairs):
+        pass_pairs = data.draw(st.sampled_from([1, 5, fibre_index.GERM_PASS_PAIRS]))
+        with mock.patch.object(fibre_index, "GERM_PASS_PAIRS", pass_pairs):
             assert star_branch_counts(g, iter(blocks), r, delta).tolist() == want
 
 

@@ -426,12 +426,16 @@ def blown_up_odometer(a: TernaryCode | None = None, precision: int = 40) -> Base
         return LazyPoints(n, lambda i: DoubledCode(TernaryCode(codes[i], K), sides[i])), embeddings
 
     def preimages(x: DoubledCode) -> list[DoubledCode]:
+        # the points the step sends to x, all with the previous code: the
+        # untagged one for an untagged x (and c_l for a), both members of
+        # the second pair for c_l (c_r is read as c_l), and a deeper tagged
+        # point's own side; the deepest pair has none, as the untagged code
+        # before it steps to the untagged code
         j = validate(x)
         prev = TernaryCode((x.code.bits - 1) % mod, K)
         if x.side == 0:
-            return [c_l if x.code.bits == a.bits else DoubledCode(prev, 0)]
-        # c_r is read as c_l, and the deepest pair's preimage is untagged
-        return [DoubledCode(prev, 0 if j == J else -1 if j == 1 else x.side)]
+            return [DoubledCode(prev, 0), *([c_l] if x.code.bits == a.bits else [])]
+        return [DoubledCode(prev, side) for side in ((-1, 1) if j == 1 else () if j == J else (x.side,))]
 
     def sampler(n: int) -> list[DoubledCode]:
         return [DoubledCode(TernaryCode(i, K), 0) for i in range(min(n, mod))]
@@ -452,8 +456,9 @@ def blown_up_odometer(a: TernaryCode | None = None, precision: int = 40) -> Base
 
 
 def _arc_intersect(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Intersection of two circle arcs (start, length), assumed nonempty and
-    returning the component containing the overlap nearest a's start."""
+    """Intersection of two circle arcs (start, length) of length at most 1:
+    the component containing the overlap nearest a's start, or (a's start,
+    0.0) where they do not meet."""
     s1, l1 = a
     s2, l2 = b
     # shift so a starts at 0
@@ -461,12 +466,7 @@ def _arc_intersect(a: tuple[float, float], b: tuple[float, float]) -> tuple[floa
     lo = max(0.0, t if t < l1 else t - 1.0)
     hi = min(l1, (t + l2) if t < l1 else (t - 1.0 + l2))
     if hi <= lo:
-        # try the wrapped copy of b
-        t2 = t - 1.0
-        lo = max(0.0, t2)
-        hi = min(l1, t2 + l2)
-        if hi <= lo:
-            return (s1, 0.0)
+        return (s1, 0.0)
     return ((s1 + lo) % 1.0, hi - lo)
 
 
@@ -545,11 +545,8 @@ def sturmian(alpha: float, precision: int = DEFAULT_STURMIAN_K) -> BaseSystem:
         # and cuts the rotated arc to that digit's cell, keeping it whole
         # where the cut is empty.  This is the orbit's base step, so
         # ``_digit_of`` and ``_arc_intersect`` are written out, with the
-        # same float operations and min/max results.  The second try of
-        # ``_arc_intersect`` is left out: a cell at least 2^-52 long that
-        # starts inside the arc always meets it, and otherwise the second
-        # try repeats the first.  The words are kept as w's bits and the
-        # new digits, and built only when read
+        # same float operations and min/max results.  The words are kept
+        # as w's bits and the new digits, and built only when read
         bits, (s, l) = w.bits, w.arc if w.arc is not None else _word_arc(w.bits, w.K, alpha)
         digits, arcs, embeddings = bytearray(), [], []
         for _ in range(n):

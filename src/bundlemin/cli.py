@@ -3,8 +3,9 @@ classify the sample, and render plots. All outputs are deterministic for a
 fixed config and seed. Each command writes its --out files as one set (a
 failed write leaves the previous sample and its verdicts as they were), and
 a construction other than system.json's exits 2.  ``build`` reads no sample,
-so it loads neither numpy nor the sample layer: the commands that read or
-write a sample import them where they run.
+so it loads neither numpy nor the sample layer; ``plot`` draws the checked
+columns of the sample it reads and loads no analysis layer: each command
+imports what it needs where it runs.
 """
 from __future__ import annotations
 
@@ -395,13 +396,14 @@ def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None
             raise SchemaError(f"{path} {what}")
 
 
-def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResult, SampledSet]:
-    """The system and the orbit sample saved in --out, at the delta its
-    provenance says it was thinned at; a --delta flag or config delta that
-    differs is a ConfigError."""
+def _load_sample(args: argparse.Namespace) -> tuple[
+    Path, str, ConstructionResult, dict, tuple[Sequence[BasePoint], np.ndarray, np.ndarray, np.ndarray]
+]:
+    """The system saved in --out, the provenance of its orbit sample and
+    the sample's checked columns (base points, fibre edge indices, parameters
+    and base embeddings).  The sample was thinned at the provenance's delta;
+    a --delta flag or config delta that differs is a ConfigError."""
     import numpy as np
-
-    from .analysis import SampledSet
 
     cfg = load_config(args.config)
     delta = _run_settings(args, cfg)[0]
@@ -425,23 +427,23 @@ def _load_sample(args: argparse.Namespace) -> tuple[Path, str, ConstructionResul
     _check_provenance(prov, prov_path, s.id, len(bases))
     if (args.delta is not None or "delta" in cfg) and delta != prov["delta"]:
         raise ConfigError(f"delta {delta} is not {prov['delta']}, the delta of the sample in {out}")
-    sample = SampledSet(prov["delta"], bases, edge_idx, ts, prov, s.base, s.bundle, embeddings)
-    bad = np.flatnonzero(written != sample.base_embed)
+    bad = np.flatnonzero(written != embeddings)
     if len(bad):
         i = int(bad[0])
         raise SchemaError(
             f"{csv_path} line {i + 2}: base {float(written[i])!r} is not "
-            f"{float(sample.base_embed[i])!r}, the embedding of its tag"
+            f"{float(embeddings[i])!r}, the embedding of its tag"
         )
-    return out, name, result, sample
+    return out, name, result, prov, (bases, edge_idx, ts, embeddings)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    from .analysis import circles_report, endpoint_statistics, typical_fibre_report
+    from .analysis import SampledSet, circles_report, endpoint_statistics, typical_fibre_report
 
-    out, name, result, sample = _load_sample(args)
-    delta = sample.delta
+    out, name, result, prov, (bases, edge_idx, ts, embeddings) = _load_sample(args)
+    delta = prov["delta"]
     s = result.system
+    sample = SampledSet(delta, bases, edge_idx, ts, prov, s.base, s.bundle, embeddings)
     delta_base = result.delta_base if result.delta_base is not None else delta
 
     dich = endpoint_statistics(sample, delta, delta_base)
@@ -500,7 +502,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     from .plotting import render_sample_svg
 
-    out, name, result, sample = _load_sample(args)
+    out, name, result, _, (_, edge_idx, ts, embeddings) = _load_sample(args)
     highlight = []
     exceptional = result.system.reference.get("exceptional_base")
     if exceptional is not None:
@@ -508,9 +510,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     write_out(out, {"sample.svg": lambda f: render_sample_svg(
         f,
         result.system.bundle.fibre,
-        sample.base_embed,
-        sample.edge_idx,
-        sample.ts,
+        embeddings,
+        edge_idx,
+        ts,
         highlight_bases=highlight,
         cut_marker=result.system.bundle.is_monodromy,
         title=name,

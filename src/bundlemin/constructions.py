@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import inspect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from itertools import accumulate
+from typing import Any, Callable, Optional, Sequence
 
 from .base_systems import (
     DEFAULT_STURMIAN_K,
@@ -48,9 +50,6 @@ from .graphs import (
     rotate_along_circle,
     shortest_path_segments,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 SQRT2_FRAC = math.sqrt(2.0) - 1.0
@@ -441,84 +440,79 @@ def build_theorem_d_case1(precision: int = 40) -> ConstructionResult:
 # exceptional fibre = two intersecting circles
 
 
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """``numpy.interp(x, xp, fp)`` for one float x (not NaN), a strictly
+    increasing xp and a table whose differences do not overflow, by numpy's
+    float operations: the value at a knot, else ``slope * (x - xp[j]) +
+    fp[j]`` on the stretch [xp[j], xp[j + 1])."""
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
 @dataclass(frozen=True)
 class Chart:
     """Piecewise-linear angle <-> arc-length table for one curve stretch."""
 
-    thetas: np.ndarray  # increasing
-    arcs: np.ndarray  # increasing, arcs[0] = 0
+    thetas: list[float]  # increasing
+    arcs: list[float]  # increasing, arcs[0] = 0
+
+    @classmethod
+    def of(cls, r: Callable[[float], float], dr: Callable[[float], float], th_a: float, th_b: float) -> Chart:
+        """The table of the curve at radius r(theta) over [th_a, th_b]: 721
+        evenly spaced angles (numpy.linspace's) and the arc length to each,
+        summed over 720 trapezoids of sqrt(r^2 + r'^2)."""
+        step = (th_b - th_a) / 720
+        th = [i * step + th_a for i in range(720)] + [th_b]
+        f = [math.sqrt(x * x + y * y) for x, y in zip(map(r, th), map(dr, th))]
+        traps = ((f[k] + f[k + 1]) / 2.0 * (th[k + 1] - th[k]) for k in range(720))
+        return cls(th, list(accumulate(traps, initial=0.0)))
 
     @property
     def length(self) -> float:
-        return float(self.arcs[-1])
+        return self.arcs[-1]
 
     def arc_of_theta(self, theta: float) -> float:
-        import numpy as np
-
-        return float(np.interp(theta, self.thetas, self.arcs))
+        return _interp(theta, self.thetas, self.arcs)
 
     def theta_of_arc(self, s: float) -> float:
-        import numpy as np
-
-        return float(np.interp(s, self.arcs, self.thetas))
-
-
-def _make_chart(r: Callable[[float], float], dr: Callable[[float], float],
-                th_a: float, th_b: float) -> Chart:
-    import numpy as np
-
-    th = np.linspace(th_a, th_b, 721)  # 720 trapezoids
-    integrand = np.sqrt(np.array([r(t) for t in th]) ** 2 + np.array([dr(t) for t in th]) ** 2)
-    arcs = np.concatenate(([0.0], np.cumsum((integrand[:-1] + integrand[1:]) / 2.0 * np.diff(th))))
-    return Chart(th, arcs)
+        return _interp(s, self.arcs, self.thetas)
 
 
 @dataclass(frozen=True)
 class Case2Geometry:
     """Angle bookkeeping for a fibre made of an outer unit circle and an
-    inner radial curve sharing the radius-1 set."""
+    inner radial curve sharing the radius-1 set: each edge's angle range
+    and, on an edge of the inner curve alone, its chart."""
 
     graph: MetricGraph
     outer: Circle
     inner: Circle
-    theta_ranges: dict = field(compare=False)  # edge id -> (theta_a, theta_b)
-    charts: dict = field(compare=False)  # edge id -> Chart (inner edges only)
+    spans: dict[str, tuple[float, float, Optional[Chart]]] = field(compare=False)  # by edge id
     seam_thetas: tuple[float, ...] = ()
     seam_arc: tuple[float, float] | None = None
 
     def theta_of(self, y: GraphPoint) -> float:
-        th_a, th_b = self.theta_ranges[y.edge]
-        chart = self.charts.get(y.edge)
-        if chart is None:
-            return th_a + (th_b - th_a) * y.t
-        return chart.theta_of_arc(y.t * chart.length)
+        th_a, th_b, chart = self.spans[y.edge]
+        return th_a + (th_b - th_a) * y.t if chart is None else chart.theta_of_arc(y.t * chart.length)
 
-    def _point_on(self, edges: tuple[str, ...], theta: float) -> GraphPoint:
+    def _point_on(self, circle: Circle, theta: float) -> GraphPoint:
         theta %= TWO_PI
-        for eid in edges:
-            th_a, th_b = self.theta_ranges[eid]
+        for eid, _ in circle.steps:
+            th_a, th_b, chart = self.spans[eid]
             if th_a - 1e-12 <= theta <= th_b + 1e-12:
-                chart = self.charts.get(eid)
-                if chart is None:
-                    t = (theta - th_a) / (th_b - th_a)
-                else:
-                    t = chart.arc_of_theta(theta) / chart.length
+                t = (theta - th_a) / (th_b - th_a) if chart is None else chart.arc_of_theta(theta) / chart.length
                 return GraphPoint(eid, min(max(t, 0.0), 1.0))
-        raise WrongInput(f"angle {theta} not covered by edges {edges}")
+        raise WrongInput(f"angle {theta} not covered by edges {tuple(e for e, _ in circle.steps)}")
 
     def push_outer(self, theta: float) -> GraphPoint:
-        return self._point_on(self.outer_edges, theta)
+        return self._point_on(self.outer, theta)
 
     def push_inner(self, theta: float) -> GraphPoint:
-        return self._point_on(self.inner_edges, theta)
-
-    @property
-    def outer_edges(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.outer.steps)
-
-    @property
-    def inner_edges(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.inner.steps)
+        return self._point_on(self.inner, theta)
 
     def radial_project(self, y: GraphPoint) -> GraphPoint:
         """Projection of an outer point onto the inner curve along its radius."""
@@ -529,81 +523,55 @@ class Case2Geometry:
 
 
 def _case2_geometry(pattern: str, theta0: float) -> Case2Geometry:
+    """The fibre of one pattern, from the inner curve's radius r(theta), its
+    derivative and the edge table: (id, from, to, theta_a, theta_b, kind) in
+    graph order, where kind says whether the edge lies on the ``outer``
+    circle, the ``inner`` curve or both (``shared``)."""
     if pattern == "point":
         r = lambda th: (3.0 + math.cos(th)) / 4.0
         dr = lambda th: -math.sin(th) / 4.0
-        chart = _make_chart(r, dr, 0.0, TWO_PI)
-        g = MetricGraph(
-            ("P",),
-            (Edge("o", "P", "P", TWO_PI), Edge("n", "P", "P", chart.length)),
-        )
-        return Case2Geometry(
-            graph=g,
-            outer=Circle((("o", 1),), TWO_PI),
-            inner=Circle((("n", 1),), chart.length),
-            theta_ranges={"o": (0.0, TWO_PI), "n": (0.0, TWO_PI)},
-            charts={"n": chart},
-            seam_thetas=(0.0,),
-        )
-    if pattern == "two":
+        table = [("o", "P", "P", 0.0, TWO_PI, "outer"), ("n", "P", "P", 0.0, TWO_PI, "inner")]
+    elif pattern == "two":
         r = lambda th: (3.0 + math.cos(2.0 * th)) / 4.0
         dr = lambda th: -math.sin(2.0 * th) / 2.0
-        ch1 = _make_chart(r, dr, 0.0, math.pi)
-        ch2 = _make_chart(r, dr, math.pi, TWO_PI)
-        g = MetricGraph(
-            ("P0", "P1"),
-            (
-                Edge("o1", "P0", "P1", math.pi),
-                Edge("o2", "P1", "P0", math.pi),
-                Edge("n1", "P0", "P1", ch1.length),
-                Edge("n2", "P1", "P0", ch2.length),
-            ),
-        )
-        return Case2Geometry(
-            graph=g,
-            outer=Circle((("o1", 1), ("o2", 1)), TWO_PI),
-            inner=Circle((("n1", 1), ("n2", 1)), ch1.length + ch2.length),
-            theta_ranges={
-                "o1": (0.0, math.pi),
-                "o2": (math.pi, TWO_PI),
-                "n1": (0.0, math.pi),
-                "n2": (math.pi, TWO_PI),
-            },
-            charts={"n1": ch1, "n2": ch2},
-            seam_thetas=(0.0, math.pi),
-        )
-    if pattern == "arc":
+        table = [("o1", "P0", "P1", 0.0, math.pi, "outer"), ("o2", "P1", "P0", math.pi, TWO_PI, "outer"),
+                 ("n1", "P0", "P1", 0.0, math.pi, "inner"), ("n2", "P1", "P0", math.pi, TWO_PI, "inner")]
+    elif pattern == "arc":
         if not 0.0 < theta0 < TWO_PI:
             raise WrongInput(f"plateau end {theta0} outside (0, 2*pi)")
         scale = TWO_PI / (TWO_PI - theta0)
         r = lambda th: 1.0 if th <= theta0 else (3.0 + math.cos((th - theta0) * scale)) / 4.0
         dr = lambda th: 0.0 if th <= theta0 else -math.sin((th - theta0) * scale) * scale / 4.0
-        chart = _make_chart(r, dr, theta0, TWO_PI)
-        g = MetricGraph(
-            ("A0", "A1"),
-            (
-                Edge("sh", "A0", "A1", theta0),
-                Edge("o", "A1", "A0", TWO_PI - theta0),
-                Edge("n", "A1", "A0", chart.length),
-            ),
-        )
-        return Case2Geometry(
-            graph=g,
-            outer=Circle((("o", 1), ("sh", 1)), TWO_PI),
-            inner=Circle((("n", 1), ("sh", 1)), chart.length + theta0),
-            theta_ranges={"sh": (0.0, theta0), "o": (theta0, TWO_PI), "n": (theta0, TWO_PI)},
-            charts={"n": chart},
-            seam_thetas=(0.0, theta0),
-            seam_arc=(0.0, theta0),
-        )
-    raise WrongInput(f"unknown pattern {pattern!r}; expected point | arc | two")
+        table = [("sh", "A0", "A1", 0.0, theta0, "shared"), ("o", "A1", "A0", theta0, TWO_PI, "outer"),
+                 ("n", "A1", "A0", theta0, TWO_PI, "inner")]
+    else:
+        raise WrongInput(f"unknown pattern {pattern!r}; expected point | arc | two")
+    spans = {eid: (a, b, Chart.of(r, dr, a, b) if kind == "inner" else None) for eid, _, _, a, b, kind in table}
+    length = {eid: b - a if chart is None else chart.length for eid, (a, b, chart) in spans.items()}
+    graph = MetricGraph(
+        tuple(dict.fromkeys(v for _, u, w, *_ in table for v in (u, w))),
+        tuple(Edge(eid, u, w, length[eid]) for eid, u, w, *_ in table),
+    )
+
+    def steps(kind: str) -> tuple[tuple[str, int], ...]:
+        """The circle through the edges of this kind, then the shared ones."""
+        return tuple((eid, 1) for k in (kind, "shared") for eid, *_, edge_kind in table if edge_kind == k)
+
+    inner = steps("inner")
+    return Case2Geometry(
+        graph=graph,
+        # the whole circle, not its edge sum: (2*pi - theta0) + theta0 need not round to 2*pi
+        outer=Circle(steps("outer"), TWO_PI),
+        inner=Circle(inner, sum(length[eid] for eid, _ in inner)),
+        spans=spans,
+        seam_thetas=tuple(sorted({a for _, _, _, a, _, _ in table})),
+        seam_arc=next(((a, b) for _, _, _, a, b, kind in table if kind == "shared"), None),
+    )
 
 
 def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float) -> GraphMap:
     """GraphMap realizing y -> push_target(theta(y) + delta_theta), affine
-    between 257 knots per edge."""
-    import numpy as np
-
+    between the 257 knots j / 256 of each edge."""
     g = geo.graph
     circ = geo.inner if target_inner else geo.outer
     push = geo.push_inner if target_inner else geo.push_outer
@@ -613,11 +581,10 @@ def _case2_fibre_map(geo: Case2Geometry, target_inner: bool, delta_theta: float)
 
     pieces: dict[str, tuple[MapPiece, ...]] = {}
     for e in g.edges:
-        ts = np.linspace(0.0, 1.0, 257)
         out: list[MapPiece] = []
         s_prev = None
         for j in range(256):
-            t0, t1 = float(ts[j]), float(ts[j + 1])
+            t0, t1 = j / 256, (j + 1) / 256
             th0 = geo.theta_of(GraphPoint(e.id, t0)) + delta_theta
             th1 = geo.theta_of(GraphPoint(e.id, t1)) + delta_theta
             s0 = s_of_theta(th0) if s_prev is None else s_prev
@@ -653,7 +620,7 @@ def build_theorem_d_case2(
         return (_case2_fibre_map(geo, target_inner=False, delta_theta=delta),
                 _case2_fibre_map(geo, target_inner=True, delta_theta=delta))
 
-    seed_theta = geo.theta_ranges[geo.outer_edges[0]][0] + 0.37
+    seed_theta = geo.spans[geo.outer.steps[0][0]][0] + 0.37
     return _theorem_d_system(
         precision, geo.graph, part_maps, geo.push_outer(seed_theta),
         f"theorem-d-2:{pattern}({params})", "two intersecting circles over a blown-up odometer",
@@ -676,7 +643,7 @@ def case2_branch_images(
     delta = (rho % 1.0) * TWO_PI
     push = geo.push_inner if target_inner else geo.push_outer
     direct = push(geo.theta_of(y) + delta)
-    if y.edge in geo.inner_edges and y.edge not in geo.outer_edges:
+    if geo.spans[y.edge][2] is not None:  # on the inner curve alone
         moved = geo.radial_unproject(y)
     else:
         moved = geo.radial_project(y)

@@ -3,10 +3,11 @@
 The blown-up odometer in two layers, the reference ``blown_up_odometer`` is
 held to: ``doubled_cantor`` doubles the backward orbit of the blow-up
 centre a, and ``quotient_base`` identifies its first doubled pair, stepping
-and embedding through ``canonical``.  Each layer steps by iterating its own
-one-point ``apply``.  ``doubled_cantor`` alone is a base with two preimages
-at a point (the doubled pair are a's), which the homeo-part filter tests
-need.
+and embedding through ``canonical`` and finding preimages by brute force,
+as the points its ``apply`` sends to a point.  Each layer steps by
+iterating its own one-point ``apply``.  Before the identification,
+``doubled_cantor`` gives a the doubled pair as its two preimages, which
+the homeo-part filter tests use.
 
 ``sturmian_factor`` is the factor map of the Sturmian base onto its
 rotation.
@@ -169,12 +170,15 @@ def quotient_base(dc: BaseSystem) -> BaseSystem:
         return e - L1 if e >= e_r - 1e-15 else e
 
     a: TernaryCode = dc.params["a"]
+    K: int = dc.params["K"]
+    back = {(a.bits - j) % (1 << K) for j in range(1, DOUBLING_HORIZON + 1)}
 
-    def preimages(x: DoubledCode) -> list[DoubledCode]:
-        if x.side == 0 and x.code.bits == a.bits:
-            return [c_l]
-        pres = dc.preimages(canonical(x))
-        return [canonical(p) for p in pres]
+    def preimages(x: DoubledCode) -> set[DoubledCode]:
+        # by brute force: every point steps to the next code, or c_l to a,
+        # so the points with the previous code that ``apply`` sends to x
+        prev = TernaryCode((x.code.bits - 1) % (1 << K), K)
+        candidates = [DoubledCode(prev, side) for side in (-1, 0, 1) if side == 0 or prev.bits in back]
+        return {canonical(p) for p in candidates if apply(p) == canonical(x)}
 
     def sampler(n: int) -> list[DoubledCode]:
         return [canonical(p) for p in dc.sampler(n)]

@@ -858,6 +858,22 @@ class TestTrichotomy:
         with pytest.raises(NoProbes):
             typical_fibre_report(s, sample, dropped, 0.02, 0.02)
 
+    def test_blown_up_odometer_drops_the_identified_point_and_its_image(self):
+        # both members of the second pair step to c_l, so c_l has two
+        # preimages, and a (whose preimages are c_l and the untagged a_-1)
+        # is dropped as well; of six probes four are used
+        res = CONSTRUCTIONS["theorem-d-1"]({})
+        s = res.system
+        sample = approximate_minimal_set(s, res.seed(0), 100, 20_000, 0.02)
+        c_l = s.base.params["c_l"]
+        dropped = [c_l, s.base.apply(c_l)]
+        assert dropped[1] == DoubledCode(s.base.params["a"], 0)
+        assert str(sample.probe_class(c_l, 0.02, 0.02)) == "Circles(2)"
+        assert all(sample.probe_class(b, 0.02, 0.02) is not None for b in dropped)
+        kept = sample.bases[:: len(sample.bases) // 4][:4]
+        rep = typical_fibre_report(s, sample, dropped + kept, 0.02, 0.02)
+        assert rep.probes_used == 4
+
 
 class TestCirclesReport:
     def test_modal_tie_goes_to_first_probe_count(self, monkeypatch):

@@ -273,21 +273,22 @@ class TestDoubledCantor:
             blown_up_odometer(code_from_digits([2] + [0] * 39))
 
     def test_doubled_points_are_distinct_but_close(self):
-        # the second pair: the first is identified
+        # the second pair, c_l's two preimages: the first is identified
         bs = blown_up_odometer()
-        (lo,) = bs.preimages(bs.params["c_l"])
-        hi = DoubledCode(lo.code, +1)
-        assert lo.side == -1 and hi.side == +1
+        lo, hi = bs.preimages(bs.params["c_l"])
+        assert (lo, hi) == (DoubledCode(lo.code, -1), DoubledCode(lo.code, +1))
         gap = bs.embedding(hi) - bs.embedding(lo)
         assert gap > 0.0
         assert gap < 1e-10
 
     def test_backward_orbit_tags_shift(self):
         bs = blown_up_odometer()
+        a, K = bs.params["a"], bs.params["K"]
+        second = TernaryCode((a.bits - 2) % (1 << K), K)
         pres = bs.preimages(bs.params["c_l"])
-        assert len(pres) == 1
-        assert pres[0].side == -1
+        assert pres == [DoubledCode(second, -1), DoubledCode(second, +1)]
         assert bs.preimages(bs.params["c_r"]) == pres
+        assert bs.preimages(pres[1]) == [DoubledCode(TernaryCode((second.bits - 1) % (1 << K), K), +1)]
 
     def test_untagged_points_follow_odometer(self):
         bs = blown_up_odometer()
@@ -300,26 +301,29 @@ class TestDoubledCantor:
     def test_two_preimages_only_at_blowup_point(self):
         # before the identification (the reference's doubled base) a has
         # the doubled pair as its two preimages; in the blown-up odometer
-        # both step to a, and c_l is a's one preimage
+        # both are c_l, which steps to a as the untagged a_-1 does, and the
+        # two members of the second pair both step to c_l
         dc, bs = doubled_cantor(), blown_up_odometer()
         c_l, c_r = bs.params["c_l"], bs.params["c_r"]
         target = DoubledCode(bs.params["a"], 0)
         assert set(dc.preimages(target)) == {c_l, c_r}
-        assert bs.preimages(target) == [c_l]
+        assert bs.preimages(target) == [DoubledCode(c_l.code, 0), c_l]
         assert bs.apply(c_l) == target
         assert bs.apply(c_r) == target
-        assert len(bs.preimages(c_l)) == 1
+        second = bs.preimages(c_l)
+        assert second == [DoubledCode(second[0].code, -1), DoubledCode(second[0].code, +1)]
+        assert [bs.apply(x) for x in second] == [c_l, c_l]
 
     def test_backward_orbit_gaps_match_schedule(self):
         bs = blown_up_odometer()
         gaps = bs.params["gaps"]
         x, y = bs.params["c_l"], bs.params["c_r"]
         assert bs.embedding(y) == bs.embedding(x)
+        x, y = bs.preimages(x)
         for j in range(1, 5):
-            (x,) = bs.preimages(x)
-            y = DoubledCode(x.code, +1)
             gap = bs.embedding(y) - bs.embedding(x)
             assert gap == pytest.approx(gaps[j], rel=1e-6)
+            (x,), (y,) = bs.preimages(x), bs.preimages(y)
 
     def test_embedding_monotone_on_samples(self):
         bs = blown_up_odometer()
@@ -346,6 +350,31 @@ class TestQuotient:
         for x in q.sampler(16):
             (y,) = q.preimages(x)
             assert q.distance(q.apply(y), x) == 0.0
+
+
+def _two_try_arc_intersect(a, b):
+    """``_arc_intersect`` as it was with a second try on the wrapped copy of
+    b when the first is empty."""
+    s1, l1 = a
+    s2, l2 = b
+    t = (s2 - s1) % 1.0
+    lo = max(0.0, t if t < l1 else t - 1.0)
+    hi = min(l1, (t + l2) if t < l1 else (t - 1.0 + l2))
+    if hi <= lo:
+        t2 = t - 1.0
+        lo = max(0.0, t2)
+        hi = min(l1, t2 + l2)
+        if hi <= lo:
+            return (s1, 0.0)
+    return ((s1 + lo) % 1.0, hi - lo)
+
+
+_TINY = st.sampled_from([0.0, 5e-324, 2.0**-1074 * 3, 2.0**-60, 2.0**-54, 2.0**-53, 2.0**-52, 1e-12])
+#: arc starts in [0, 1), and arc lengths in [0, 1], both also a tiny step
+#: from either end
+_ARC_ENDS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True), _TINY, _TINY.map(lambda d: max(0.0, math.nextafter(1.0, 0.0) - d)))
+_ARC_LENGTHS = st.one_of(st.floats(0.0, 1.0), _TINY, _TINY.map(lambda d: 1.0 - d))
 
 
 class TestSturmian:
@@ -383,6 +412,17 @@ class TestSturmian:
         bs = sturmian(GOLDEN, precision=400)
         ws = bs.sampler(12)
         assert len(set(ws)) == 12
+
+    @given(s1=_ARC_ENDS, l1=_ARC_LENGTHS, l2=_ARC_LENGTHS, data=st.data())
+    @settings(max_examples=2000, deadline=None)
+    def test_arc_intersect_needs_no_second_try(self, s1, l1, l2, data):
+        # b starts anywhere, or a tiny step before a's start (so its offset
+        # t from a is 1 or just below) or around a's end
+        s2 = data.draw(st.one_of(_ARC_ENDS, *(
+            _TINY.map(lambda d, at=at, sign=sign: (at + sign * d) % 1.0)
+            for at in (s1, s1 + l1) for sign in (-1.0, 1.0))))
+        got, want = _arc_intersect((s1, l1), (s2, l2)), _two_try_arc_intersect((s1, l1), (s2, l2))
+        assert repr(got) == repr(want)
 
 
 def _rotation_step(alpha):
@@ -519,7 +559,8 @@ class TestBlownUpOdometer:
             st.integers(0, mod - 1).map(lambda bits: DoubledCode(TernaryCode(bits, K), 0)),
         ))
         assert _bits([bs.embedding(x)]) == _bits([ref.embedding(x)])
-        assert bs.preimages(x) == ref.preimages(x)
+        pres = bs.preimages(x)
+        assert len(set(pres)) == len(pres) and set(pres) == ref.preimages(x)
         n = data.draw(st.integers(0, 64))
         (points, embeds), (want, want_embeds) = bs.walk(x, n), ref.walk(x, n)
         assert list(points) == want and _bits(embeds) == _bits(want_embeds)

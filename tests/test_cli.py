@@ -846,7 +846,7 @@ class TestSampleStream:
 
         def load_then_reset_peak(args):
             result = load(args)
-            loaded["rows"] = len(result[3].bases)
+            loaded["rows"] = len(result[4][0])  # the sample's base points
             loaded["held"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             return result

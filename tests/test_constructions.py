@@ -7,6 +7,8 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlemin.base_systems import GOLDEN, CircleAngle, circle_rotation, coding_word, word_embedding
 from bundlemin.bundles import BundlePoint, apply_skew, orbit
@@ -215,6 +217,18 @@ class TestCase1:
             assert x.y.edge == ("s1" if part(s.base.embedding(x.b)) == 1 else "s2")
 
 
+#: interpolation tables and points whose differences cannot overflow
+_FINITE = st.floats(-1e100, 1e100)
+
+
+def _numpy_chart(r, dr, th_a, th_b):
+    """A chart's angles and arc lengths as numpy tabulated them: 721
+    ``linspace`` angles and the ``cumsum`` of 720 trapezoids."""
+    th = np.linspace(th_a, th_b, 721)
+    integrand = np.sqrt(np.array([r(t) for t in th]) ** 2 + np.array([dr(t) for t in th]) ** 2)
+    return th, np.concatenate(([0.0], np.cumsum((integrand[:-1] + integrand[1:]) / 2.0 * np.diff(th))))
+
+
 class TestCase2:
     def test_bad_pattern_rejected(self):
         with pytest.raises(WrongInput, match=r"^unknown pattern 'spiral'; expected point \| arc \| two$"):
@@ -252,6 +266,26 @@ class TestCase2:
         assert p.edge != y.edge
         assert geo.theta_of(p) == pytest.approx(geo.theta_of(y), abs=1e-9)
         assert geo.graph.path_distance(y, p) > 0.1
+
+    @given(xp=st.lists(_FINITE, min_size=1, max_size=12, unique=True).map(sorted), data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_interp_is_numpy_interp(self, xp, data):
+        fp = data.draw(st.lists(_FINITE, min_size=len(xp), max_size=len(xp)))
+        # anywhere, on a knot, or a step either side of one
+        beside_knot = st.tuples(st.sampled_from(xp), st.sampled_from([-math.inf, math.inf])).map(
+            lambda knot_to: math.nextafter(*knot_to))
+        x = data.draw(st.one_of(_FINITE, st.sampled_from(xp), beside_knot))
+        assert _bits([constructions._interp(x, xp, fp)]) == _bits([np.interp(x, xp, fp)])
+
+    @given(r0=st.floats(0.5, 2.0), amp=st.floats(0.0, 0.5), freq=st.integers(1, 4),
+           th_a=st.floats(0.0, math.tau), width=st.floats(1e-6, math.tau))
+    @settings(max_examples=100, deadline=None)
+    def test_chart_is_the_numpy_table(self, r0, amp, freq, th_a, width):
+        r = lambda th: r0 + amp * math.cos(freq * th)
+        dr = lambda th: -amp * freq * math.sin(freq * th)
+        chart = constructions.Chart.of(r, dr, th_a, th_a + width)
+        thetas, arcs = _numpy_chart(r, dr, th_a, th_a + width)
+        assert _bits(chart.thetas) == _bits(thetas) and _bits(chart.arcs) == _bits(arcs)
 
     def test_fibre_map_interpolation_accuracy(self):
         res = build_theorem_d_case2("point", precision=20)

@@ -1,8 +1,9 @@
 """Start-up cost: every bundlemin process pins numpy's OpenBLAS pool to one
 thread before numpy loads, because nothing in the package calls BLAS and an
-idle worker thread spins CPU in every command; and ``build``, which runs no
+idle worker thread spins CPU in every command; ``build``, which runs no
 array code, loads no numpy at all, because the model layer imports it only
-inside the functions that use it."""
+inside the functions that use it; and ``plot``, which only draws a sample,
+loads no analysis layer."""
 from __future__ import annotations
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import bundlemin
+from bundlemin import cli
 from bundlemin.constructions import CONSTRUCTIONS
 
 SRC = Path(bundlemin.__file__).resolve().parents[1]
@@ -22,9 +24,11 @@ SRC = Path(bundlemin.__file__).resolve().parents[1]
 #: bundles, the constructions and the command line
 MODEL_LAYER = ("errors", "base_systems", "graphs", "bundles", "constructions", "cli")
 
-#: the constructions whose build runs no array code; the theorem-d-2 builds
-#: tabulate their fibre curves with numpy
-ARRAY_FREE = ("mobius", "torus-on-mobius", "sturmian-cylinder", "circle-product", "m-circles", "theorem-d-1")
+#: the constructions whose build runs no array code: every one
+ARRAY_FREE = (
+    "mobius", "torus-on-mobius", "sturmian-cylinder", "circle-product", "m-circles", "theorem-d-1",
+    "theorem-d-2:point", "theorem-d-2:arc", "theorem-d-2:two",
+)
 
 #: the variables that size numpy's BLAS thread pool
 POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
@@ -74,14 +78,31 @@ BUILD_THEN_NUMPY_LOADED = (
 )
 
 
-def test_every_construction_but_theorem_d_2_is_array_free():
-    assert set(CONSTRUCTIONS) - set(ARRAY_FREE) == {f"theorem-d-2:{p}" for p in ("point", "arc", "two")}
+def test_every_construction_is_array_free():
+    assert sorted(ARRAY_FREE) == sorted(CONSTRUCTIONS)
 
 
 @pytest.mark.parametrize("name", ARRAY_FREE)
 def test_build_loads_no_numpy(name, tmp_path):
     code = BUILD_THEN_NUMPY_LOADED.format(name=name, out=str(tmp_path))
     assert run_python(code, child_env()).splitlines()[-1] == "0 False"
+
+
+PLOT_THEN_ANALYSIS_LOADED = (
+    "import sys; from bundlemin import cli; "
+    "rc = cli.main(['plot', '--out', {out!r}]); "
+    "print(rc, sorted(m for m in ('bundlemin.analysis', 'bundlemin.fibre_index', 'bundlemin.thinning') "
+    "if m in sys.modules))"
+)
+
+
+def test_plot_loads_no_analysis_layer(tmp_path):
+    out = str(tmp_path)
+    assert cli.main(["build", "torus-on-mobius", "--out", out]) == 0
+    assert cli.main(["minimal-set", "--out", out, "--steps", "2000"]) == 0
+    code = PLOT_THEN_ANALYSIS_LOADED.format(out=out)
+    assert run_python(code, child_env()).splitlines()[-1] == "0 []"
+    assert (tmp_path / "sample.svg").exists()
 
 
 def import_time_imports(tree: ast.Module) -> list[tuple[int, str, int]]:

@@ -51,7 +51,9 @@ class SampledSet:
     point its base point, fibre edge index, fibre parameter ``t`` and base
     embedding.
 
-    ``base_embed`` is computed from ``bases`` when not given.
+    Columns given as sequences (``cli`` reads stdlib ``array``s, which are
+    not copied) are held as numpy arrays; ``base_embed`` is computed from
+    ``bases`` when not given.
     """
 
     delta: float
@@ -65,7 +67,9 @@ class SampledSet:
 
     def __post_init__(self) -> None:
         if self.base_embed is None:
-            self.base_embed = np.array([float(self.base.embedding(b)) for b in self.bases], dtype=float)
+            self.base_embed = [float(self.base.embedding(b)) for b in self.bases]
+        self.edge_idx, self.ts = np.asarray(self.edge_idx), np.asarray(self.ts)
+        self.base_embed = np.asarray(self.base_embed, dtype=float)
         self._circular = self.base.circular
         self._probe_classes: dict[tuple, FibreClass | None] = {}
 
@@ -79,8 +83,8 @@ class SampledSet:
 
     @cached_property
     def points(self) -> list[BundlePoint]:
-        """The sample as point objects, for library callers; the pipeline
-        reads the arrays."""
+        """The sample as point objects, read only by the tests and by
+        ``perfbench/tracer.py``'s orbit observer (until ROADMAP item 1b)."""
         ys = points_from_arrays(self.bundle.fibre, self.edge_idx, self.ts)
         return [BundlePoint(b, y) for b, y in zip(self.bases, ys)]
 
@@ -134,7 +138,9 @@ class SampledSet:
         return ei, tt
 
     def fibre_slice(self, b: BasePoint, delta_base: float) -> list[GraphPoint]:
-        """``slice_arrays`` as a point list."""
+        """``slice_arrays`` as a point list, kept on the classify path only
+        because ``perfbench/tracer.py`` times it and reads the slice as
+        points by name (until ROADMAP item 1b)."""
         return points_from_arrays(self.bundle.fibre, *self.slice_arrays(b, delta_base))
 
     def probe_class(self, b: BasePoint, delta_base: float, delta: float) -> FibreClass | None:
@@ -158,7 +164,7 @@ def _thin_points(
     The batch form of ``thinning.thin_blocks``, ``THIN_BLOCK`` points at a
     time: only the tests and ``perfbench/tracer.py`` (which times it by
     name) call it, and it goes when the benchmark reads stage spans instead
-    of patching names (ROADMAP item 1).
+    of patching names (ROADMAP item 1b).
     """
     edges = [g._eidx.get(y.edge, -1) for y in ys]
     if -1 in edges:

@@ -79,7 +79,10 @@ def monodromy_bundle(
 
 
 def apply_skew(s: SkewSystem, x: BundlePoint) -> BundlePoint:
-    """One step of the skew product, with chart transition on base wrap."""
+    """One step of the skew product, with chart transition on base wrap: the
+    step of the test oracles ``orbit`` and ``mobius_boundary_circle_map``,
+    kept also because ``perfbench/tracer.py`` times it by name (until ROADMAP
+    item 1b)."""
     b2 = s.base.apply(x.b)
     e2 = float(s.base.embedding(b2))
     y2 = eval_graph_map(s.image_family(e2), x.y)
@@ -151,7 +154,8 @@ def transport_to(
 
     For product bundles this is the identity; for monodromy bundles the
     gluing (or its inverse) is applied when the short base arc joining
-    b_from and b_to crosses the cut (``analysis.cut_sides``).
+    b_from and b_to crosses the cut (``analysis.cut_sides``).  Only the
+    tests and ``perfbench/tracer.py``, by name, call it (until ROADMAP item 1b).
     """
     if not bundle.is_monodromy:
         return y

@@ -2,10 +2,10 @@
 classify the sample, and render plots. All outputs are deterministic for a
 fixed config and seed. Each command writes its --out files as one set (a
 failed write leaves the previous sample and its verdicts as they were), and
-a construction other than system.json's exits 2.  ``build`` reads no sample,
-so it loads neither numpy nor the sample layer; ``plot`` draws the checked
-columns of the sample it reads and loads no analysis layer: each command
-imports what it needs where it runs.
+a construction other than system.json's exits 2.  The sample's columns are
+read into stdlib ``array``s, and only ``minimal-set`` and ``classify`` import
+the analysis layer, and with it numpy, where they run: ``build`` reads no
+sample, and ``plot`` draws the checked columns of the sample it reads.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from array import array
 from contextlib import closing, suppress
 from itertools import count, islice
 from pathlib import Path
@@ -33,8 +34,6 @@ from .errors import (
 from .graphs import MetricGraph
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .analysis import SampledSet
 
 EXIT_OK = 0
@@ -75,18 +74,17 @@ def sample_to_csv(sample: SampledSet, f: TextIO) -> None:
 
 def csv_to_points(
     lines: Iterable[str], base: BaseSystem, fibre: MetricGraph
-) -> tuple[Sequence[BasePoint], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sample in CSV lines as columns: base points, fibre edge indices,
-    parameters, the ``base`` cells and the points' embeddings, decoded
-    ``SAMPLE_BLOCK`` rows at a time.  Every row is checked for five fields,
-    its row number as ``step`` (so reordered or spliced rows are refused),
+) -> tuple[Sequence[BasePoint], array, array, array, array]:
+    """The sample in CSV lines as columns: base points, then ``array``s of
+    fibre edge indices, parameters, the ``base`` cells and the points'
+    embeddings, decoded ``SAMPLE_BLOCK`` rows at a time (and the arrays
+    sized once, after the last).  Every row is checked for five fields, its
+    row number as ``step`` (so reordered or spliced rows are refused),
     a tag the base decodes, a numeric ``base``, an edge of the fibre and a
     parameter in [0, 1].  Each check keeps its first failing line; after
     the last row the failure of the earliest check in ``SAMPLE_CHECKS`` is
     raised, so a bad step on a late line is reported before a bad tag on an
     early one.  Only a record the csv module cannot parse is refused at once."""
-    import numpy as np
-
     fibre_edges = {e.id: k for k, e in enumerate(fibre.edges)}
     size = SAMPLE_BLOCK
     blocks: list[tuple] = []
@@ -97,15 +95,15 @@ def csv_to_points(
         try:
             # a row of another length fails the strict zip or the unpacking
             steps, base_cells, tags, edges, t_cells = zip(*rows, strict=True)
-            edge_idx = np.fromiter(map(fibre_edges.__getitem__, edges), int, len(rows))
-            ts = np.fromiter(map(float, t_cells), float, len(rows))
-            written = np.fromiter(map(float, base_cells), float, len(rows))
+            edge_idx = array("q", map(fibre_edges.__getitem__, edges))
+            ts = array("d", map(float, t_cells))
+            written = array("d", map(float, base_cells))
             points, embeddings = base.read(tags)
         except (KeyError, ValueError, BundleMinError):
             return None
-        if steps != tuple(map(str, range(first, first + len(rows)))) or not ((ts >= 0.0) & (ts <= 1.0)).all():
+        if steps != tuple(map(str, range(first, first + len(rows)))) or not all(0.0 <= t <= 1.0 for t in ts):
             return None
-        return points, edge_idx, ts, written, np.array(embeddings, dtype=float)
+        return points, edge_idx, ts, written, array("d", embeddings)
 
     def read(check: str, cell: str, decode: Callable) -> Any:
         try:
@@ -146,8 +144,12 @@ def csv_to_points(
         raise SchemaError(f"sample CSV line {next(line_numbers) - 1}: {exc}") from exc
     if failures:
         raise SchemaError(failures[min(failures, key=SAMPLE_CHECKS.index)])
-    points, *columns = zip(*blocks) if blocks else ([], *([np.empty(0, t)] for t in (int, float, float, float)))
-    return (LazyPoints(n, lambda i: points[i // size][i % size]), *map(np.concatenate, columns))
+    points, *block_columns = zip(*blocks) if blocks else ((),) * 5
+    columns = [array(typecode, [0]) * n for typecode in "qddd"]
+    for column, pieces in zip(columns, block_columns):
+        for i, piece in enumerate(pieces):
+            column[i * size:i * size + len(piece)] = piece
+    return (LazyPoints(n, lambda i: points[i // size][i % size]), *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +399,12 @@ def _check_provenance(prov: dict, path: Path, system_id: str, rows: int) -> None
 
 
 def _load_sample(args: argparse.Namespace) -> tuple[
-    Path, str, ConstructionResult, dict, tuple[Sequence[BasePoint], np.ndarray, np.ndarray, np.ndarray]
+    Path, str, ConstructionResult, dict, tuple[Sequence[BasePoint], array, array, array]
 ]:
     """The system saved in --out, the provenance of its orbit sample and
     the sample's checked columns (base points, fibre edge indices, parameters
     and base embeddings).  The sample was thinned at the provenance's delta;
     a --delta flag or config delta that differs is a ConfigError."""
-    import numpy as np
-
     cfg = load_config(args.config)
     delta = _run_settings(args, cfg)[0]
     out = Path(args.out)
@@ -427,13 +427,9 @@ def _load_sample(args: argparse.Namespace) -> tuple[
     _check_provenance(prov, prov_path, s.id, len(bases))
     if (args.delta is not None or "delta" in cfg) and delta != prov["delta"]:
         raise ConfigError(f"delta {delta} is not {prov['delta']}, the delta of the sample in {out}")
-    bad = np.flatnonzero(written != embeddings)
-    if len(bad):
-        i = int(bad[0])
-        raise SchemaError(
-            f"{csv_path} line {i + 2}: base {float(written[i])!r} is not "
-            f"{float(embeddings[i])!r}, the embedding of its tag"
-        )
+    for i, (cell, embedding) in enumerate(zip(written, embeddings)):
+        if cell != embedding:
+            raise SchemaError(f"{csv_path} line {i + 2}: base {cell!r} is not {embedding!r}, the embedding of its tag")
     return out, name, result, prov, (bases, edge_idx, ts, embeddings)
 
 

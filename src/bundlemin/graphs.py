@@ -156,7 +156,9 @@ class MetricGraph:
         return best
 
     def distances_to_many(self, p: GraphPoint, edge_idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Vectorized path_distance from p to points given as (edge index, t) arrays."""
+        """Vectorized path_distance from p to points given as (edge index, t)
+        arrays; only the tests and ``perfbench/tracer.py``, by name, call it
+        (until ROADMAP item 1b)."""
         import numpy as np
 
         from .fibre_index import distance_matrix

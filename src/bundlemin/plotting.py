@@ -1,12 +1,11 @@
 """Static SVG rendering of sampled sets: base coordinate on x, fibre
-unrolled on y as one lane per edge. Output is deterministic: fixed float
-formatting, no timestamps, stable element order.
+unrolled on y as one lane per edge, drawn point by point in Python floats
+(no numpy). Output is deterministic: fixed float formatting, no
+timestamps, stable element order.
 """
 from __future__ import annotations
 
 from typing import Sequence, TextIO
-
-import numpy as np
 
 from .graphs import MetricGraph
 
@@ -14,9 +13,6 @@ WIDTH = 900
 HEIGHT = 600
 MARGIN = 50
 LANE_GAP = 12
-
-#: sample points whose coordinates are computed at once
-POINT_BLOCK = 1024
 
 
 def _fmt(x: float) -> str:
@@ -26,9 +22,9 @@ def _fmt(x: float) -> str:
 def render_sample_svg(
     f: TextIO,
     fibre: MetricGraph,
-    bases: np.ndarray,
-    edge_idx: np.ndarray,
-    ts: np.ndarray,
+    bases: Sequence[float],
+    edge_idx: Sequence[int],
+    ts: Sequence[float],
     highlight_bases: Sequence[float] = (),
     cut_marker: bool = False,
     title: str = "",
@@ -67,7 +63,7 @@ def render_sample_svg(
             f'fill="#555555">{e.id}</text>'
         )
     if len(bases):
-        b_lo, b_hi = float(bases.min()), float(bases.max())
+        b_lo, b_hi = min(bases), max(bases)
     else:
         put(
             f'<text x="{WIDTH // 2 - 60}" y="{HEIGHT // 2}" font-size="14" '
@@ -75,20 +71,13 @@ def render_sample_svg(
         )
         b_lo, b_hi = 0.0, 1.0
     span = (b_hi - b_lo) or 1.0
-    # lane top and height of each fibre edge, in fibre.edges order; the
-    # elementwise float64 arithmetic below is the scalar formula, so every
-    # coordinate rounds as it would one point at a time
-    tops = np.array([lane_top[e.id][0] for e in fibre.edges], dtype=float)
-    heights = np.array([lane_top[e.id][1] for e in fibre.edges], dtype=float)
-    for lo in range(0, len(bases), POINT_BLOCK):
-        block = slice(lo, lo + POINT_BLOCK)
-        px = MARGIN + plot_w * (bases[block] - b_lo) / span
-        k = edge_idx[block]
-        py = tops[k] + heights[k] * (1.0 - ts[block])
-        f.writelines(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1" fill="#1f3d7a"/>\n'
-            for x, y in zip(px.tolist(), py.tolist())
-        )
+    # lane top and height of each fibre edge, in fibre.edges order
+    lanes = [lane_top[e.id] for e in fibre.edges]
+    f.writelines(
+        f'<circle cx="{_fmt(MARGIN + plot_w * (b - b_lo) / span)}" '
+        f'cy="{_fmt(lanes[k][0] + lanes[k][1] * (1.0 - t))}" r="1" fill="#1f3d7a"/>\n'
+        for b, k, t in zip(bases, edge_idx, ts)
+    )
     for hb in highlight_bases:
         px = MARGIN + plot_w * (hb - b_lo) / span
         put(

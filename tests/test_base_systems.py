@@ -448,10 +448,6 @@ def _sturmian_step(alpha, K):
     return step
 
 
-def _bits(xs):
-    return np.array(xs, dtype=float).view(np.int64).tolist()
-
-
 def _assert_walk_is_iterated_step(bs, b, n, step):
     """``bs.walk(b, n)`` holds the points ``step`` and ``bs.apply`` reach
     from b, equal and with equal tags (words also with their arcs, bit for

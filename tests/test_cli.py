@@ -706,7 +706,7 @@ class TestSampleStream:
             bases, *columns, embeddings = got[1]
             assert list(bases) == ref[1][0]
             want = np.array([float(s.base.embedding(b)) for b in ref[1][0]], dtype=float)
-            for a, b in zip((*columns, embeddings), (*ref[1][1:], want)):
+            for a, b in zip(map(np.asarray, (*columns, embeddings)), (*ref[1][1:], want)):
                 assert a.dtype == b.dtype and a.view(np.int64).tolist() == b.view(np.int64).tolist()
         return ref
 

@@ -3,7 +3,8 @@ thread before numpy loads, because nothing in the package calls BLAS and an
 idle worker thread spins CPU in every command; ``build``, which runs no
 array code, loads no numpy at all, because the model layer imports it only
 inside the functions that use it; and ``plot``, which only draws a sample,
-loads no analysis layer."""
+loads neither the analysis layer nor numpy, because ``cli`` and
+``plotting`` import numpy nowhere."""
 from __future__ import annotations
 
 import ast
@@ -88,21 +89,52 @@ def test_build_loads_no_numpy(name, tmp_path):
     assert run_python(code, child_env()).splitlines()[-1] == "0 False"
 
 
-PLOT_THEN_ANALYSIS_LOADED = (
+PLOT_THEN_ARRAY_LAYER_LOADED = (
     "import sys; from bundlemin import cli; "
     "rc = cli.main(['plot', '--out', {out!r}]); "
-    "print(rc, sorted(m for m in ('bundlemin.analysis', 'bundlemin.fibre_index', 'bundlemin.thinning') "
+    "print(rc, sorted(m for m in ('numpy', 'bundlemin.analysis', 'bundlemin.fibre_index', 'bundlemin.thinning') "
     "if m in sys.modules))"
 )
 
+#: one construction per way a base reads its ``sample.csv`` tags: the
+#: rotation's block reader (``angle:``), Sturmian words (``word:``) and the
+#: blown-up odometer's codes (``dcode:``)
+PLOT_SAMPLES = {"torus-on-mobius": "angle:", "sturmian-cylinder": "word:", "theorem-d-1": "dcode:"}
+
 
 def test_plot_loads_no_analysis_layer(tmp_path):
-    out = str(tmp_path)
-    assert cli.main(["build", "torus-on-mobius", "--out", out]) == 0
-    assert cli.main(["minimal-set", "--out", out, "--steps", "2000"]) == 0
-    code = PLOT_THEN_ANALYSIS_LOADED.format(out=out)
-    assert run_python(code, child_env()).splitlines()[-1] == "0 []"
-    assert (tmp_path / "sample.svg").exists()
+    """``plot`` loads neither numpy nor the array layer, whichever tag reader
+    decodes the sample."""
+    for name, kind in PLOT_SAMPLES.items():
+        out = tmp_path / name
+        assert cli.main(["build", name, "--out", str(out)]) == 0
+        assert cli.main(["minimal-set", "--out", str(out), "--steps", "2000"]) == 0
+        assert (out / "sample.csv").read_text().splitlines()[1].split(",")[2].startswith(kind)
+        code = PLOT_THEN_ARRAY_LAYER_LOADED.format(out=str(out))
+        assert run_python(code, child_env()).splitlines()[-1] == "0 []", name
+        assert (out / "sample.svg").exists()
+
+
+def imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import in tree, wherever it stands:
+    at the top, in a function body or under ``if TYPE_CHECKING:``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_cli_and_plotting_import_no_numpy_anywhere():
+    found = [
+        f"{module}.py:{line} {name}"
+        for module in ("cli", "plotting")
+        for line, name in imported_modules(ast.parse((SRC / "bundlemin" / f"{module}.py").read_text(encoding="utf-8")))
+        if name.split(".")[0] == "numpy"
+    ]
+    assert not found, f"numpy is imported outside the array layer: {', '.join(found)}"
 
 
 def import_time_imports(tree: ast.Module) -> list[tuple[int, str, int]]:
